@@ -15,23 +15,17 @@
 #   6. trace:      telemetry smoke test — run a 4-node workload with
 #                  --trace-out/--stats-out, validate both as JSON, and
 #                  check that tracing leaves bench output bit-identical
-#   7. determinism: every engine backend must produce byte-for-byte
+#   7. determinism: both engine backends must produce byte-for-byte
 #                  identical bench output — the full matrix is
-#                  {wheel, heap, parallel x 2 threads, parallel x 4
-#                  threads} x {update, invalidate} diffed against the
-#                  wheel run of the same protocol
+#                  {wheel, heap} x {update, invalidate}, the heap run
+#                  diffed against the wheel run of the same protocol
 #   8. protocols:  per-protocol suites — tests/test_protocol, then
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
 #                  JSON output schema validated
 #   9. perf-smoke: engine_throughput --quick, fail if the wheel's
 #                  throughput regressed >25% vs the committed
-#                  BENCH_engine.json or the speedup target is missed;
-#                  also gate the parallel backend against
-#                  BENCH_parallel.json (fail on >25% regression at any
-#                  thread count; core-gated scaling floors: >=1.0x at
-#                  2 threads on >=2 cores, >=2.5x at 8 threads on
-#                  >=8 cores)
+#                  BENCH_engine.json or the speedup target is missed
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
 #                  corrupt 0.5%, mixed + transient link kill) — every
 #                  run must reproduce the fault-free memory image, and
@@ -39,23 +33,17 @@
 #                  byte-identical to the committed golden/ files under
 #                  both engine backends
 #  11. recovery:   node-crash chaos matrix — the recovery unit tests,
-#                  then chaos_sweep --kill-node on wheel and
-#                  parallel x 2 threads; every run must leave the
-#                  surviving replicas mutually consistent and the
-#                  post-recovery image hash byte-identical across
-#                  backends
-#  12. tsan:       ThreadSanitizer build (PLUS_TSAN=ON) — the parallel
-#                  engine's tests plus the 2/4-thread determinism matrix
-#                  must run with zero TSan reports (skipped with a
-#                  warning when the toolchain lacks -fsanitize=thread)
-#  13. prof:       host-time profiler gates — a profiled parallel run
-#                  must attribute >=90% of each thread's wall clock
-#                  across {work, barrier, drain, other}, and the
-#                  profiler-off overhead on the serial wheel micro
-#                  benchmark must stay under 3% (best of 3)
+#                  then chaos_sweep --kill-node on wheel and heap; every
+#                  run must leave the surviving replicas mutually
+#                  consistent and the post-recovery image hash
+#                  byte-identical across backends
+#  12. prof:       host-time profiler gates — a profiled run must record
+#                  every serial phase, and the profiler-on overhead on
+#                  the wheel micro benchmark must stay under 3% (best
+#                  of 5)
 #
 # Usage: scripts/ci.sh [tier1|sanitize|tidy|lint|format|trace|determinism|
-#                       protocols|perf-smoke|chaos|recovery|tsan|prof|all]
+#                       protocols|perf-smoke|chaos|recovery|prof|all]
 #                      (default: all)
 
 set -euo pipefail
@@ -70,7 +58,6 @@ STAGE="${1:-all}"
 # and carrying on.
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
-export TSAN_OPTIONS="halt_on_error=1:abort_on_error=1:second_deadlock_stack=1"
 
 run_tier1() {
     echo "=== tier-1: build + ctest ==="
@@ -175,32 +162,23 @@ run_determinism() {
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
 
-    # Every backend/thread-count combination must reproduce the wheel
-    # output exactly, under both coherence protocols (byte-identity is
-    # per protocol: update and invalidate legitimately differ from each
-    # other, see docs/PROTOCOLS.md). The parallel runs force --threads
-    # so the conservative engine really spins up worker domains even on
-    # single-core CI hosts (oversubscribed but functionally identical).
-    local proto combo
+    # The heap oracle must reproduce the wheel output exactly, under
+    # both coherence protocols (byte-identity is per protocol: update
+    # and invalidate legitimately differ from each other, see
+    # docs/PROTOCOLS.md).
+    local proto eng
     for proto in update invalidate; do
-        build/bench/table_3_1 --engine=wheel --protocol="$proto" \
-            > "$out/wheel_table.txt"
-        build/bench/sim_harness --nodes=16 --engine=wheel \
-            --protocol="$proto" > "$out/wheel_harness.txt"
-        for combo in "heap:0" "parallel:2" "parallel:4"; do
-            local eng="${combo%%:*}" thr="${combo##*:}"
-            local flags="--engine=$eng --protocol=$proto"
-            if [ "$thr" != 0 ]; then flags="$flags --threads=$thr"; fi
-            echo "--- $proto: $eng threads=$thr vs wheel"
-            # shellcheck disable=SC2086
-            build/bench/table_3_1 $flags > "$out/table.txt"
-            diff "$out/wheel_table.txt" "$out/table.txt"
-            # shellcheck disable=SC2086
-            build/bench/sim_harness --nodes=16 $flags > "$out/harness.txt"
-            diff "$out/wheel_harness.txt" "$out/harness.txt"
+        for eng in wheel heap; do
+            build/bench/table_3_1 --engine="$eng" --protocol="$proto" \
+                > "$out/${eng}_table.txt"
+            build/bench/sim_harness --nodes=16 --engine="$eng" \
+                --protocol="$proto" > "$out/${eng}_harness.txt"
         done
+        echo "--- $proto: heap vs wheel"
+        diff "$out/wheel_table.txt" "$out/heap_table.txt"
+        diff "$out/wheel_harness.txt" "$out/heap_harness.txt"
     done
-    echo "all engine backends are cycle-for-cycle identical per protocol"
+    echo "both engine backends are cycle-for-cycle identical per protocol"
 }
 
 run_protocols() {
@@ -239,8 +217,7 @@ run_perf_smoke() {
     # failing on one slow sample.
     local attempt wheel_ok=0
     for attempt in 1 2 3; do
-        build/bench/engine_throughput --quick --out="$out/bench.json" \
-            --parallel-out="$out/parallel.json"
+        build/bench/engine_throughput --quick --out="$out/bench.json"
         if python3 - "$out/bench.json" BENCH_engine.json <<'EOF'
 import json, sys
 now = json.load(open(sys.argv[1]))
@@ -263,41 +240,6 @@ EOF
         echo "perf-smoke: wheel gate failed on all attempts" >&2
         return 1
     fi
-
-    # The parallel-backend gate needs real cores: conservative windows
-    # cannot speed anything up on a 1-core host, so each scaling
-    # target is enforced only where the hardware can deliver it
-    # (speedup >= 1.0x at 2 threads on >= 2 cores, >= 2.5x at
-    # 8 threads on >= 8 cores). The regression bound vs the committed
-    # BENCH_parallel.json applies regardless of core count.
-    python3 - "$out/parallel.json" BENCH_parallel.json "$(nproc)" <<'EOF'
-import json, sys
-now = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-cores = int(sys.argv[3])
-for threads in sorted(now["threads"], key=int):
-    t_now = now["threads"][threads]
-    t_base = committed["threads"].get(threads)
-    if t_base is None:
-        continue
-    print(f"parallel x{threads}: {t_now:.3g} ev/s now vs "
-          f"{t_base:.3g} committed, {now['speedups'][threads]:.2f}x "
-          f"vs serial wheel")
-    assert t_now >= 0.75 * t_base, \
-        f"parallel throughput regressed >25% at {threads} threads: " \
-        f"{t_now:.3g} < 0.75 * {t_base:.3g}"
-for threads, floor in (("2", 1.0), ("8", 2.5)):
-    s = now["speedups"].get(threads)
-    if s is None:
-        continue
-    if cores < int(threads):
-        print(f"parallel gate: {cores} core(s) < {threads}; "
-              f"{floor}x target at {threads} threads not enforced")
-        continue
-    assert s >= floor, \
-        f"parallel backend below {floor}x at {threads} threads: {s:.2f}x"
-    print(f"parallel gate OK: {s:.2f}x >= {floor}x at {threads} threads")
-EOF
 }
 
 run_chaos() {
@@ -315,14 +257,12 @@ run_chaos() {
 
     # The fault machinery must be invisible when disabled: bench output
     # stays byte-identical to the committed goldens on every backend.
-    local flags
-    for flags in "--engine=wheel" "--engine=heap" \
-                 "--engine=parallel --threads=4"; do
-        # shellcheck disable=SC2086
-        build/bench/table_3_1 $flags > "$out/table.txt"
+    local eng
+    for eng in wheel heap; do
+        build/bench/table_3_1 --engine="$eng" > "$out/table.txt"
         diff golden/table_3_1.txt "$out/table.txt"
-        # shellcheck disable=SC2086
-        build/bench/sim_harness --nodes=16 $flags > "$out/harness.txt"
+        build/bench/sim_harness --nodes=16 --engine="$eng" \
+            > "$out/harness.txt"
         diff golden/sim_harness_16.txt "$out/harness.txt"
     done
     echo "fault-free path byte-identical to golden/ on every backend"
@@ -338,7 +278,7 @@ run_recovery() {
 
     # The recovery unit tests carry the fine-grained assertions:
     # dead-node purge, surviving-replica consistency, degraded serving
-    # of lost pages, and the wheel/heap/parallel image identity.
+    # of lost pages, and the wheel/heap image identity.
     build/tests/test_recovery
 
     # Crash the end node of a 1x8 line mid-run on each backend. Every
@@ -346,57 +286,16 @@ run_recovery() {
     # and the combined post-recovery image hash — memory words, elapsed
     # cycles, and epoch outcomes — must be byte-identical across
     # backends.
-    local combo
-    for combo in "wheel:0" "parallel:2"; do
-        local eng="${combo%%:*}" thr="${combo##*:}"
-        local flags="--engine=$eng"
-        if [ "$thr" != 0 ]; then flags="$flags --threads=$thr"; fi
-        echo "--- fail-stop sweep: $eng threads=$thr"
-        # shellcheck disable=SC2086
+    local eng
+    for eng in wheel heap; do
+        echo "--- fail-stop sweep: $eng"
         build/bench/chaos_sweep --nodes=8 --seeds=2 --kill-node=7@2000 \
-            $flags | tee "$out/sweep_$eng.txt"
+            --engine="$eng" | tee "$out/sweep_$eng.txt"
         grep "fail-stop image hash" "$out/sweep_$eng.txt" \
             > "$out/hash_$eng.txt"
     done
-    diff "$out/hash_wheel.txt" "$out/hash_parallel.txt"
+    diff "$out/hash_wheel.txt" "$out/hash_heap.txt"
     echo "post-recovery image byte-identical across backends"
-}
-
-run_tsan() {
-    echo "=== tsan: ThreadSanitizer over the parallel engine ==="
-    # Probe the toolchain: containers without libtsan should skip, not
-    # fail (the conservative backend is still covered by determinism).
-    local cxx="${CXX:-c++}"
-    if ! echo 'int main(){return 0;}' | "$cxx" -fsanitize=thread -x c++ \
-            - -o /dev/null >/dev/null 2>&1; then
-        echo "WARNING: $cxx lacks -fsanitize=thread; stage skipped"
-        return 0
-    fi
-    cmake -B build-tsan -S . -DPLUS_TSAN=ON >/dev/null
-    cmake --build build-tsan -j "$JOBS" --target test_parallel \
-        sim_harness table_3_1
-
-    echo "--- parallel-engine tests under TSan"
-    build-tsan/tests/test_parallel
-
-    echo "--- 2/4-thread determinism matrix under TSan"
-    local out
-    out="$(mktemp -d)"
-    trap 'rm -rf "$out"' RETURN
-    build-tsan/bench/table_3_1 --engine=wheel > "$out/wheel_table.txt"
-    build-tsan/bench/sim_harness --nodes=16 --engine=wheel \
-        > "$out/wheel_harness.txt"
-    local thr
-    for thr in 2 4; do
-        echo "--- parallel threads=$thr vs wheel (tsan)"
-        build-tsan/bench/table_3_1 --engine=parallel --threads="$thr" \
-            > "$out/table.txt"
-        diff "$out/wheel_table.txt" "$out/table.txt"
-        build-tsan/bench/sim_harness --nodes=16 --engine=parallel \
-            --threads="$thr" > "$out/harness.txt"
-        diff "$out/wheel_harness.txt" "$out/harness.txt"
-    done
-    echo "tsan: zero reports, matrix byte-identical"
 }
 
 run_prof() {
@@ -407,35 +306,18 @@ run_prof() {
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
 
-    # A profiled parallel run must attribute the wall clock: every
-    # thread's {work, barrier, drain, other} rollup sums to ~100 with
-    # the named buckets covering >=90%.
-    echo "--- parallel breakdown (4 threads)"
-    build/bench/engine_throughput --quick --threads=4 \
-        --prof-out="$out/prof.json" --out=/dev/null \
-        --parallel-out="$out/parallel.json" >/dev/null
+    # A profiled run must attribute host time to every serial phase.
+    echo "--- profiled run"
+    build/bench/engine_throughput --quick --prof-out="$out/prof.json" \
+        --out=/dev/null >/dev/null
     python3 - "$out/prof.json" <<'EOF'
 import json, sys
 prof = json.load(open(sys.argv[1]))
 assert prof["enabled"], "profiler not enabled despite --prof-out"
-threads = prof["threads"]
-workers = [t for t in threads if t["label"].startswith("worker")]
-assert len(workers) == 3, \
-    f"expected 3 worker threads in the profile, got {len(workers)}"
-for t in threads:
-    r = t["rollup"]
-    named = r["workPct"] + r["barrierPct"] + r["drainPct"]
-    total = named + r["otherPct"]
-    assert named >= 90.0, \
-        f"{t['label']}: named buckets cover only {named:.1f}% (<90%)"
-    assert 99.0 <= total <= 101.0, \
-        f"{t['label']}: rollup does not sum to 100: {total:.1f}"
-    print(f"{t['label']}: work {r['workPct']:.1f}% / "
-          f"barrier {r['barrierPct']:.1f}% / drain {r['drainPct']:.1f}% / "
-          f"other {r['otherPct']:.1f}%")
-assert prof["windows"]["count"] > 0, "no conservative windows recorded"
-print(f"windows: {prof['windows']['count']} "
-      f"(width mean {prof['windows']['widthMean']:.2f} cycles)")
+phases = {name for t in prof["threads"] for name in t["phases"]}
+for name in ("engine.run", "proc.dispatch", "proto.handle", "net.deliver"):
+    assert name in phases, f"no {name} phase recorded"
+print(f"profile OK: phases {sorted(phases)}")
 EOF
 
     # Overhead gate: the serial wheel micro benchmark with profiling
@@ -470,15 +352,14 @@ case "$STAGE" in
     perf-smoke)  run_perf_smoke ;;
     chaos)       run_chaos ;;
     recovery)    run_recovery ;;
-    tsan)        run_tsan ;;
     prof)        run_prof ;;
     all)         run_tier1; run_sanitize; run_tidy; run_lint; run_format
                  run_trace; run_determinism; run_protocols; run_perf_smoke
-                 run_chaos; run_recovery; run_tsan; run_prof ;;
+                 run_chaos; run_recovery; run_prof ;;
     *)
         echo "unknown stage '$STAGE'" \
              "(want tier1|sanitize|tidy|lint|format|trace|determinism|" \
-             "protocols|perf-smoke|chaos|recovery|tsan|prof|all)" >&2
+             "protocols|perf-smoke|chaos|recovery|prof|all)" >&2
         exit 2
         ;;
 esac

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """pluslint — determinism-contract static analyzer for the PLUS simulator.
 
-The repo's most valuable invariant is that every engine backend (wheel,
-heap, parallel at any thread count) produces byte-identical observable
-output. scripts/ci.sh verifies that dynamically; pluslint enforces the
+The repo's most valuable invariant is that both engine backends (wheel
+and heap) produce byte-identical observable output. scripts/ci.sh verifies that dynamically; pluslint enforces the
 *sources* of nondeterminism statically, before a bench has to catch them:
 
   R1  unordered-iteration   no iteration over std::unordered_map /
@@ -20,7 +19,7 @@ output. scripts/ci.sh verifies that dynamically; pluslint enforces the
                             to run, so pointer order is nondeterministic.
   R4  mutable-static        no mutable namespace-scope, static, or
                             thread_local state — hidden global state breaks
-                            replay and the parallel backend's isolation.
+                            replay and isolation between machines.
   R5  env-read              no getenv()/setenv() outside src/common/config —
                             environment inputs go through plus::envRead()
                             so configuration stays auditable in one place.
@@ -512,7 +511,7 @@ def lint_mutable_state(src, rel, add):
                      else "namespace-scope")
         add("R4", stmt[0].line,
             f"mutable {decl_kind} state '{name}' — hidden global state "
-            f"breaks replay and parallel-domain isolation; make it "
+            f"breaks replay and isolation between machines; make it "
             f"const/constexpr, move it into the owning object, or "
             f"allow() it with a reason")
 

@@ -81,10 +81,9 @@ void
 RecoveryManager::onPeerDeath(NodeId dead)
 {
     PLUS_ASSERT(dead < nodes_.size(), "peer death of unknown node ", dead);
-    // Node-lane caller: only read state written stop-the-world, and
-    // cross into the machine lane for everything else. Several lanes
-    // may race here (every channel toward the dead node can exhaust);
-    // recover() runs exactly once regardless.
+    // Node-lane caller: cross into the machine lane for the recovery
+    // itself. Several channels toward the dead node can exhaust and
+    // report here; recover() runs exactly once regardless.
     if (nodes_[dead].recovered) {
         return;
     }

@@ -20,32 +20,15 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
-// Under ThreadSanitizer every ucontext switch must likewise be announced
-// (__tsan_switch_to_fiber), or accesses made by different fibers on the
-// same domain thread are misattributed to one stack and reported as
-// races. The annotations also establish happens-before across the
-// switch, which is exactly the semantics a cooperative fiber has.
-#if defined(__SANITIZE_THREAD__)
-#define PLUS_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PLUS_TSAN_FIBERS 1
-#endif
-#endif
-
-#if defined(PLUS_TSAN_FIBERS)
-#include <sanitizer/tsan_interface.h>
-#endif
-
 namespace plus {
 namespace sim {
 
 namespace {
 
-/** Fiber currently executing on this thread (one domain per thread). */
+/** Fiber currently executing on this thread. */
 // pluslint: allow(R4) -- per-host-thread bookkeeping for the fiber
-// switch itself; a fiber never migrates between domain threads, so this
-// cannot leak state across domains.
+// switch itself; a fiber never migrates between host threads, so this
+// cannot leak state between machines.
 thread_local Fiber* currentFiber = nullptr;
 
 /** Thrown from yield() to unwind a fiber being cancelled. */
@@ -76,51 +59,6 @@ finishSwitch(void* fake_stack_save, const void** bottom_old,
 #endif
 }
 
-void*
-tsanCreateFiber()
-{
-#if defined(PLUS_TSAN_FIBERS)
-    return __tsan_create_fiber(0);
-#else
-    return nullptr;
-#endif
-}
-
-void
-tsanDestroyFiber(void* fiber)
-{
-#if defined(PLUS_TSAN_FIBERS)
-    if (fiber != nullptr) {
-        __tsan_destroy_fiber(fiber);
-    }
-#else
-    (void)fiber;
-#endif
-}
-
-void*
-tsanCurrentFiber()
-{
-#if defined(PLUS_TSAN_FIBERS)
-    return __tsan_get_current_fiber();
-#else
-    return nullptr;
-#endif
-}
-
-/** Announce the swapcontext about to happen; call right before it. */
-void
-tsanSwitchTo(void* fiber)
-{
-#if defined(PLUS_TSAN_FIBERS)
-    if (fiber != nullptr) {
-        __tsan_switch_to_fiber(fiber, 0);
-    }
-#else
-    (void)fiber;
-#endif
-}
-
 } // namespace
 
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
@@ -141,13 +79,11 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
     auto lo = static_cast<unsigned>(self & 0xffffffffu);
     makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
                 2, hi, lo);
-    tsanFiber_ = tsanCreateFiber();
 }
 
 Fiber::~Fiber()
 {
     cancel();
-    tsanDestroyFiber(tsanFiber_);
 }
 
 void
@@ -181,7 +117,6 @@ Fiber::run()
     Fiber* self = currentFiber;
     currentFiber = nullptr;
     startSwitch(nullptr, self->returnBottom_, self->returnSize_);
-    tsanSwitchTo(self->tsanReturn_);
     swapcontext(&self->context_, &self->returnContext_);
     PLUS_PANIC("resumed a finished fiber");
 }
@@ -196,8 +131,6 @@ Fiber::switchIn()
     currentFiber = this;
     void* resumer_fake_stack = nullptr;
     startSwitch(&resumer_fake_stack, stack_.get(), stackBytes_);
-    tsanReturn_ = tsanCurrentFiber();
-    tsanSwitchTo(tsanFiber_);
     if (swapcontext(&returnContext_, &context_) != 0) {
         PLUS_PANIC("swapcontext into fiber failed");
     }
@@ -239,7 +172,6 @@ Fiber::yield()
     currentFiber = nullptr;
     startSwitch(&self->fiberFakeStack_, self->returnBottom_,
                 self->returnSize_);
-    tsanSwitchTo(self->tsanReturn_);
     if (swapcontext(&self->context_, &self->returnContext_) != 0) {
         PLUS_PANIC("swapcontext out of fiber failed");
     }

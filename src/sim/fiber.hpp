@@ -91,12 +91,6 @@ class Fiber
     void* fiberFakeStack_ = nullptr;
     const void* returnBottom_ = nullptr;
     std::size_t returnSize_ = 0;
-
-    // ThreadSanitizer fiber contexts (unused outside PLUS_TSAN builds):
-    // this fiber's __tsan_create_fiber handle, and the resumer's handle
-    // captured at each switch-in so yield/finish can switch back.
-    void* tsanFiber_ = nullptr;
-    void* tsanReturn_ = nullptr;
 };
 
 } // namespace sim

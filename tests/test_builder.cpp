@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
+#include "common/panic.hpp"
 #include "core/context.hpp"
 #include "plus/plus.hpp"
+#include "sim/engine.hpp"
 
 namespace plus {
 namespace {
@@ -24,7 +27,6 @@ TEST(Builder, KnobsReachConfig)
                                  .framesPerNode(64)
                                  .mode(ProcessorMode::ContextSwitch)
                                  .engine(Engine::Heap)
-                                 .threads(2)
                                  .seed(99)
                                  .meshWidth(4)
                                  .invariants(false)
@@ -35,7 +37,6 @@ TEST(Builder, KnobsReachConfig)
     EXPECT_EQ(c.framesPerNode, 64u);
     EXPECT_EQ(c.mode, ProcessorMode::ContextSwitch);
     EXPECT_EQ(c.engine, SimEngine::Heap);
-    EXPECT_EQ(c.simThreads, 2u);
     EXPECT_EQ(c.seed, 99u);
     EXPECT_EQ(c.network.meshWidth, 4u);
     EXPECT_FALSE(c.check.invariants);
@@ -76,14 +77,27 @@ TEST(Builder, TuneEscapeHatchSeesFullConfig)
 
 TEST(Builder, EngineStringRoundTrip)
 {
-    for (Engine e :
-         {Engine::Auto, Engine::Wheel, Engine::Heap, Engine::Parallel}) {
+    for (Engine e : {Engine::Auto, Engine::Wheel, Engine::Heap}) {
         Engine parsed = Engine::Auto;
         EXPECT_TRUE(engineFromString(toString(e), parsed));
         EXPECT_EQ(parsed, e);
     }
     Engine parsed = Engine::Auto;
     EXPECT_FALSE(engineFromString("quantum", parsed));
+    EXPECT_FALSE(engineFromString("parallel", parsed));
+}
+
+TEST(Builder, EngineEnvRejectsUnknownNames)
+{
+    ::setenv("PLUS_ENGINE", "heap", 1);
+    EXPECT_EQ(sim::implFromEnv(), sim::EngineImpl::Heap);
+
+    ::setenv("PLUS_ENGINE", "parallel", 1);
+    EXPECT_THROW(sim::implFromEnv(), FatalError); // unknown engine name
+    EXPECT_THROW(MachineBuilder().nodes(2).build(), FatalError);
+
+    ::unsetenv("PLUS_ENGINE");
+    EXPECT_EQ(sim::implFromEnv(), sim::EngineImpl::Wheel);
 }
 
 TEST(Builder, BuiltMachineMatchesKnobs)
