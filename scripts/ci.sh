@@ -13,8 +13,10 @@
 #   5. format:     clang-format --dry-run --Werror over src/ and include/
 #                  (skipped with a warning when the tool is absent)
 #   6. trace:      telemetry smoke test — run a 4-node workload with
-#                  --trace-out/--stats-out, validate both as JSON, and
-#                  check that tracing leaves bench output bit-identical
+#                  --trace-out/--stats-out, validate both as JSON, compare
+#                  both exports under each protocol with the sums in
+#                  golden/trace_harness_4.sha256, and check that tracing
+#                  leaves bench output bit-identical
 #   7. determinism: both engine backends must produce byte-for-byte
 #                  identical bench output — the full matrix is
 #                  {wheel, heap} x {update, invalidate}, the heap run
@@ -145,6 +147,20 @@ assert stats["metrics"]["counters"], "no counters"
 assert stats["traffic"]["perLink"], "no link traffic"
 print(f"trace OK: {len(events)} events")
 EOF
+
+    # The 4-node Perfetto and stats exports are pinned byte for byte per
+    # protocol. After an intended output change, regenerate the sums by
+    # running these commands and `sha256sum trace_update.json
+    # stats_update.json trace_invalidate.json stats_invalidate.json` in
+    # the output directory.
+    local proto golden="$PWD/golden/trace_harness_4.sha256"
+    for proto in update invalidate; do
+        build/bench/sim_harness --nodes=4 --protocol="$proto" \
+            --trace-out="$out/trace_$proto.json" \
+            --stats-out="$out/stats_$proto.json" > /dev/null
+    done
+    (cd "$out" && sha256sum --check --quiet "$golden")
+    echo "trace and stats exports match golden/trace_harness_4.sha256"
 
     # Telemetry must never perturb the simulation.
     build/bench/table_3_1 > "$out/plain.txt"

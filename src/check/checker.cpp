@@ -3,32 +3,14 @@
 namespace plus {
 namespace check {
 
-namespace {
-
-Event
-makeEvent(EventKind kind, NodeId node, Vpn vpn, Addr word_offset,
-          std::uint64_t a, std::uint64_t b)
-{
-    Event event;
-    event.kind = kind;
-    event.node = node;
-    event.vpn = vpn;
-    event.wordOffset = word_offset;
-    event.a = a;
-    event.b = b;
-    return event;
-}
-
-} // namespace
-
-Checker::Checker(const Options& options, const sim::Engine* engine)
-    : options_(options), trace_(options.traceDepth, engine)
+Checker::Checker(const Options& options)
+    : options_(options), history_(options.traceDepth)
 {
     if (options_.invariants) {
-        invariants_ = std::make_unique<InvariantChecker>(&trace_);
+        invariants_ = std::make_unique<InvariantChecker>(&history_);
     }
     if (options_.races) {
-        races_ = std::make_unique<RaceDetector>(&trace_,
+        races_ = std::make_unique<RaceDetector>(&history_,
                                                 options_.panicOnRace);
     }
 }
@@ -42,219 +24,95 @@ Checker::setCopyListResolver(InvariantChecker::CopyListResolver resolver)
 }
 
 void
-Checker::onCopyListChanged(Vpn vpn)
+Checker::consume(const Event& e)
 {
-    if (invariants_) {
-        invariants_->copyListChanged(vpn);
+    switch (e.kind) {
+      case EventKind::MessageProcessed:
+        // Not recorded: one entry per delivered message would flush the
+        // bounded history of the events violations actually need.
+        if (invariants_) {
+            invariants_->messageProcessed(e.peer, e.node, e.cls);
+        }
+        return;
+      case EventKind::PendingWrite:
+      case EventKind::OwnershipTransfer:
+      case EventKind::MessageSent:
+      case EventKind::PacketDelivered:
+      case EventKind::LinkBusy:
+      case EventKind::PacketDropped:
+      case EventKind::Retransmit:
+      case EventKind::ProcStall:
+        return; // tracer-only kinds
+      default:
+        break;
     }
-}
 
-void
-Checker::onNodeCrashed(NodeId node)
-{
-    trace_.record(makeEvent(EventKind::NodeCrashed, node, 0, 0, 0, 0));
+    // Recorded before dispatch so a violation's panic shows its cause.
+    history_.push(e);
+    const auto tag = static_cast<std::uint32_t>(e.a);
+    const auto tid = static_cast<ThreadId>(e.a);
     if (invariants_) {
-        invariants_->nodeCrashed(node);
+        InvariantChecker& inv = *invariants_;
+        switch (e.kind) {
+          case EventKind::WriteIssued:
+            inv.writeIssued(e.node, tag, e.vpn, e.word, e.cls != 0);
+            break;
+          case EventKind::PendingInsert:
+            inv.pendingInsert(e.node, tag, e.vpn, e.word);
+            break;
+          case EventKind::PendingComplete:
+            inv.pendingComplete(e.node, tag);
+            break;
+          case EventKind::PendingAborted:
+            inv.pendingAborted(e.node, tag, e.cls != 0);
+            break;
+          case EventKind::ChainApplied:
+            inv.chainApplied(
+                e.a, PhysPage{e.node, static_cast<FrameId>(e.b >> 32)},
+                e.vpn, e.word, e.bytes, e.peer,
+                static_cast<std::uint32_t>(e.b),
+                (e.cls & kChainTracked) != 0, (e.cls & kChainAtMaster) != 0);
+            break;
+          case EventKind::FenceComplete:
+            inv.fenceComplete(e.node, e.cls != 0);
+            break;
+          case EventKind::ReadServed:
+            inv.readServed(e.node, e.vpn, e.word);
+            break;
+          case EventKind::LocalValueServed:
+            inv.localValueServed(e.node, e.vpn, e.word);
+            break;
+          case EventKind::WordInvalidated:
+            inv.wordInvalidated(e.node, e.vpn, e.word);
+            break;
+          case EventKind::WordRevalidated:
+            inv.wordRevalidated(e.node, e.vpn, e.word);
+            break;
+          case EventKind::CopyListChanged:
+            inv.copyListChanged(e.vpn);
+            break;
+          case EventKind::NodeCrashed:
+            inv.nodeCrashed(e.node);
+            break;
+          case EventKind::EpochSealed:
+            inv.epochSealed(e.node, e.a);
+            break;
+          default:
+            break;
+        }
     }
-}
-
-void
-Checker::onEpochSealed(NodeId dead, std::uint64_t epoch)
-{
-    trace_.record(makeEvent(EventKind::EpochSealed, dead, 0, 0, epoch, 0));
-    if (invariants_) {
-        invariants_->epochSealed(dead, epoch);
-    }
-}
-
-void
-Checker::onPendingInsert(NodeId node, std::uint32_t tag, Vpn vpn,
-                         Addr word_offset)
-{
-    trace_.record(makeEvent(EventKind::PendingInsert, node, vpn,
-                            word_offset, tag, 0));
-    if (invariants_) {
-        invariants_->pendingInsert(node, tag, vpn, word_offset);
-    }
-}
-
-void
-Checker::onPendingComplete(NodeId node, std::uint32_t tag)
-{
-    trace_.record(makeEvent(EventKind::PendingComplete, node, 0, 0, tag, 0));
-    if (invariants_) {
-        invariants_->pendingComplete(node, tag);
-    }
-}
-
-void
-Checker::onPendingAborted(NodeId node, std::uint32_t tag, bool retried)
-{
-    trace_.record(makeEvent(EventKind::PendingAborted, node, 0, 0, tag,
-                            retried ? 1 : 0));
-    if (invariants_) {
-        invariants_->pendingAborted(node, tag, retried);
-    }
-}
-
-void
-Checker::onMessageProcessed(NodeId src, NodeId dst, std::uint8_t msg_class)
-{
-    // Not traced: one entry per delivered message would flush the
-    // bounded ring of the events violations actually need.
-    if (invariants_) {
-        invariants_->messageProcessed(src, dst, msg_class);
-    }
-}
-
-void
-Checker::onWriteIssued(NodeId node, std::uint32_t tag, Vpn vpn,
-                       Addr word_offset, bool from_rmw)
-{
-    trace_.record(makeEvent(EventKind::WriteIssued, node, vpn, word_offset,
-                            tag, from_rmw ? 1 : 0));
-    if (invariants_) {
-        invariants_->writeIssued(node, tag, vpn, word_offset, from_rmw);
-    }
-}
-
-void
-Checker::onChainApplied(ChainId chain, PhysPage copy, Vpn vpn,
-                        Addr word_offset, unsigned words, NodeId originator,
-                        std::uint32_t tag, bool tracked, bool at_master)
-{
-    trace_.record(makeEvent(EventKind::ChainApplied, copy.node, vpn,
-                            word_offset, tag, chain));
-    if (invariants_) {
-        invariants_->chainApplied(chain, copy, vpn, word_offset, words,
-                                  originator, tag, tracked, at_master);
-    }
-}
-
-void
-Checker::onFenceComplete(NodeId node, bool pending_empty)
-{
-    trace_.record(makeEvent(EventKind::FenceComplete, node, 0, 0,
-                            pending_empty ? 1 : 0, 0));
-    if (invariants_) {
-        invariants_->fenceComplete(node, pending_empty);
-    }
-}
-
-void
-Checker::onReadServed(NodeId node, Vpn vpn, Addr word_offset)
-{
-    trace_.record(makeEvent(EventKind::ReadServed, node, vpn, word_offset,
-                            0, 0));
-    if (invariants_) {
-        invariants_->readServed(node, vpn, word_offset);
-    }
-}
-
-void
-Checker::onWordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
-{
-    trace_.record(makeEvent(EventKind::WordInvalidated, node, vpn,
-                            word_offset, 0, 0));
-    if (invariants_) {
-        invariants_->wordInvalidated(node, vpn, word_offset);
-    }
-}
-
-void
-Checker::onWordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
-{
-    trace_.record(makeEvent(EventKind::WordRevalidated, node, vpn,
-                            word_offset, 0, 0));
-    if (invariants_) {
-        invariants_->wordRevalidated(node, vpn, word_offset);
-    }
-}
-
-void
-Checker::onLocalValueServed(NodeId node, Vpn vpn, Addr word_offset)
-{
-    trace_.record(makeEvent(EventKind::LocalValueServed, node, vpn,
-                            word_offset, 0, 0));
-    if (invariants_) {
-        invariants_->localValueServed(node, vpn, word_offset);
-    }
-}
-
-void
-Checker::onCopyListMutated(const mem::CopyList& list, const char* op)
-{
-    trace_.record(makeEvent(EventKind::CopyListMutated, kInvalidNode, 0, 0,
-                            0, 0));
-    if (invariants_) {
-        invariants_->copyListMutated(list, op);
-    }
-}
-
-void
-Checker::onProcRead(NodeId node, ThreadId tid, Addr vaddr)
-{
-    trace_.record(makeEvent(EventKind::ProcRead, node, pageOf(vaddr),
-                            wordOffsetOf(vaddr), tid, 0));
     if (races_) {
-        races_->read(tid, vaddr);
+        RaceDetector& races = *races_;
+        switch (e.kind) {
+          case EventKind::ProcRead: races.read(tid, e.b); break;
+          case EventKind::ProcWrite: races.write(tid, e.b); break;
+          case EventKind::ProcRmwIssue: races.rmwIssue(tid, e.b); break;
+          case EventKind::ProcVerify: races.verifyDone(tid, e.b); break;
+          case EventKind::ProcFence: races.fence(tid); break;
+          case EventKind::ProcWriteFence: races.writeFence(tid); break;
+          default: break;
+        }
     }
-}
-
-void
-Checker::onProcWrite(NodeId node, ThreadId tid, Addr vaddr)
-{
-    trace_.record(makeEvent(EventKind::ProcWrite, node, pageOf(vaddr),
-                            wordOffsetOf(vaddr), tid, 0));
-    if (races_) {
-        races_->write(tid, vaddr);
-    }
-}
-
-void
-Checker::onProcRmwIssue(NodeId node, ThreadId tid, Addr vaddr,
-                        std::uint8_t op)
-{
-    trace_.record(makeEvent(EventKind::ProcRmwIssue, node, pageOf(vaddr),
-                            wordOffsetOf(vaddr), tid, op));
-    if (races_) {
-        races_->rmwIssue(tid, vaddr);
-    }
-}
-
-void
-Checker::onProcVerify(NodeId node, ThreadId tid, Addr vaddr)
-{
-    trace_.record(makeEvent(EventKind::ProcVerify, node, pageOf(vaddr),
-                            wordOffsetOf(vaddr), tid, 0));
-    if (races_) {
-        races_->verifyDone(tid, vaddr);
-    }
-}
-
-void
-Checker::onProcFence(NodeId node, ThreadId tid)
-{
-    trace_.record(makeEvent(EventKind::ProcFence, node, 0, 0, tid, 0));
-    if (races_) {
-        races_->fence(tid);
-    }
-}
-
-void
-Checker::onProcWriteFence(NodeId node, ThreadId tid)
-{
-    trace_.record(makeEvent(EventKind::ProcWriteFence, node, 0, 0, tid, 0));
-    if (races_) {
-        races_->writeFence(tid);
-    }
-}
-
-void
-Checker::onProcPageLost(NodeId node, ThreadId tid, Addr vaddr)
-{
-    trace_.record(makeEvent(EventKind::ProcPageLost, node, pageOf(vaddr),
-                            wordOffsetOf(vaddr), tid, 0));
 }
 
 } // namespace check

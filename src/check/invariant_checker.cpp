@@ -14,9 +14,10 @@ using detail::concat;
 
 } // namespace
 
-InvariantChecker::InvariantChecker(EventTrace* trace) : trace_(trace)
+InvariantChecker::InvariantChecker(const EventRing* history)
+    : history_(history)
 {
-    PLUS_ASSERT(trace_, "invariant checker needs an event trace");
+    PLUS_ASSERT(history_, "invariant checker needs an event history");
 }
 
 std::uint64_t
@@ -234,7 +235,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     }
     if (mode_ == ProtocolMode::WriteInvalidate) {
         // Single-writer: a chain stop at a non-master copy must have
-        // invalidated its words (onWordInvalidated precedes this event),
+        // invalidated its words (WordInvalidated precedes this event),
         // never applied the written values.
         auto nit = invalidWords_.find(copy.node);
         auto vit = nit == invalidWords_.end() ? decltype(nit->second.end()){}
@@ -434,21 +435,6 @@ InvariantChecker::localValueServed(NodeId node, Vpn vpn, Addr word_offset)
         violation(concat("stale read: n", node, " served page ", vpn,
                          " word ", word_offset,
                          " from its own copy while the word is invalidated"));
-    }
-}
-
-void
-InvariantChecker::copyListMutated(const mem::CopyList& list, const char* op)
-{
-    const auto& copies = list.copies();
-    for (std::size_t i = 0; i < copies.size(); ++i) {
-        for (std::size_t j = i + 1; j < copies.size(); ++j) {
-            if (copies[i].node == copies[j].node) {
-                violation(concat("copy-list ", op,
-                                 " left two copies on node ",
-                                 copies[i].node));
-            }
-        }
     }
 }
 

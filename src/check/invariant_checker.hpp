@@ -26,12 +26,12 @@
  * The chain-traversal invariants above hold under both protocols (an
  * invalidation chain walks the copy-list exactly like an update chain).
  * Under write-invalidate the checker additionally shadows per-copy word
- * validity from the onWordInvalidated/onWordRevalidated hooks and
+ * validity from the WordInvalidated/WordRevalidated events and
  * enforces: no read is ever served from an invalidated word of a copy
  * (no-stale-read), and a chain stop at a non-master copy invalidates
  * rather than applies a value (single-writer: only the master holds
  * written data until re-fetched). Under write-update the invalidate-only
- * hooks themselves are violations — that protocol never invalidates.
+ * events themselves are violations — that protocol never invalidates.
  */
 
 #ifndef PLUS_CHECK_INVARIANT_CHECKER_HPP_
@@ -43,11 +43,15 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/hooks.hpp"
-#include "check/trace.hpp"
+#include "check/event.hpp"
 #include "common/types.hpp"
 
 namespace plus {
+
+namespace mem {
+class CopyList;
+} // namespace mem
+
 namespace check {
 
 /**
@@ -70,7 +74,7 @@ class InvariantChecker
     using CopyListResolver =
         std::function<const mem::CopyList*(Vpn)>;
 
-    explicit InvariantChecker(EventTrace* trace);
+    explicit InvariantChecker(const EventRing* history);
 
     void setCopyListResolver(CopyListResolver resolver)
     {
@@ -100,7 +104,7 @@ class InvariantChecker
     /** Recovery epochs sealed so far (0 = no crash recovered yet). */
     std::uint64_t epoch() const { return epoch_; }
 
-    // --- event entry points (mirroring check::Observer) -------------------
+    // --- event entry points (dispatched by check::Checker) ----------------
 
     void pendingInsert(NodeId node, Tag tag, Vpn vpn, Addr word_offset);
     void writeIssued(NodeId node, Tag tag, Vpn vpn, Addr word_offset,
@@ -113,7 +117,6 @@ class InvariantChecker
                       Tag tag, bool tracked, bool at_master);
     void fenceComplete(NodeId node, bool pending_empty);
     void readServed(NodeId node, Vpn vpn, Addr word_offset);
-    void copyListMutated(const mem::CopyList& list, const char* op);
     void wordInvalidated(NodeId node, Vpn vpn, Addr word_offset);
     void wordRevalidated(NodeId node, Vpn vpn, Addr word_offset);
     void localValueServed(NodeId node, Vpn vpn, Addr word_offset);
@@ -165,13 +168,13 @@ class InvariantChecker
 
     [[noreturn]] void violation(const std::string& message) const
     {
-        trace_->violation(message);
+        check::violation(*history_, message);
     }
 
     std::uint64_t generation(Vpn vpn) const;
     const mem::CopyList* listOf(Vpn vpn) const;
 
-    EventTrace* trace_;
+    const EventRing* history_;
     CopyListResolver resolve_;
 
     /** In-flight pending-write entries, per node, keyed by tag. */
@@ -185,7 +188,7 @@ class InvariantChecker
     /**
      * Write-invalidate shadow validity: word offsets currently invalid
      * at each node's copy of each page, maintained purely from the
-     * onWordInvalidated/onWordRevalidated hooks (never from the copy's
+     * WordInvalidated/WordRevalidated events (never from the copy's
      * memory, so a protocol bug cannot hide from the check).
      */
     std::unordered_map<NodeId,

@@ -20,10 +20,10 @@ wordKey(Addr vaddr)
 
 } // namespace
 
-RaceDetector::RaceDetector(EventTrace* trace, bool panic_on_race)
-    : trace_(trace), panicOnRace_(panic_on_race)
+RaceDetector::RaceDetector(const EventRing* history, bool panic_on_race)
+    : history_(history), panicOnRace_(panic_on_race)
 {
-    PLUS_ASSERT(trace_, "race detector needs an event trace");
+    PLUS_ASSERT(history_, "race detector needs an event history");
 }
 
 RaceDetector::ThreadState&
@@ -105,11 +105,11 @@ RaceDetector::report(Addr vaddr, ThreadId first, ThreadId second,
         return; // one report per word
     }
     if (panicOnRace_) {
-        trace_->violation(concat("data race on address 0x", std::hex, vaddr,
-                                 std::dec, " (page ", pageOf(vaddr),
-                                 " word ", wordOffsetOf(vaddr),
-                                 ") between t", first, " and t", second,
-                                 ": ", what));
+        violation(*history_,
+                  concat("data race on address 0x", std::hex, vaddr,
+                         std::dec, " (page ", pageOf(vaddr), " word ",
+                         wordOffsetOf(vaddr), ") between t", first,
+                         " and t", second, ": ", what));
     }
     races_.push_back(Race{wordKey(vaddr), first, second, what});
 }

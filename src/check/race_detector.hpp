@@ -37,7 +37,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/trace.hpp"
+#include "check/event.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -56,12 +56,12 @@ class RaceDetector
 {
   public:
     /**
-     * @param trace        Event history, for panic reports.
+     * @param history      Event history, for panic reports.
      * @param panic_on_race  Panic at the first race instead of recording.
      */
-    RaceDetector(EventTrace* trace, bool panic_on_race);
+    RaceDetector(const EventRing* history, bool panic_on_race);
 
-    // --- access stream (from node::Processor hooks) -----------------------
+    // --- access stream (node::Processor events) --------------------------
 
     void read(ThreadId tid, Addr vaddr);
     void write(ThreadId tid, Addr vaddr);
@@ -124,7 +124,7 @@ class RaceDetector
     void report(Addr vaddr, ThreadId first, ThreadId second,
                 const std::string& what);
 
-    EventTrace* trace_;
+    const EventRing* history_;
     bool panicOnRace_;
 
     std::vector<ThreadState> threads_;

@@ -372,7 +372,7 @@ struct CheckConfig {
 /**
  * Telemetry (the plus::telemetry subsystem): a cycle-stamped structured
  * event tracer plus per-message-class latency distributions and traffic
- * attribution, fed by the same observer hooks as the checker. The metrics
+ * attribution, fed by the same event stream as the checker. The metrics
  * registry itself is always on (it pulls counters the subsystems keep
  * anyway); the tracer is opt-in and costs one null-pointer branch per
  * event when off. Tracing only observes — it never schedules events or

@@ -69,9 +69,7 @@ struct Machine::RecoveryHost final : proto::RecoveryManager::Host {
     void pageLost(Vpn vpn) override
     {
         m.lostPages_.insert(vpn);
-        if (m.checker_) {
-            m.checker_->onCopyListChanged(vpn);
-        }
+        m.emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
         m.shootdown(vpn);
         m.directory_.destroy(vpn);
     }
@@ -91,11 +89,7 @@ struct Machine::RecoveryHost final : proto::RecoveryManager::Host {
 
     void copyListRebuilt(Vpn vpn) override
     {
-        // removeOn() keeps the check observer installed; only the
-        // generation bump and the translation shootdown remain.
-        if (m.checker_) {
-            m.checker_->onCopyListChanged(vpn);
-        }
+        m.emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
         m.shootdown(vpn);
     }
 
@@ -109,9 +103,9 @@ struct Machine::RecoveryHost final : proto::RecoveryManager::Host {
 
     void sealEpoch(NodeId dead, std::uint64_t epoch) override
     {
-        if (m.checker_) {
-            m.checker_->onEpochSealed(dead, epoch);
-        }
+        m.emit({.kind = check::EventKind::EpochSealed,
+                .node = dead,
+                .a = epoch});
     }
 
     void toMachine(std::function<void()> fn) override
@@ -177,7 +171,7 @@ Machine::Machine(MachineConfig config)
         opts.races = config_.check.races;
         opts.panicOnRace = config_.check.panicOnRace;
         opts.traceDepth = config_.check.traceDepth;
-        checker_ = std::make_unique<check::Checker>(opts, &engine_);
+        checker_ = std::make_unique<check::Checker>(opts);
         checker_->setCopyListResolver(
             [this](Vpn vpn) -> const mem::CopyList* {
                 return directory_.contains(vpn) ? &directory_.copyList(vpn)
@@ -193,23 +187,21 @@ Machine::Machine(MachineConfig config)
     }
 
     if (config_.telemetry.trace) {
-        telemetry_ = std::make_unique<telemetry::Telemetry>(
-            config_.telemetry, &engine_);
-        network_->setTelemetryObserver(telemetry_.get());
+        telemetry_ = std::make_unique<telemetry::Telemetry>(config_.telemetry);
     }
 
-    // Checker and tracer share the per-subsystem observer slots; when
-    // both are live a tee fans each event out, keeping the disabled cost
-    // at one null-pointer branch.
-    check::Observer* observer = nullptr;
-    if (checker_ && telemetry_) {
-        observerTee_ = std::make_unique<check::TeeObserver>(
-            checker_.get(), telemetry_.get());
-        observer = observerTee_.get();
-    } else if (checker_) {
-        observer = checker_.get();
-    } else if (telemetry_) {
-        observer = telemetry_.get();
+    // One stream feeds both sinks, checker first; with neither live every
+    // emitter pays one null-pointer branch. Only the tracer consumes
+    // network events, so checker-only runs leave the network unwired.
+    if (checker_ || telemetry_) {
+        events_ = std::make_unique<check::EventStream>(engine_);
+        if (checker_) {
+            events_->addSink(checker_.get());
+        }
+        if (telemetry_) {
+            events_->addSink(telemetry_.get());
+            network_->setEventStream(events_.get());
+        }
     }
 
     nodes_.reserve(config_.nodes);
@@ -231,10 +223,8 @@ Machine::Machine(MachineConfig config)
         n.processor().setTranslator([this, id](Vpn vpn) {
             return translateFor(id, vpn);
         });
-        if (observer) {
-            n.cm().setCheckObserver(observer);
-            n.processor().setCheckObserver(observer);
-        }
+        n.cm().setEventStream(events_.get());
+        n.processor().setEventStream(events_.get());
     }
 
     // Crash recovery: arm the coherence managers' in-flight-op metadata,
@@ -258,9 +248,7 @@ Machine::Machine(MachineConfig config)
             // Machine context (the script entry's lane): the checker
             // learns of the crash first so recovery's epoch seal always
             // follows it in the event stream.
-            if (checker_) {
-                checker_->onNodeCrashed(node);
-            }
+            emit({.kind = check::EventKind::NodeCrashed, .node = node});
             if (recovery_) {
                 recovery_->onNodeCrashed(node);
             } else {
@@ -345,10 +333,10 @@ Machine::diagnosticDump()
         os << recovery_->panicSummary();
     }
     if (telemetry_) {
-        os << "\nrecent trace events:" << telemetry_->renderRecent(64);
+        os << "\nrecent trace events, " << telemetry_->events().render(64);
     }
     if (checker_) {
-        os << "\n" << checker_->trace().render();
+        os << "\nchecker history, " << checker_->history().render();
     }
     return os.str();
 }
@@ -734,9 +722,6 @@ Machine::alloc(std::size_t bytes, NodeId home)
         const FrameId frame = nodes_[home]->memory().allocFrame();
         const PhysPage master{home, frame};
         directory_.create(vpn, master);
-        if (checker_) {
-            directory_.copyList(vpn).setCheckObserver(checker_.get());
-        }
         nodes_[home]->tables().setMaster(frame, master);
     }
     PLUS_LOG(LogComponent::Machine, "alloc ", pages, " page(s) at vpn ",
@@ -801,9 +786,7 @@ Machine::replicate(Addr addr, NodeId target)
     }
     const std::optional<PhysPage> successor = cl.successorOf(anchor);
     cl.insertAfter(anchor, new_copy);
-    if (checker_) {
-        checker_->onCopyListChanged(vpn);
-    }
+    emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
 
     // Make the new copy visible to the coherence hardware *before* the
     // data copy starts, so concurrent writes flow through it.
@@ -882,9 +865,7 @@ Machine::deleteCopy(Addr addr, NodeId node)
     }
     const std::optional<PhysPage> successor = cl.successorOf(victim);
     cl.removeOn(node);
-    if (checker_) {
-        checker_->onCopyListChanged(vpn);
-    }
+    emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
 
     // Splice first (future updates bypass the victim), shoot down the
     // mappings, then flush via the predecessor so in-flight updates the
@@ -911,9 +892,7 @@ Machine::reorderCopyListQuiesced(Addr addr)
         return;
     }
     cl.orderForPathLength(topology_);
-    if (checker_) {
-        checker_->onCopyListChanged(vpn);
-    }
+    emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
     const std::vector<PhysPage> order = cl.copies();
     for (std::size_t i = 0; i < order.size(); ++i) {
         mem::CoherenceTables& tables = nodes_[order[i].node]->tables();
@@ -975,16 +954,12 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
     PLUS_ASSERT(cl.empty(), "copy-list rebuild lost track");
     for (const PhysPage& copy : order) {
         if (cl.empty()) {
-            // Copy-assignment wipes the observer; re-install it below.
             cl = mem::CopyList(copy);
         } else {
             cl.append(copy);
         }
     }
-    if (checker_) {
-        cl.setCheckObserver(checker_.get());
-        checker_->onCopyListChanged(vpn);
-    }
+    emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
 
     for (std::size_t i = 0; i < order.size(); ++i) {
         mem::CoherenceTables& tables = nodes_[order[i].node]->tables();

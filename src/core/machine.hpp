@@ -314,14 +314,26 @@ class Machine
     /** Register every subsystem's stat sources; ctor-only. */
     void registerMetrics();
 
-    /** Runtime checking; nodes hold raw observer pointers into this. */
+    /** Runtime checking; null unless CheckConfig enables anything. */
     std::unique_ptr<check::Checker> checker_;
 
     /** Event tracing; null unless config_.telemetry.trace. */
     std::unique_ptr<telemetry::Telemetry> telemetry_;
 
-    /** Fan-out installed when both checker and tracer are live. */
-    std::unique_ptr<check::TeeObserver> observerTee_;
+    /**
+     * Feeds the checker, then the tracer; null when neither is live.
+     * Nodes and the network hold raw pointers into it.
+     */
+    std::unique_ptr<check::EventStream> events_;
+
+    /** Append @p event to the stream, if any (machine context). */
+    void
+    emit(const check::Event& event)
+    {
+        if (events_) {
+            events_->emit(event);
+        }
+    }
 
     telemetry::MetricsRegistry metrics_;
 

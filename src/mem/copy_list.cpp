@@ -50,7 +50,6 @@ CopyList::insertAfter(PhysPage after, PhysPage copy)
     auto it = std::find(copies_.begin(), copies_.end(), after);
     PLUS_ASSERT(it != copies_.end(), "insertAfter: anchor not in list");
     copies_.insert(it + 1, copy);
-    mutated("insert");
 }
 
 void
@@ -59,7 +58,6 @@ CopyList::append(PhysPage copy)
     PLUS_ASSERT(!hasCopyOn(copy.node),
                 "node ", copy.node, " already holds a copy");
     copies_.push_back(copy);
-    mutated("append");
 }
 
 void
@@ -72,7 +70,6 @@ CopyList::removeOn(NodeId node)
     PLUS_ASSERT(it != copies_.end(), "removeOn: node ", node,
                 " holds no copy");
     copies_.erase(it);
-    mutated("remove");
 }
 
 void
@@ -102,7 +99,6 @@ CopyList::orderForPathLength(const net::Topology& topology)
         rest.erase(best);
     }
     copies_ = std::move(ordered);
-    mutated("reorder");
 }
 
 unsigned

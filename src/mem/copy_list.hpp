@@ -17,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "check/hooks.hpp"
 #include "common/types.hpp"
 #include "net/topology.hpp"
 
@@ -32,16 +31,6 @@ class CopyList
 
     /** Create an unreplicated page: the master is the only copy. */
     explicit CopyList(PhysPage master) { copies_.push_back(master); }
-
-    /**
-     * Mirror structural mutations into the plus::check subsystem (null
-     * disables). Copy-assigning a fresh CopyList clears the observer;
-     * the owner re-installs it (see core::Machine).
-     */
-    void setCheckObserver(check::CopyListObserver* check)
-    {
-        check_ = check;
-    }
 
     bool empty() const { return copies_.empty(); }
     std::size_t size() const { return copies_.size(); }
@@ -92,16 +81,7 @@ class CopyList
     unsigned pathLength(const net::Topology& topology) const;
 
   private:
-    void
-    mutated(const char* op)
-    {
-        if (check_) {
-            check_->onCopyListMutated(*this, op);
-        }
-    }
-
     std::vector<PhysPage> copies_;
-    check::CopyListObserver* check_ = nullptr;
 };
 
 } // namespace mem

@@ -14,7 +14,7 @@
  *
  * Everything here is reached only when FaultConfig::enabled armed the
  * subsystem; fault-free runs never construct an injector and pay one
- * null-pointer branch per packet (the check-observer contract, see
+ * null-pointer branch per packet (the event-stream contract, see
  * docs/ROBUSTNESS.md).
  */
 

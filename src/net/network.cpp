@@ -89,10 +89,14 @@ Network::deliverUp(Packet packet, unsigned hops, Cycles injected_at,
     const Cycles latency = engine_.now() - injected_at;
     latency_.record(static_cast<double>(latency));
     queueing_.record(static_cast<double>(queueing));
-    if (telemetry_) {
-        telemetry_->onPacketDelivered(packet.src, packet.dst,
-                                      packet.msgClass, packet.payloadBytes,
-                                      hops, latency, queueing);
+    if (events_) {
+        events_->emit({.kind = check::EventKind::PacketDelivered,
+                       .cls = packet.msgClass,
+                       .node = packet.dst,
+                       .peer = packet.src,
+                       .bytes = packet.payloadBytes,
+                       .a = latency,
+                       .b = queueing});
     }
 
     const NodeId dst = packet.dst;
@@ -108,8 +112,13 @@ Network::noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
     stats_.dropped += 1;
     PLUS_LOG(LogComponent::Net, "drop ", src, " -> ", dst, " (",
              check::toString(reason), ")");
-    if (telemetry_) {
-        telemetry_->onPacketDropped(src, dst, msg_class, bytes, reason);
+    if (events_) {
+        events_->emit({.kind = check::EventKind::PacketDropped,
+                       .cls = msg_class,
+                       .node = src,
+                       .peer = dst,
+                       .bytes = bytes,
+                       .a = static_cast<std::uint64_t>(reason)});
     }
 }
 
@@ -249,11 +258,14 @@ MeshNetwork::hop(Transit* transit)
     const Cycles wait = start - now;
     link.freeAt = start + serialization;
     link.busyCycles += serialization;
-    if (telemetry_) {
-        telemetry_->onLinkBusy(transit->at, next,
-                               transit->packet.msgClass,
-                               transit->packet.payloadBytes, start,
-                               serialization);
+    if (events_) {
+        events_->emit({.kind = check::EventKind::LinkBusy,
+                       .cls = transit->packet.msgClass,
+                       .node = transit->at,
+                       .peer = next,
+                       .bytes = transit->packet.payloadBytes,
+                       .a = start,
+                       .b = serialization});
     }
 
     transit->queueing += wait;

@@ -27,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "check/hooks.hpp"
+#include "check/event.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -131,14 +131,11 @@ class Network
     void setDeliveryHandler(NodeId node, DeliveryHandler handler);
 
     /**
-     * Mirror deliveries (and, on the mesh, per-link occupancy) into the
-     * telemetry tracer. Null (the default) disables: the hot path then
-     * pays one branch per event, like the check observers.
+     * Report deliveries, drops, retransmits and (on the mesh) per-link
+     * occupancy to @p events. Null (the default) disables: the hot path
+     * then pays one branch per event.
      */
-    void setTelemetryObserver(check::NetObserver* observer)
-    {
-        telemetry_ = observer;
-    }
+    void setEventStream(check::EventStream* events) { events_ = events; }
 
     /**
      * Provide the event-trace renderer used when the reliable layer
@@ -171,7 +168,7 @@ class Network
      * is rejected: local traffic never enters the network. When the
      * reliable layer is armed the packet is sequenced and tracked for
      * retransmission first; otherwise this goes straight to the model's
-     * inject() — one branch, the usual disabled-observer cost.
+     * inject() — one branch, the usual disabled-instrumentation cost.
      */
     void send(Packet packet);
 
@@ -221,7 +218,7 @@ class Network
     void deliverUp(Packet packet, unsigned hops, Cycles injected_at,
                    Cycles queueing);
 
-    /** Count a fault-layer discard and mirror it into telemetry. */
+    /** Count a fault-layer discard and report it to the stream. */
     void noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
                   unsigned bytes, check::DropReason reason);
 
@@ -232,7 +229,7 @@ class Network
     Histogram latency_;
     Histogram queueing_;
     std::vector<DeliveryHandler> handlers_;
-    check::NetObserver* telemetry_ = nullptr;
+    check::EventStream* events_ = nullptr;
     std::function<std::string()> traceDumper_;
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<LinkLayer> link_;

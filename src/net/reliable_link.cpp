@@ -307,8 +307,12 @@ LinkLayer::onTimeout(NodeId src, NodeId dst, std::uint32_t seq)
                    net_.traceDumper_ ? net_.traceDumper_() : std::string());
     }
     stats_.retransmits += 1;
-    if (net_.telemetry_) {
-        net_.telemetry_->onRetransmit(src, dst, seq, entry.attempts);
+    if (net_.events_) {
+        net_.events_->emit({.kind = check::EventKind::Retransmit,
+                            .node = src,
+                            .peer = dst,
+                            .a = seq,
+                            .b = entry.attempts});
     }
     PLUS_LOG(LogComponent::Net, "retransmit ", src, " -> ", dst, " seq ",
              seq, " attempt ", entry.attempts);

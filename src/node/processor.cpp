@@ -250,10 +250,12 @@ Processor::closeFreeInterval()
 {
     const Cycles waited = deps_.engine->now() - freeSince_;
     stats_.stall[static_cast<unsigned>(freeReason_)] += waited;
-    if (check_ && waited > 0 && freeReason_ != StallKind::None) {
-        check_->onProcStall(self_,
-                            static_cast<std::uint8_t>(freeReason_),
-                            freeSince_, waited);
+    if (events_ && waited > 0 && freeReason_ != StallKind::None) {
+        events_->emit({.kind = check::EventKind::ProcStall,
+                       .cls = static_cast<std::uint8_t>(freeReason_),
+                       .node = self_,
+                       .a = freeSince_,
+                       .b = waited});
     }
     freeReason_ = StallKind::None;
 }
@@ -295,8 +297,9 @@ Processor::faultPageLost(Addr vaddr)
         });
         sim::Fiber::yield();
     }
-    if (check_) {
-        check_->onProcPageLost(self_, threads_[current_].id, vaddr);
+    if (events_) {
+        emitAccess(check::EventKind::ProcPageLost, threads_[current_].id,
+                   vaddr);
     }
     return kPageLostValue;
 }
@@ -366,8 +369,8 @@ Processor::read(Addr vaddr)
     if (!local) {
         charge(cost_.procRemoteReadComplete, &ProcessorStats::memBusy);
     }
-    if (check_) {
-        check_->onProcRead(self_, threads_[t].id, vaddr);
+    if (events_) {
+        emitAccess(check::EventKind::ProcRead, threads_[t].id, vaddr);
     }
     return state.value;
 }
@@ -409,8 +412,8 @@ Processor::write(Addr vaddr, Word value)
         state.yielded = true;
         blockCurrent(StallKind::PendingFull);
     }
-    if (check_) {
-        check_->onProcWrite(self_, threads_[t].id, vaddr);
+    if (events_) {
+        emitAccess(check::EventKind::ProcWrite, threads_[t].id, vaddr);
     }
 }
 
@@ -444,9 +447,9 @@ Processor::issueRmw(proto::RmwOp op, Addr vaddr, Word operand)
             blockCurrent(StallKind::IssueSlot);
         }
         rmwTargets_[state.handle] = vaddr;
-        if (check_) {
-            check_->onProcRmwIssue(self_, threads_[t].id, vaddr,
-                                   static_cast<std::uint8_t>(op));
+        if (events_) {
+            emitAccess(check::EventKind::ProcRmwIssue, threads_[t].id,
+                       vaddr, static_cast<std::uint8_t>(op));
         }
         return state.handle;
     }
@@ -475,9 +478,9 @@ Processor::issueRmw(proto::RmwOp op, Addr vaddr, Word operand)
         blockCurrent(StallKind::IssueSlot);
     }
     rmwTargets_[state.handle] = vaddr;
-    if (check_) {
-        check_->onProcRmwIssue(self_, threads_[t].id, vaddr,
-                               static_cast<std::uint8_t>(op));
+    if (events_) {
+        emitAccess(check::EventKind::ProcRmwIssue, threads_[t].id, vaddr,
+                   static_cast<std::uint8_t>(op));
     }
     return state.handle;
 }
@@ -514,8 +517,8 @@ Processor::verify(proto::DelayedOpHandle handle)
         blockCurrent(StallKind::Verify);
     }
     charge(cost_.procReadResult, &ProcessorStats::verifyBusy);
-    if (check_ && target != kInvalidAddr) {
-        check_->onProcVerify(self_, threads_[t].id, target);
+    if (events_ && target != kInvalidAddr) {
+        emitAccess(check::EventKind::ProcVerify, threads_[t].id, target);
     }
     return state.value;
 }
@@ -533,8 +536,10 @@ Processor::writeFence()
     stats_.fences += 1;
     deps_.cm->procWriteFence();
     charge(1, &ProcessorStats::issueBusy);
-    if (check_) {
-        check_->onProcWriteFence(self_, currentThreadId());
+    if (events_) {
+        events_->emit({.kind = check::EventKind::ProcWriteFence,
+                       .node = self_,
+                       .a = currentThreadId()});
     }
 }
 
@@ -554,8 +559,10 @@ Processor::fence()
         state.yielded = true;
         blockCurrent(StallKind::Fence);
     }
-    if (check_) {
-        check_->onProcFence(self_, threads_[t].id);
+    if (events_) {
+        events_->emit({.kind = check::EventKind::ProcFence,
+                       .node = self_,
+                       .a = threads_[t].id});
     }
 }
 

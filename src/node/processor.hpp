@@ -31,7 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "check/hooks.hpp"
+#include "check/event.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "node/cache.hpp"
@@ -133,10 +133,10 @@ class Processor
     void setTranslator(Translator t) { translate_ = std::move(t); }
 
     /**
-     * Mirror application-level accesses into the plus::check subsystem
-     * (feeds the happens-before race detector). Null disables.
+     * Report application-level accesses and stalls to @p events (feeds
+     * the happens-before race detector and the tracer). Null disables.
      */
-    void setCheckObserver(check::ProcObserver* check) { check_ = check; }
+    void setEventStream(check::EventStream* events) { events_ = events; }
 
     /** Invoked once every resident thread has finished. */
     void setAllFinishedHandler(std::function<void()> fn)
@@ -256,6 +256,20 @@ class Processor
     /** Account the just-ended free interval. */
     void closeFreeInterval();
 
+    /** Report thread @p tid's access to @p vaddr. @pre events_ */
+    void
+    emitAccess(check::EventKind kind, ThreadId tid, Addr vaddr,
+               std::uint8_t cls = 0)
+    {
+        events_->emit({.kind = kind,
+                       .cls = cls,
+                       .node = self_,
+                       .vpn = pageOf(vaddr),
+                       .word = wordOffsetOf(vaddr),
+                       .a = tid,
+                       .b = vaddr});
+    }
+
     Translation translateCharged(Vpn vpn);
 
     /**
@@ -272,7 +286,7 @@ class Processor
     Deps deps_;
     Translator translate_;
     std::function<void()> allFinished_;
-    check::ProcObserver* check_ = nullptr;
+    check::EventStream* events_ = nullptr;
 
     /**
      * Target address of each outstanding delayed operation, so verify()

@@ -87,10 +87,13 @@ CoherenceManager::send(NodeId dst, std::unique_ptr<ProtoMsg> msg,
     stats_.sent[static_cast<std::size_t>(msg->type)] += 1;
     PLUS_LOG(LogComponent::Proto, "n", self_, " -> n", dst, " ",
              toString(msg->type));
-    if (check_) {
-        check_->onMessageSent(self_, dst,
-                              static_cast<std::uint8_t>(msg->type), bytes,
-                              vpnOf(*msg));
+    if (events_) {
+        events_->emit({.kind = check::EventKind::MessageSent,
+                       .cls = static_cast<std::uint8_t>(msg->type),
+                       .node = self_,
+                       .peer = dst,
+                       .bytes = bytes,
+                       .vpn = vpnOf(*msg)});
     }
     net::Packet packet;
     packet.src = self_;
@@ -123,10 +126,13 @@ CoherenceManager::procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
     pendingWrites_.whenAddrClear(
         vpn, word_offset,
         [this, vpn, word_offset, phys, done = std::move(done)]() mutable {
-            if (check_) {
+            if (events_) {
                 // The conflicting-write wait is over: the checker verifies
                 // no same-node write to the location is still in flight.
-                check_->onReadServed(self_, vpn, word_offset);
+                events_->emit({.kind = check::EventKind::ReadServed,
+                               .node = self_,
+                               .vpn = vpn,
+                               .word = word_offset});
             }
             if (phys.page.node == self_) {
                 protocol_->serveLocalRead(vpn, word_offset,
@@ -207,9 +213,12 @@ CoherenceManager::procWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
                 const WriteTag tag =
                     pendingWrites_.insert(vpn, word_offset);
                 pendingWrites_.noteHighWater();
-                if (check_) {
-                    check_->onWriteIssued(self_, tag, vpn, word_offset,
-                                          /*from_rmw=*/false);
+                if (events_) {
+                    events_->emit({.kind = check::EventKind::WriteIssued,
+                                   .node = self_,
+                                   .vpn = vpn,
+                                   .word = word_offset,
+                                   .a = tag});
                 }
                 if (recoveryArmed_) {
                     writeMeta_.emplace(
@@ -343,6 +352,17 @@ CoherenceManager::retireWrite(WriteTag tag)
 }
 
 void
+CoherenceManager::notePendingAborted(WriteTag tag, bool retried)
+{
+    if (events_) {
+        events_->emit({.kind = check::EventKind::PendingAborted,
+                       .cls = retried,
+                       .node = self_,
+                       .a = tag});
+    }
+}
+
+void
 CoherenceManager::procIssueRmw(RmwOp op, Vpn vpn, Addr word_offset,
                                PhysAddr phys, Word operand,
                                std::function<void(DelayedOpHandle)> issued)
@@ -390,10 +410,14 @@ CoherenceManager::issueRmwUngated(
                         const WriteTag tag =
                             pendingWrites_.insert(vpn, word_offset);
                         pendingWrites_.noteHighWater();
-                        if (check_) {
-                            check_->onWriteIssued(self_, tag, vpn,
-                                                  word_offset,
-                                                  /*from_rmw=*/true);
+                        if (events_) {
+                            events_->emit(
+                                {.kind = check::EventKind::WriteIssued,
+                                 .cls = /*from_rmw=*/1,
+                                 .node = self_,
+                                 .vpn = vpn,
+                                 .word = word_offset,
+                                 .a = tag});
                         }
                         if (recoveryArmed_) {
                             // The paired pseudo-write: the RMW path owns
@@ -555,8 +579,10 @@ CoherenceManager::procFence(std::function<void()> done)
     // earlier write fence, so it joins the gate queue itself.
     gateBehindFence([this, done = std::move(done)]() mutable {
         pendingWrites_.whenEmpty([this, done = std::move(done)]() mutable {
-            if (check_) {
-                check_->onFenceComplete(self_, pendingWrites_.empty());
+            if (events_) {
+                events_->emit({.kind = check::EventKind::FenceComplete,
+                               .cls = pendingWrites_.empty(),
+                               .node = self_});
             }
             done();
         });
@@ -622,11 +648,13 @@ CoherenceManager::onPacket(net::Packet packet)
         static_cast<ProtoMsg*>(packet.payload.release()));
     PLUS_LOG(LogComponent::Proto, "n", self_, " <- n", packet.src, " ",
              toString(msg->type));
-    if (check_) {
+    if (events_) {
         // Lets the checker enforce the recovery-epoch invariant: no
         // message from a crashed node is processed after its epoch seals.
-        check_->onMessageProcessed(packet.src, self_,
-                                   static_cast<std::uint8_t>(msg->type));
+        events_->emit({.kind = check::EventKind::MessageProcessed,
+                       .cls = static_cast<std::uint8_t>(msg->type),
+                       .node = self_,
+                       .peer = packet.src});
     }
 
     switch (msg->type) {
@@ -895,19 +923,13 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
         break;
       }
       case NackedKind::Write:
-        if (check_) {
-            check_->onPendingAborted(self_, nack.writeTag,
-                                     /*retried=*/false);
-        }
+        notePendingAborted(nack.writeTag, /*retried=*/false);
         retireWrite(nack.writeTag);
         break;
       case NackedKind::Rmw: {
         auto it = rmwMeta_.find(nack.opTag);
         if (it != rmwMeta_.end() && it->second.track) {
-            if (check_) {
-                check_->onPendingAborted(self_, it->second.writeTag,
-                                         /*retried=*/false);
-            }
+            notePendingAborted(it->second.writeTag, /*retried=*/false);
             retireWrite(it->second.writeTag);
         }
         completeRmw(nack.opTag, kPageLostValue);
@@ -1077,16 +1099,12 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
     for (const WriteTag tag : writes) {
         const WriteMeta meta = writeMeta_.at(tag);
         if (isLost(meta.vpn)) {
-            if (check_) {
-                check_->onPendingAborted(self_, tag, /*retried=*/false);
-            }
+            notePendingAborted(tag, /*retried=*/false);
             retireWrite(tag);
             out.lostCompletions += 1;
             continue;
         }
-        if (check_) {
-            check_->onPendingAborted(self_, tag, /*retried=*/true);
-        }
+        notePendingAborted(tag, /*retried=*/true);
         out.abortedWrites += 1;
         const PhysPage page = translate_(meta.vpn);
         dispatchWrite(meta.vpn, meta.wordOffset,
@@ -1103,19 +1121,15 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
         const RmwMeta meta = rmwMeta_.at(tag);
         if (isLost(meta.vpn)) {
             if (meta.track) {
-                if (check_) {
-                    check_->onPendingAborted(self_, meta.writeTag,
-                                             /*retried=*/false);
-                }
+                notePendingAborted(meta.writeTag, /*retried=*/false);
                 retireWrite(meta.writeTag);
             }
             completeRmw(tag, kPageLostValue);
             out.lostCompletions += 1;
             continue;
         }
-        if (meta.track && check_) {
-            check_->onPendingAborted(self_, meta.writeTag,
-                                     /*retried=*/true);
+        if (meta.track) {
+            notePendingAborted(meta.writeTag, /*retried=*/true);
         }
         out.abortedRmws += 1;
         // Re-execution is at-least-once: if the dead master applied the

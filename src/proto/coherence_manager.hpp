@@ -38,7 +38,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/hooks.hpp"
+#include "check/event.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "mem/coherence_tables.hpp"
@@ -161,14 +161,14 @@ class CoherenceManager
     }
 
     /**
-     * Mirror protocol milestones (and the pending-writes cache) into the
-     * plus::check subsystem. Null (the default) disables instrumentation.
+     * Report protocol milestones (and the pending-writes cache) to
+     * @p events. Null (the default) disables instrumentation.
      */
     void
-    setCheckObserver(check::Observer* check)
+    setEventStream(check::EventStream* events)
     {
-        check_ = check;
-        pendingWrites_.setCheckObserver(check, self_);
+        events_ = events;
+        pendingWrites_.setEventStream(events, self_);
     }
 
     /**
@@ -348,6 +348,12 @@ class CoherenceManager
                        bool invalidate);
     void retireWrite(WriteTag tag);
 
+    /**
+     * Report that crash recovery aborted pending write @p tag: re-sent
+     * under the same tag when @p retried, force-retired otherwise.
+     */
+    void notePendingAborted(WriteTag tag, bool retried);
+
     /** Chain identity for a write this master starts propagating. */
     check::ChainId
     nextChainId()
@@ -452,7 +458,7 @@ class CoherenceManager
     Translator translate_;
     SnoopHook snoop_;
     PageCopyDoneHandler pageCopyDone_;
-    check::Observer* check_ = nullptr;
+    check::EventStream* events_ = nullptr;
     std::function<std::string()> traceDumper_;
     std::unordered_map<std::uint64_t, unsigned> nackRetries_;
     std::uint32_t chainCounter_ = 0;

@@ -17,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "check/hooks.hpp"
+#include "check/event.hpp"
 #include "common/panic.hpp"
 #include "common/types.hpp"
 
@@ -36,11 +36,11 @@ class PendingWrites
         PLUS_ASSERT(capacity_ > 0, "pending-writes cache needs capacity");
     }
 
-    /** Mirror cache events into @p check (null to disable). */
+    /** Report cache events to @p events (null to disable). */
     void
-    setCheckObserver(check::PendingWritesObserver* check, NodeId self)
+    setEventStream(check::EventStream* events, NodeId self)
     {
-        check_ = check;
+        events_ = events;
         self_ = self;
     }
 
@@ -60,8 +60,12 @@ class PendingWrites
         PLUS_ASSERT(!full(), "pending-writes cache overflow");
         const Tag tag = nextTag_++;
         map_.emplace(tag, Key{vpn, word_offset});
-        if (check_) {
-            check_->onPendingInsert(self_, tag, vpn, word_offset);
+        if (events_) {
+            events_->emit({.kind = check::EventKind::PendingInsert,
+                           .node = self_,
+                           .vpn = vpn,
+                           .word = word_offset,
+                           .a = tag});
         }
         return tag;
     }
@@ -70,10 +74,12 @@ class PendingWrites
     void
     complete(Tag tag)
     {
-        if (check_) {
+        if (events_) {
             // Before the assert: a double retire must reach the checker so
             // the panic carries the event history.
-            check_->onPendingComplete(self_, tag);
+            events_->emit({.kind = check::EventKind::PendingComplete,
+                           .node = self_,
+                           .a = tag});
         }
         auto it = map_.find(tag);
         PLUS_ASSERT(it != map_.end(), "ack for unknown write tag ", tag);
@@ -191,7 +197,7 @@ class PendingWrites
     };
 
     unsigned capacity_;
-    check::PendingWritesObserver* check_ = nullptr;
+    check::EventStream* events_ = nullptr;
     NodeId self_ = kInvalidNode;
     Tag nextTag_ = 1;
     std::unordered_map<Tag, Key> map_;

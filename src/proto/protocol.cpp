@@ -16,6 +16,23 @@ Protocol::chainAckAtMaster(std::uint64_t chain_id)
 }
 
 void
+Protocol::noteChainStop(const UpdateReq& msg)
+{
+    if (cm_.events_) {
+        cm_.events_->emit(
+            {.kind = check::EventKind::ChainApplied,
+             .cls = check::chainFlags(/*at_master=*/false, msg.needAck),
+             .node = msg.target.node,
+             .peer = msg.originator,
+             .bytes = static_cast<std::uint32_t>(msg.writes.size()),
+             .vpn = msg.vpn,
+             .word = msg.writes.empty() ? 0 : msg.writes.front().wordOffset,
+             .a = msg.chainId,
+             .b = check::packFrameTag(msg.target.frame, msg.tag)});
+    }
+}
+
+void
 Protocol::serveNackedLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
                                std::function<void(Word)> done)
 {

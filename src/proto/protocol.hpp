@@ -143,6 +143,12 @@ class Protocol
     virtual void onMasterDemoted(FrameId frame);
 
   protected:
+    /**
+     * Report @p msg's chain stopping at this node's (non-master) copy;
+     * both protocols emit the same ChainApplied record there.
+     */
+    void noteChainStop(const UpdateReq& msg);
+
     CoherenceManager& cm_;
 };
 

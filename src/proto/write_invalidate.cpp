@@ -46,9 +46,12 @@ WriteInvalidateProtocol::noteWriter(Vpn vpn, FrameId frame, NodeId writer)
         const NodeId previous = it->second;
         it->second = writer;
         cm_.stats_.ownershipTransfers += 1;
-        if (cm_.check_) {
-            cm_.check_->onOwnershipTransfer(cm_.self_, vpn, previous,
-                                            writer);
+        if (cm_.events_) {
+            cm_.events_->emit({.kind = check::EventKind::OwnershipTransfer,
+                               .node = cm_.self_,
+                               .peer = writer,
+                               .vpn = vpn,
+                               .a = previous});
         }
     }
 }
@@ -74,12 +77,17 @@ WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
                                      bool from_rmw, bool need_ack)
 {
     const check::ChainId chain = cm_.nextChainId();
-    if (cm_.check_) {
-        cm_.check_->onChainApplied(chain, PhysPage{cm_.self_, frame}, vpn,
-                                   writes.front().wordOffset,
-                                   static_cast<unsigned>(writes.size()),
-                                   originator, tag, /*tracked=*/need_ack,
-                                   /*at_master=*/true);
+    if (cm_.events_) {
+        cm_.events_->emit(
+            {.kind = check::EventKind::ChainApplied,
+             .cls = check::chainFlags(/*at_master=*/true, need_ack),
+             .node = cm_.self_,
+             .peer = originator,
+             .bytes = static_cast<std::uint32_t>(writes.size()),
+             .vpn = vpn,
+             .word = writes.front().wordOffset,
+             .a = chain,
+             .b = check::packFrameTag(frame, tag)});
     }
     if (cm_.deps_.tables->nextCopy(frame)) {
         PendingChain pc;
@@ -151,21 +159,17 @@ WriteInvalidateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
     for (const WordWrite& w : msg->writes) {
         invalid.insert(w.wordOffset);
         cm_.stats_.invalidations += 1;
-        if (cm_.check_) {
-            // Before onChainApplied: the checker requires the shadow
+        if (cm_.events_) {
+            // Before ChainApplied: the checker requires the shadow
             // invalidation to precede the chain stop at a sharer.
-            cm_.check_->onWordInvalidated(cm_.self_, msg->vpn,
-                                          w.wordOffset);
+            cm_.events_->emit({.kind = check::EventKind::WordInvalidated,
+                               .node = cm_.self_,
+                               .vpn = msg->vpn,
+                               .word = w.wordOffset});
         }
     }
     invGen_[frame] += 1;
-    if (cm_.check_) {
-        cm_.check_->onChainApplied(
-            msg->chainId, msg->target, msg->vpn,
-            msg->writes.empty() ? 0 : msg->writes.front().wordOffset,
-            static_cast<unsigned>(msg->writes.size()), msg->originator,
-            msg->tag, /*tracked=*/msg->needAck, /*at_master=*/false);
-    }
+    noteChainStop(*msg);
     cm_.continueChain(msg->vpn, msg->chainId, frame, std::move(msg->writes),
                       msg->originator, msg->tag, msg->fromRmw, msg->needAck,
                       /*invalidate=*/true);
@@ -210,8 +214,11 @@ WriteInvalidateProtocol::serveLocalRead(Vpn vpn, Addr word_offset,
         }
     }
     cm_.stats_.localReads += 1;
-    if (cm_.check_) {
-        cm_.check_->onLocalValueServed(cm_.self_, vpn, word_offset);
+    if (cm_.events_) {
+        cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
+                           .node = cm_.self_,
+                           .vpn = vpn,
+                           .word = word_offset});
     }
     done(cm_.deps_.memory->read(frame, word_offset));
 }
@@ -230,8 +237,11 @@ WriteInvalidateProtocol::serveNackedLocalRead(Vpn vpn, Addr word_offset,
             return;
         }
     }
-    if (cm_.check_) {
-        cm_.check_->onLocalValueServed(cm_.self_, vpn, word_offset);
+    if (cm_.events_) {
+        cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
+                           .node = cm_.self_,
+                           .vpn = vpn,
+                           .word = word_offset});
     }
     done(cm_.deps_.memory->read(frame, word_offset));
 }
@@ -263,9 +273,12 @@ WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
                 if (iit != invalidHere_.end()) {
                     iit->second.erase(word_offset);
                 }
-                if (cm_.check_) {
-                    cm_.check_->onWordRevalidated(cm_.self_, vpn,
-                                                  word_offset);
+                if (cm_.events_) {
+                    cm_.events_->emit(
+                        {.kind = check::EventKind::WordRevalidated,
+                         .node = cm_.self_,
+                         .vpn = vpn,
+                         .word = word_offset});
                 }
             }
             done(value);
@@ -307,8 +320,11 @@ WriteInvalidateProtocol::serveReadReq(std::unique_ptr<ReadReq> msg)
         cm_.send(master.node, std::move(msg), ReadReq::kBytes);
         return;
     }
-    if (cm_.check_) {
-        cm_.check_->onLocalValueServed(cm_.self_, msg->vpn, off);
+    if (cm_.events_) {
+        cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
+                           .node = cm_.self_,
+                           .vpn = msg->vpn,
+                           .word = off});
     }
     auto resp = std::make_unique<ReadResp>();
     resp->tag = msg->tag;
@@ -353,18 +369,26 @@ WriteInvalidateProtocol::applyCopyBatch(const PageCopyData& msg)
             if (it != invalidHere_.end()) {
                 it->second.erase(off);
             }
-            if (cm_.check_) {
+            if (cm_.events_) {
                 // Also reconciles shadow state left over from an earlier
                 // copy of the same page this node held and dropped.
-                cm_.check_->onWordRevalidated(cm_.self_, msg.vpn, off);
+                cm_.events_->emit(
+                    {.kind = check::EventKind::WordRevalidated,
+                     .node = cm_.self_,
+                     .vpn = msg.vpn,
+                     .word = off});
             }
         } else {
             // The source holds this word invalid-everywhere; the new
             // copy must not serve it before a re-fetch.
             invalidHere_[frame].insert(off);
             invalidated = true;
-            if (cm_.check_) {
-                cm_.check_->onWordInvalidated(cm_.self_, msg.vpn, off);
+            if (cm_.events_) {
+                cm_.events_->emit(
+                    {.kind = check::EventKind::WordInvalidated,
+                     .node = cm_.self_,
+                     .vpn = msg.vpn,
+                     .word = off});
             }
         }
     }
@@ -392,9 +416,12 @@ WriteInvalidateProtocol::onMasterPromoted(FrameId frame, Vpn vpn)
     // promotion, so every word of this copy is valid again.
     const auto it = invalidHere_.find(frame);
     if (it != invalidHere_.end()) {
-        if (cm_.check_) {
+        if (cm_.events_) {
             for (const Addr off : it->second) {
-                cm_.check_->onWordRevalidated(cm_.self_, vpn, off);
+                cm_.events_->emit({.kind = check::EventKind::WordRevalidated,
+                                   .node = cm_.self_,
+                                   .vpn = vpn,
+                                   .word = off});
             }
         }
         invalidHere_.erase(it);

@@ -14,10 +14,16 @@ WriteUpdateProtocol::writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset,
 {
     cm_.applyLocal(frame, word_offset, value);
     const check::ChainId chain = cm_.nextChainId();
-    if (cm_.check_) {
-        cm_.check_->onChainApplied(chain, PhysPage{cm_.self_, frame}, vpn,
-                                   word_offset, 1, originator, tag,
-                                   /*tracked=*/true, /*at_master=*/true);
+    if (cm_.events_) {
+        cm_.events_->emit({.kind = check::EventKind::ChainApplied,
+                           .cls = check::kChainAtMaster | check::kChainTracked,
+                           .node = cm_.self_,
+                           .peer = originator,
+                           .bytes = 1,
+                           .vpn = vpn,
+                           .word = word_offset,
+                           .a = chain,
+                           .b = check::packFrameTag(frame, tag)});
     }
     cm_.continueChain(vpn, chain, frame, {WordWrite{word_offset, value}},
                       originator, tag, /*from_rmw=*/false,
@@ -32,13 +38,17 @@ WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
 {
     if (!writes.empty()) {
         const check::ChainId chain = cm_.nextChainId();
-        if (cm_.check_) {
-            cm_.check_->onChainApplied(chain, PhysPage{cm_.self_, frame},
-                                       vpn, writes.front().wordOffset,
-                                       static_cast<unsigned>(writes.size()),
-                                       originator, write_tag,
-                                       /*tracked=*/track,
-                                       /*at_master=*/true);
+        if (cm_.events_) {
+            cm_.events_->emit(
+                {.kind = check::EventKind::ChainApplied,
+                 .cls = check::chainFlags(/*at_master=*/true, track),
+                 .node = cm_.self_,
+                 .peer = originator,
+                 .bytes = static_cast<std::uint32_t>(writes.size()),
+                 .vpn = vpn,
+                 .word = writes.front().wordOffset,
+                 .a = chain,
+                 .b = check::packFrameTag(frame, write_tag)});
         }
         cm_.continueChain(vpn, chain, frame, std::move(writes), originator,
                           write_tag, /*from_rmw=*/true, /*need_ack=*/track,
@@ -63,13 +73,7 @@ WriteUpdateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
     for (const WordWrite& w : msg->writes) {
         cm_.applyLocal(frame, w.wordOffset, w.value);
     }
-    if (cm_.check_) {
-        cm_.check_->onChainApplied(
-            msg->chainId, msg->target, msg->vpn,
-            msg->writes.empty() ? 0 : msg->writes.front().wordOffset,
-            static_cast<unsigned>(msg->writes.size()), msg->originator,
-            msg->tag, /*tracked=*/msg->needAck, /*at_master=*/false);
-    }
+    noteChainStop(*msg);
     cm_.continueChain(msg->vpn, msg->chainId, frame,
                       std::move(msg->writes), msg->originator, msg->tag,
                       msg->fromRmw, msg->needAck, /*invalidate=*/false);

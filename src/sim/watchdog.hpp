@@ -15,7 +15,7 @@
  * Disarmed (the default and the state after stop()), the watchdog
  * schedules nothing at all, so it cannot perturb event order or
  * timing — the same cannot-observe-cannot-disturb contract as the
- * check observers. While armed its check events do execute, but they
+ * event-stream sinks. While armed its check events do execute, but they
  * only read counters; they never touch protocol state. Checks are
  * daemon events (Engine::scheduleDaemon), so an armed watchdog never
  * keeps an otherwise-finished run alive: once its check is all that

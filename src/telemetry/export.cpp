@@ -15,6 +15,8 @@ namespace telemetry {
 
 namespace {
 
+using check::EventKind;
+
 /** Separate pid range for the per-link tracks. */
 constexpr unsigned kLinkPidBase = 1000;
 
@@ -103,13 +105,13 @@ writePerfettoTrace(std::ostream& os, const Telemetry& telemetry,
     // before emitting anything.
     std::map<std::uint64_t, unsigned> linkPid; // (from<<32|to) -> pid
     std::unordered_map<std::uint64_t, unsigned> chainApplies;
-    telemetry.events().forEach([&](const TraceEvent& e) {
-        if (e.kind == TraceKind::LinkBusy) {
+    telemetry.events().forEach([&](const check::Event& e) {
+        if (e.kind == EventKind::LinkBusy) {
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(e.node) << 32) | e.peer;
             linkPid.emplace(key, 0);
-        } else if (e.kind == TraceKind::ChainApply) {
-            chainApplies[e.id] += 1;
+        } else if (e.kind == EventKind::ChainApplied) {
+            chainApplies[e.a] += 1;
         }
     });
     unsigned next_pid = kLinkPidBase;
@@ -139,32 +141,32 @@ writePerfettoTrace(std::ostream& os, const Telemetry& telemetry,
 
     std::unordered_map<std::uint64_t, unsigned> chainSeen;
     std::uint64_t asyncId = 0;
-    telemetry.events().forEach([&](const TraceEvent& e) {
-        const Cycles dur = e.end > e.begin ? e.end - e.begin : 1;
+    telemetry.events().forEach([&](const check::Event& e) {
+        const Cycles dur = e.b > 0 ? e.b : 1; // LinkBusy, ProcStall
         switch (e.kind) {
-          case TraceKind::MsgSend:
+          case EventKind::MessageSent:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"send " << msgClassName(e.cls)
                      << "\",\"cat\":\"msg\",\"args\":{\"dst\":" << e.peer
                      << ",\"bytes\":" << e.bytes << ",\"vpn\":" << e.vpn
                      << "}";
             w.close();
             break;
-          case TraceKind::MsgRecv:
+          case EventKind::PacketDelivered:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.end
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"recv " << msgClassName(e.cls)
                      << "\",\"cat\":\"msg\",\"args\":{\"src\":" << e.peer
-                     << ",\"latency\":" << (e.end - e.begin)
-                     << ",\"queueing\":" << e.id << "}";
+                     << ",\"latency\":" << e.a
+                     << ",\"queueing\":" << e.b << "}";
             w.close();
             break;
-          case TraceKind::LinkBusy: {
+          case EventKind::LinkBusy: {
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(e.node) << 32) | e.peer;
             w.open() << "\"ph\":\"X\",\"pid\":" << linkPid[key]
-                     << ",\"tid\":0,\"ts\":" << e.begin
+                     << ",\"tid\":0,\"ts\":" << e.a
                      << ",\"dur\":" << dur << ",\"name\":\""
                      << msgClassName(e.cls)
                      << "\",\"cat\":\"link\",\"args\":{\"bytes\":"
@@ -172,44 +174,44 @@ writePerfettoTrace(std::ostream& os, const Telemetry& telemetry,
             w.close();
             break;
           }
-          case TraceKind::PendingWrite: {
+          case EventKind::PendingWrite: {
             const std::string id = std::to_string(asyncId++);
             w.open() << "\"ph\":\"b\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.b
                      << ",\"id\":\"" << id
                      << "\",\"name\":\"pending write\",\"cat\":"
                         "\"pending\",\"args\":{\"tag\":"
-                     << e.id << ",\"vpn\":" << e.vpn
-                     << ",\"word\":" << e.wordOffset << "}";
+                     << e.a << ",\"vpn\":" << e.vpn
+                     << ",\"word\":" << e.word << "}";
             w.close();
             w.open() << "\"ph\":\"e\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.end << ",\"id\":\""
+                     << ",\"tid\":1,\"ts\":" << e.cycle << ",\"id\":\""
                      << id
                      << "\",\"name\":\"pending write\",\"cat\":"
                         "\"pending\"";
             w.close();
             break;
           }
-          case TraceKind::ChainApply: {
+          case EventKind::ChainApplied: {
             w.open() << "\"ph\":\"X\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"dur\":1,\"name\":\"chain apply"
-                     << (e.cls ? " (master)" : "")
+                     << ((e.cls & check::kChainAtMaster) ? " (master)" : "")
                      << "\",\"cat\":\"chain\",\"args\":{\"chain\":"
-                     << e.id << ",\"vpn\":" << e.vpn << ",\"word\":"
-                     << e.wordOffset << ",\"words\":" << e.bytes
+                     << e.a << ",\"vpn\":" << e.vpn << ",\"word\":"
+                     << e.word << ",\"words\":" << e.bytes
                      << ",\"originator\":" << e.peer << "}";
             w.close();
             // Flow arrows only make sense between >= 2 applies.
-            if (chainApplies[e.id] >= 2) {
-                const unsigned seen = chainSeen[e.id]++;
+            if (chainApplies[e.a] >= 2) {
+                const unsigned seen = chainSeen[e.a]++;
                 const char* ph =
                     seen == 0 ? "s"
-                              : (seen + 1 == chainApplies[e.id] ? "f"
-                                                                : "t");
+                              : (seen + 1 == chainApplies[e.a] ? "f"
+                                                               : "t");
                 w.open() << "\"ph\":\"" << ph << "\",\"pid\":" << e.node
-                         << ",\"tid\":1,\"ts\":" << e.begin
-                         << ",\"id\":" << e.id
+                         << ",\"tid\":1,\"ts\":" << e.cycle
+                         << ",\"id\":" << e.a
                          << ",\"name\":\"update chain\",\"cat\":"
                             "\"chain\"";
                 if (ph[0] == 'f') {
@@ -219,44 +221,44 @@ writePerfettoTrace(std::ostream& os, const Telemetry& telemetry,
             }
             break;
           }
-          case TraceKind::WriteIssued:
+          case EventKind::WriteIssued:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"write issued"
                      << (e.cls ? " (rmw)" : "")
-                     << "\",\"cat\":\"write\",\"args\":{\"tag\":" << e.id
-                     << ",\"vpn\":" << e.vpn << ",\"word\":"
-                     << e.wordOffset << "}";
+                     << "\",\"cat\":\"write\",\"args\":{\"tag\":" << e.a
+                     << ",\"vpn\":" << e.vpn << ",\"word\":" << e.word
+                     << "}";
             w.close();
             break;
-          case TraceKind::Fence:
+          case EventKind::FenceComplete:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":0,\"ts\":" << e.begin
+                     << ",\"tid\":0,\"ts\":" << e.cycle
                      << ",\"name\":\"fence complete\",\"cat\":\"sync\"";
             w.close();
             break;
-          case TraceKind::ProcStall:
+          case EventKind::ProcStall:
             w.open() << "\"ph\":\"X\",\"pid\":" << e.node
-                     << ",\"tid\":0,\"ts\":" << e.begin
+                     << ",\"tid\":0,\"ts\":" << e.a
                      << ",\"dur\":" << dur << ",\"name\":\"stall: "
                      << stallName(e.cls) << "\",\"cat\":\"stall\"";
             w.close();
             break;
-          case TraceKind::RmwIssue:
+          case EventKind::ProcRmwIssue:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":0,\"ts\":" << e.begin
+                     << ",\"tid\":0,\"ts\":" << e.cycle
                      << ",\"name\":\"issue " << rmwName(e.cls)
                      << "\",\"cat\":\"sync\",\"args\":{\"vpn\":" << e.vpn
-                     << ",\"word\":" << e.wordOffset << "}";
+                     << ",\"word\":" << e.word << "}";
             w.close();
             break;
-          case TraceKind::RmwVerify:
+          case EventKind::ProcVerify:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":0,\"ts\":" << e.begin
+                     << ",\"tid\":0,\"ts\":" << e.cycle
                      << ",\"name\":\"verify\",\"cat\":\"sync\"";
             w.close();
             break;
-          case TraceKind::PacketDrop: {
+          case EventKind::PacketDropped: {
             // Injected faults render on the dropping link's track when
             // that link ever serialized traffic; node-level faults (and
             // drops on an otherwise idle link) land on the source node.
@@ -267,50 +269,52 @@ writePerfettoTrace(std::ostream& os, const Telemetry& telemetry,
                 link != linkPid.end() ? link->second : e.node;
             const unsigned tid = link != linkPid.end() ? 0 : 1;
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid
-                     << ",\"tid\":" << tid << ",\"ts\":" << e.begin
+                     << ",\"tid\":" << tid << ",\"ts\":" << e.cycle
                      << ",\"name\":\"drop ("
                      << check::toString(
-                            static_cast<check::DropReason>(e.id))
+                            static_cast<check::DropReason>(e.a))
                      << ")\",\"cat\":\"fault\",\"args\":{\"class\":\""
                      << msgClassName(e.cls) << "\",\"to\":" << e.peer
                      << ",\"bytes\":" << e.bytes << "}";
             w.close();
             break;
           }
-          case TraceKind::Retransmit:
+          case EventKind::Retransmit:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"retransmit\",\"cat\":\"fault\","
                         "\"args\":{\"to\":"
-                     << e.peer << ",\"seq\":" << e.id
-                     << ",\"attempt\":" << e.bytes << "}";
+                     << e.peer << ",\"seq\":" << e.a
+                     << ",\"attempt\":" << e.b << "}";
             w.close();
             break;
-          case TraceKind::WordInvalidate:
+          case EventKind::WordInvalidated:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"invalidate\",\"cat\":\"proto\","
                         "\"args\":{\"vpn\":"
-                     << e.vpn << ",\"word\":" << e.wordOffset << "}";
+                     << e.vpn << ",\"word\":" << e.word << "}";
             w.close();
             break;
-          case TraceKind::WordRevalidate:
+          case EventKind::WordRevalidated:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"revalidate\",\"cat\":\"proto\","
                         "\"args\":{\"vpn\":"
-                     << e.vpn << ",\"word\":" << e.wordOffset << "}";
+                     << e.vpn << ",\"word\":" << e.word << "}";
             w.close();
             break;
-          case TraceKind::OwnershipHandoff:
+          case EventKind::OwnershipTransfer:
             w.open() << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.node
-                     << ",\"tid\":1,\"ts\":" << e.begin
+                     << ",\"tid\":1,\"ts\":" << e.cycle
                      << ",\"name\":\"ownership handoff\",\"cat\":"
                         "\"proto\",\"args\":{\"vpn\":"
-                     << e.vpn << ",\"from\":" << e.id << ",\"to\":"
+                     << e.vpn << ",\"from\":" << e.a << ",\"to\":"
                      << e.peer << "}";
             w.close();
             break;
+          default:
+            break; // never pushed into the tracer's ring
         }
     });
 

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "check/checker.hpp"
 #include "common/config.hpp"
@@ -18,6 +19,7 @@
 #include "core/machine.hpp"
 #include "net/network.hpp"
 #include "proto/messages.hpp"
+#include "sim/engine.hpp"
 
 namespace plus {
 namespace {
@@ -71,7 +73,7 @@ TEST(CheckClean, ReplicatedWritesRunCleanWithCheckerOn)
     EXPECT_GT(inv.writesRetired(), 0u);
     EXPECT_GT(inv.chainsCompleted(), 0u);
     EXPECT_EQ(inv.writesInFlight(), 0u);
-    EXPECT_GT(m.checker()->trace().recorded(), 0u);
+    EXPECT_GT(m.checker()->history().recorded(), 0u);
 }
 
 TEST(CheckClean, OnlineDeletionStaysClean)
@@ -188,81 +190,167 @@ invariantsOnly()
     return opts;
 }
 
+using check::EventKind;
+
 TEST(CheckUnit, RetireOfUnknownTagPanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    EXPECT_THROW(c.onPendingComplete(0, 99), PanicError);
+    check::Checker c(invariantsOnly());
+    EXPECT_THROW(
+        c.consume({.kind = EventKind::PendingComplete, .node = 0, .a = 99}),
+        PanicError);
 }
 
 TEST(CheckUnit, RetireBeforeMasterApplicationPanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    c.onPendingInsert(0, 1, /*vpn=*/5, /*word_offset=*/3);
-    c.onWriteIssued(0, 1, 5, 3, /*from_rmw=*/false);
+    check::Checker c(invariantsOnly());
+    c.consume({.kind = EventKind::PendingInsert,
+               .node = 0,
+               .vpn = 5,
+               .word = 3,
+               .a = /*tag=*/1});
+    c.consume({.kind = EventKind::WriteIssued,
+               .node = 0,
+               .vpn = 5,
+               .word = 3,
+               .a = 1});
     // The write never reached the master copy, yet an ack arrives.
-    EXPECT_THROW(c.onPendingComplete(0, 1), PanicError);
+    EXPECT_THROW(
+        c.consume({.kind = EventKind::PendingComplete, .node = 0, .a = 1}),
+        PanicError);
 }
 
 TEST(CheckUnit, WriteIssuedWithoutPendingEntryPanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    EXPECT_THROW(c.onWriteIssued(0, 9, 1, 0, false), PanicError);
+    check::Checker c(invariantsOnly());
+    EXPECT_THROW(c.consume({.kind = EventKind::WriteIssued,
+                            .node = 0,
+                            .vpn = 1,
+                            .word = 0,
+                            .a = 9}),
+                 PanicError);
 }
 
 TEST(CheckUnit, ReplicaApplicationWithUnknownChainPanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    EXPECT_THROW(c.onChainApplied(/*chain=*/77, PhysPage{1, 4}, /*vpn=*/5,
-                                  /*word_offset=*/0, /*words=*/1,
-                                  /*originator=*/0, /*tag=*/1,
-                                  /*tracked=*/true, /*at_master=*/false),
-                 PanicError);
+    check::Checker c(invariantsOnly());
+    EXPECT_THROW(
+        c.consume({.kind = EventKind::ChainApplied,
+                   .cls = check::chainFlags(/*at_master=*/false,
+                                            /*tracked=*/true),
+                   .node = 1,
+                   .peer = /*originator=*/0,
+                   .bytes = /*words=*/1,
+                   .vpn = 5,
+                   .word = 0,
+                   .a = /*chain=*/77,
+                   .b = check::packFrameTag(/*frame=*/4, /*tag=*/1)}),
+        PanicError);
 }
 
 TEST(CheckUnit, ReadOfOwnInFlightWritePanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    c.onPendingInsert(2, 1, /*vpn=*/5, /*word_offset=*/3);
-    c.onReadServed(2, 5, 4); // different word: fine
-    c.onReadServed(1, 5, 3); // different node: fine
-    EXPECT_THROW(c.onReadServed(2, 5, 3), PanicError);
+    check::Checker c(invariantsOnly());
+    c.consume({.kind = EventKind::PendingInsert,
+               .node = 2,
+               .vpn = 5,
+               .word = 3,
+               .a = 1});
+    // Different word, then different node: fine.
+    c.consume({.kind = EventKind::ReadServed, .node = 2, .vpn = 5, .word = 4});
+    c.consume({.kind = EventKind::ReadServed, .node = 1, .vpn = 5, .word = 3});
+    EXPECT_THROW(c.consume({.kind = EventKind::ReadServed,
+                            .node = 2,
+                            .vpn = 5,
+                            .word = 3}),
+                 PanicError);
 }
 
 TEST(CheckUnit, FenceWithInFlightWritesPanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    c.onPendingInsert(0, 1, 5, 3);
-    EXPECT_THROW(c.onFenceComplete(0, /*pending_empty=*/true), PanicError);
+    check::Checker c(invariantsOnly());
+    c.consume({.kind = EventKind::PendingInsert,
+               .node = 0,
+               .vpn = 5,
+               .word = 3,
+               .a = 1});
+    EXPECT_THROW(c.consume({.kind = EventKind::FenceComplete,
+                            .cls = /*pending_empty=*/1,
+                            .node = 0}),
+                 PanicError);
 }
 
 TEST(CheckUnit, FenceWithNonEmptyCachePanics)
 {
-    check::Checker c(invariantsOnly(), nullptr);
-    EXPECT_THROW(c.onFenceComplete(0, /*pending_empty=*/false), PanicError);
+    check::Checker c(invariantsOnly());
+    EXPECT_THROW(c.consume({.kind = EventKind::FenceComplete,
+                            .cls = /*pending_empty=*/0,
+                            .node = 0}),
+                 PanicError);
 }
 
 // --------------------------------------------------------------------------
-// Event trace
+// Event stream and history
 // --------------------------------------------------------------------------
+
+/** Sink that logs the records it is handed, tagged with its name. */
+class RecordingSink final : public check::EventSink
+{
+  public:
+    RecordingSink(char name, std::vector<std::string>* log)
+        : name_(name), log_(log)
+    {
+    }
+
+    void
+    consume(const check::Event& event) override
+    {
+        log_->push_back(std::string(1, name_) + ":" +
+                        check::toString(event.kind) + "@" +
+                        std::to_string(event.cycle) + " n" +
+                        std::to_string(event.node));
+    }
+
+  private:
+    char name_;
+    std::vector<std::string>* log_;
+};
+
+TEST(EventStream, FansOutToEverySinkInOrder)
+{
+    sim::Engine engine;
+    check::EventStream stream(engine);
+    std::vector<std::string> log;
+    RecordingSink checker('c', &log);
+    RecordingSink tracer('t', &log);
+    stream.addSink(&checker);
+    stream.addSink(&tracer);
+
+    engine.schedule(7, [&stream] {
+        // The emitter's cycle is overwritten by the stream's stamp.
+        stream.emit({.kind = EventKind::ProcFence, .node = 3, .cycle = 99});
+    });
+    engine.run();
+
+    EXPECT_EQ(log, (std::vector<std::string>{"c:proc-fence@7 n3",
+                                             "t:proc-fence@7 n3"}));
+}
 
 TEST(CheckTrace, KeepsBoundedHistoryAndRendersIt)
 {
-    check::EventTrace trace(4, nullptr);
+    check::EventRing history(4);
     for (unsigned i = 0; i < 6; ++i) {
-        check::Event e;
-        e.kind = check::EventKind::ProcWrite;
-        e.node = i;
-        trace.record(e);
+        history.push({.kind = EventKind::ProcWrite, .node = i});
     }
-    EXPECT_EQ(trace.recorded(), 6u);
-    const std::string text = trace.render();
+    EXPECT_EQ(history.recorded(), 6u);
+    EXPECT_EQ(history.dropped(), 2u);
+    const std::string text = history.render();
     EXPECT_NE(text.find("last 4 of 6"), std::string::npos);
     EXPECT_NE(text.find("proc-write"), std::string::npos);
     EXPECT_NE(text.find("n5"), std::string::npos);  // newest retained
     EXPECT_EQ(text.find("n1 "), std::string::npos); // oldest evicted
 
     try {
-        trace.violation("boom");
+        check::violation(history, "boom");
         FAIL() << "violation() must panic";
     } catch (const PanicError& err) {
         const std::string what = err.what();

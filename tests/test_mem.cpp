@@ -130,7 +130,11 @@ TEST(CopyList, CopyOnFindsNode)
 TEST(CopyList, DuplicateNodeIsPanic)
 {
     CopyList cl(PhysPage{0, 0});
+    cl.append(PhysPage{1, 1});
     EXPECT_THROW(cl.append(PhysPage{0, 1}), PanicError);
+    EXPECT_THROW(cl.insertAfter(PhysPage{0, 0}, PhysPage{1, 2}),
+                 PanicError);
+    EXPECT_EQ(cl.size(), 2u); // a rejected insert leaves the list as is
 }
 
 TEST(CopyList, RemovePromotesSuccessorWhenMasterRemoved)

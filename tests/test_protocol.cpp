@@ -266,52 +266,71 @@ invariantsOnly()
     return opts;
 }
 
+/** A word event of @p kind for (node, vpn 3, word). */
+check::Event
+wordEvent(check::EventKind kind, NodeId node, Addr word)
+{
+    return {.kind = kind, .node = node, .vpn = 3, .word = word};
+}
+
+using check::EventKind;
+
 TEST(ProtocolChecker, InvalidateHooksAreViolationsUnderUpdate)
 {
-    check::Checker c(invariantsOnly(), nullptr);
+    check::Checker c(invariantsOnly());
     ASSERT_EQ(c.invariants()->protocol(), check::ProtocolMode::WriteUpdate);
-    EXPECT_THROW(c.onWordInvalidated(0, /*vpn=*/3, /*word=*/5), PanicError);
+    EXPECT_THROW(c.consume(wordEvent(EventKind::WordInvalidated, 0, 5)),
+                 PanicError);
 }
 
 TEST(ProtocolChecker, StaleLocalReadDetectedUnderInvalidate)
 {
-    check::Checker c(invariantsOnly(), nullptr);
+    check::Checker c(invariantsOnly());
     c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
-    c.onWordInvalidated(1, /*vpn=*/3, /*word=*/5);
+    c.consume(wordEvent(EventKind::WordInvalidated, 1, 5));
     // Serving the invalidated word from the local copy is the seeded bug.
-    EXPECT_THROW(c.onLocalValueServed(1, 3, 5), PanicError);
+    EXPECT_THROW(c.consume(wordEvent(EventKind::LocalValueServed, 1, 5)),
+                 PanicError);
 }
 
 TEST(ProtocolChecker, RevalidatedWordServesCleanly)
 {
-    check::Checker c(invariantsOnly(), nullptr);
+    check::Checker c(invariantsOnly());
     c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
-    c.onWordInvalidated(1, /*vpn=*/3, /*word=*/5);
-    c.onWordRevalidated(1, 3, 5);
-    EXPECT_NO_THROW(c.onLocalValueServed(1, 3, 5));
+    c.consume(wordEvent(EventKind::WordInvalidated, 1, 5));
+    c.consume(wordEvent(EventKind::WordRevalidated, 1, 5));
+    EXPECT_NO_THROW(c.consume(wordEvent(EventKind::LocalValueServed, 1, 5)));
     // Other words of the page are unaffected throughout.
-    EXPECT_NO_THROW(c.onLocalValueServed(1, 3, 6));
+    EXPECT_NO_THROW(c.consume(wordEvent(EventKind::LocalValueServed, 1, 6)));
 }
 
 TEST(ProtocolChecker, ChainlessRetireLegalOnlyUnderInvalidate)
 {
+    const check::Event insert{.kind = EventKind::PendingInsert,
+                              .node = 0,
+                              .vpn = 2,
+                              .word = 0,
+                              .a = /*tag=*/1};
+    check::Event issued = insert;
+    issued.kind = EventKind::WriteIssued; // cls 0: not from an rmw
+    const check::Event retire{.kind = EventKind::PendingComplete,
+                              .node = 0,
+                              .a = 1};
     {
-        check::Checker c(invariantsOnly(), nullptr);
-        c.onPendingInsert(0, /*tag=*/1, /*vpn=*/2, /*word=*/0);
-        c.onWriteIssued(0, /*tag=*/1, /*vpn=*/2, /*word=*/0,
-                        /*from_rmw=*/false);
+        check::Checker c(invariantsOnly());
+        c.consume(insert);
+        c.consume(issued);
         // Under write-update a write must traverse its chain before
         // retiring; a chainless retire is the seeded bug.
-        EXPECT_THROW(c.onPendingComplete(0, 1), PanicError);
+        EXPECT_THROW(c.consume(retire), PanicError);
     }
     {
-        check::Checker c(invariantsOnly(), nullptr);
+        check::Checker c(invariantsOnly());
         c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
-        c.onPendingInsert(0, /*tag=*/1, /*vpn=*/2, /*word=*/0);
-        c.onWriteIssued(0, /*tag=*/1, /*vpn=*/2, /*word=*/0,
-                        /*from_rmw=*/false);
+        c.consume(insert);
+        c.consume(issued);
         // Write-invalidate legally skips the chain for committed words.
-        EXPECT_NO_THROW(c.onPendingComplete(0, 1));
+        EXPECT_NO_THROW(c.consume(retire));
     }
 }
 

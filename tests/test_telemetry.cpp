@@ -127,38 +127,35 @@ TEST(MetricsRegistry, PercentilesMatchKnownDistributions)
 
 // --- EventRing --------------------------------------------------------------
 
-TraceEvent
+check::Event
 eventAt(Cycles t)
 {
-    TraceEvent e;
-    e.kind = TraceKind::Fence;
-    e.begin = e.end = t;
-    return e;
+    return {.kind = check::EventKind::FenceComplete, .cycle = t};
 }
 
 TEST(EventRing, KeepsEverythingBelowCapacity)
 {
-    EventRing ring(4);
+    check::EventRing ring(4);
     for (Cycles t = 0; t < 3; ++t) {
         ring.push(eventAt(t));
     }
     EXPECT_EQ(ring.recorded(), 3u);
     EXPECT_EQ(ring.dropped(), 0u);
     std::vector<Cycles> seen;
-    ring.forEach([&](const TraceEvent& e) { seen.push_back(e.begin); });
+    ring.forEach([&](const check::Event& e) { seen.push_back(e.cycle); });
     EXPECT_EQ(seen, (std::vector<Cycles>{0, 1, 2}));
 }
 
 TEST(EventRing, WrapKeepsNewestOldestFirst)
 {
-    EventRing ring(3);
+    check::EventRing ring(3);
     for (Cycles t = 0; t < 7; ++t) {
         ring.push(eventAt(t));
     }
     EXPECT_EQ(ring.recorded(), 7u);
     EXPECT_EQ(ring.dropped(), 4u);
     std::vector<Cycles> seen;
-    ring.forEach([&](const TraceEvent& e) { seen.push_back(e.begin); });
+    ring.forEach([&](const check::Event& e) { seen.push_back(e.cycle); });
     EXPECT_EQ(seen, (std::vector<Cycles>{4, 5, 6}));
 }
 
@@ -224,17 +221,18 @@ TEST(Telemetry, MachineRecordsAllEventKinds)
     ASSERT_NE(t, nullptr);
     EXPECT_GT(t->events().recorded(), 0u);
 
-    std::set<TraceKind> kinds;
+    using check::EventKind;
+    std::set<EventKind> kinds;
     t->events().forEach(
-        [&](const TraceEvent& e) { kinds.insert(e.kind); });
-    EXPECT_TRUE(kinds.count(TraceKind::MsgSend));
-    EXPECT_TRUE(kinds.count(TraceKind::MsgRecv));
-    EXPECT_TRUE(kinds.count(TraceKind::LinkBusy));
-    EXPECT_TRUE(kinds.count(TraceKind::PendingWrite));
-    EXPECT_TRUE(kinds.count(TraceKind::ChainApply));
-    EXPECT_TRUE(kinds.count(TraceKind::Fence));
-    EXPECT_TRUE(kinds.count(TraceKind::RmwIssue));
-    EXPECT_TRUE(kinds.count(TraceKind::RmwVerify));
+        [&](const check::Event& e) { kinds.insert(e.kind); });
+    EXPECT_TRUE(kinds.count(EventKind::MessageSent));
+    EXPECT_TRUE(kinds.count(EventKind::PacketDelivered));
+    EXPECT_TRUE(kinds.count(EventKind::LinkBusy));
+    EXPECT_TRUE(kinds.count(EventKind::PendingWrite));
+    EXPECT_TRUE(kinds.count(EventKind::ChainApplied));
+    EXPECT_TRUE(kinds.count(EventKind::FenceComplete));
+    EXPECT_TRUE(kinds.count(EventKind::ProcRmwIssue));
+    EXPECT_TRUE(kinds.count(EventKind::ProcVerify));
 }
 
 TEST(Telemetry, AttributesTrafficToPagesAndLinks)
@@ -405,7 +403,7 @@ TEST(Telemetry, RingCapacityIsRespected)
     EXPECT_GT(t->events().recorded(), 16u);
     EXPECT_EQ(t->events().dropped(), t->events().recorded() - 16u);
     std::size_t retained = 0;
-    t->events().forEach([&](const TraceEvent&) { ++retained; });
+    t->events().forEach([&](const check::Event&) { ++retained; });
     EXPECT_EQ(retained, 16u);
 }
 
