@@ -5,8 +5,9 @@
  * tables print, and the command-line plumbing every bench accepts:
  *
  *   --nodes=N            machine size (benches with a size knob)
- *   --engine=NAME        auto | wheel | heap
- *   --protocol=NAME      auto | update | invalidate (docs/PROTOCOLS.md)
+ *   --engine=NAME        wheel | heap (default: wheel)
+ *   --protocol=NAME      update | invalidate (default: update;
+ *                        docs/PROTOCOLS.md)
  *   --trace-out=<file>   Perfetto JSON trace
  *   --stats-out=<file>   metrics + traffic JSON
  *   --prof-out=<file>    host-time profile JSON (enables plus::prof)
@@ -30,8 +31,8 @@ namespace bench {
 /** The harness options common to every bench, parsed from argv. */
 struct HarnessArgs {
     unsigned nodes = 0;           ///< --nodes=N; 0 = bench default
-    Engine engine = Engine::Auto; ///< --engine=NAME
-    Protocol protocol = Protocol::Auto; ///< --protocol=NAME
+    Engine engine = Engine::Wheel; ///< --engine=NAME
+    Protocol protocol = Protocol::WriteUpdate; ///< --protocol=NAME
     std::string traceOut;         ///< --trace-out=<file>
     std::string statsOut;         ///< --stats-out=<file>
     std::string profOut;          ///< --prof-out=<file>
@@ -83,13 +84,13 @@ parseHarnessArgs(int argc, char** argv)
         } else if (arg.rfind("--engine=", 0) == 0) {
             if (!engineFromString(arg.substr(9), args.engine)) {
                 std::cerr << "unknown --engine '" << arg.substr(9)
-                          << "' (want auto|wheel|heap)\n";
+                          << "' (want wheel|heap)\n";
                 std::exit(2);
             }
         } else if (arg.rfind("--protocol=", 0) == 0) {
             if (!protocolFromString(arg.substr(11), args.protocol)) {
                 std::cerr << "unknown --protocol '" << arg.substr(11)
-                          << "' (want auto|update|invalidate)\n";
+                          << "' (want update|invalidate)\n";
                 std::exit(2);
             }
         } else {

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <functional>
@@ -120,6 +119,11 @@ secondsSince(std::chrono::steady_clock::time_point start)
                                          start)
         .count();
 }
+
+/** sim::Engine pinned to the heap reference backend. */
+struct HeapEngine : sim::Engine {
+    HeapEngine() : sim::Engine(sim::EngineImpl::Heap) {}
+};
 
 /**
  * Steady-state event mix modelled on what the coherence simulation
@@ -338,10 +342,7 @@ main(int argc, char** argv)
         MicroBench<sim::Engine>(micro_events).eventsPerSec();
     // The heap reference backend still benefits from Event + the slab;
     // the gap between it and the wheel isolates the data structure.
-    setenv("PLUS_ENGINE", "heap", 1);
-    const double heap =
-        MicroBench<sim::Engine>(micro_events).eventsPerSec();
-    unsetenv("PLUS_ENGINE");
+    const double heap = MicroBench<HeapEngine>(micro_events).eventsPerSec();
 
     MacroResult macro_wheel;
     MacroResult macro_heap;

@@ -4,13 +4,13 @@
  *
  * Everything an application, bench or example needs is reachable from
  * this one header: the fluent MachineBuilder, the Machine/Context
- * types it produces, and the backend selector. The builder is a thin,
+ * types it produces, and the backend selectors. The builder is a thin,
  * validated veneer over MachineConfig — every knob maps onto one
  * config field, `tune()` exposes the rest, and `build()` hands the
- * finished config to core::Machine, whose direct
- * `Machine(MachineConfig)` constructor remains as a deprecated shim
- * for existing code (both paths produce identical machines; see
- * tests/test_builder.cpp).
+ * finished config to the `core::Machine(MachineConfig)` constructor
+ * (constructing directly from a config gives the identical machine;
+ * see tests/test_builder.cpp). Engine and protocol are chosen only
+ * here or in MachineConfig; the environment never changes them.
  *
  * @code
  *   auto machine = plus::MachineBuilder()
@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "common/config.hpp"
@@ -45,115 +44,27 @@ using Machine = core::Machine;
 using Context = core::Context;
 
 /**
- * Simulation backend. Every backend realises the exact same event
- * order — byte-identical output is the determinism contract, enforced
- * by CI (docs/PERF.md) — so this only selects a performance profile.
+ * Simulation backend: Wheel (the default) or Heap, the priority-queue
+ * oracle. Every backend realises the exact same event order —
+ * byte-identical output is the determinism contract, enforced by CI
+ * (docs/PERF.md) — so this only selects a performance profile.
+ * toString()/engineFromString() come with the enum.
  */
-enum class Engine : std::uint8_t {
-    Auto,  ///< honour the PLUS_ENGINE environment variable
-    Wheel, ///< hierarchical timing wheel (the default)
-    Heap,  ///< priority-queue oracle
-};
-
-constexpr const char*
-toString(Engine engine)
-{
-    switch (engine) {
-      case Engine::Auto: return "auto";
-      case Engine::Wheel: return "wheel";
-      case Engine::Heap: return "heap";
-      default: return "?";
-    }
-}
-
-/** Parse "auto" | "wheel" | "heap"; false if unknown. */
-inline bool
-engineFromString(std::string_view name, Engine& out)
-{
-    if (name == "auto") {
-        out = Engine::Auto;
-    } else if (name == "wheel") {
-        out = Engine::Wheel;
-    } else if (name == "heap") {
-        out = Engine::Heap;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** The MachineConfig field backing a plus::Engine choice. */
-constexpr SimEngine
-toSimEngine(Engine engine)
-{
-    switch (engine) {
-      case Engine::Wheel: return SimEngine::Wheel;
-      case Engine::Heap: return SimEngine::Heap;
-      case Engine::Auto:
-      default: return SimEngine::Env;
-    }
-}
+using Engine = SimEngine;
 
 /**
- * Coherence protocol (docs/PROTOCOLS.md). WriteUpdate is the paper's
+ * Coherence protocol (docs/PROTOCOLS.md): WriteUpdate is the paper's
  * protocol and the default; WriteInvalidate is the MSI-flavoured
- * counterpart for protocol comparisons. Auto honours the PLUS_PROTOCOL
- * environment variable and falls back to WriteUpdate.
+ * counterpart for protocol comparisons. toString()/protocolFromString()
+ * come with the enum.
  */
-enum class Protocol : std::uint8_t {
-    Auto,            ///< honour PLUS_PROTOCOL (default: write-update)
-    WriteUpdate,     ///< the paper's non-demand write-update protocol
-    WriteInvalidate, ///< home-pinned MSI-flavoured invalidation protocol
-};
-
-constexpr const char*
-toString(Protocol protocol)
-{
-    switch (protocol) {
-      case Protocol::Auto: return "auto";
-      case Protocol::WriteUpdate: return "write-update";
-      case Protocol::WriteInvalidate: return "write-invalidate";
-      default: return "?";
-    }
-}
+using Protocol = CoherenceProtocol;
 
 /**
- * Parse "auto" | "update" | "write-update" | "invalidate" |
- * "write-invalidate"; false if unknown.
- */
-inline bool
-protocolFromString(std::string_view name, Protocol& out)
-{
-    if (name == "auto") {
-        out = Protocol::Auto;
-    } else if (name == "update" || name == "write-update") {
-        out = Protocol::WriteUpdate;
-    } else if (name == "invalidate" || name == "write-invalidate") {
-        out = Protocol::WriteInvalidate;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** The MachineConfig field backing a plus::Protocol choice. */
-constexpr CoherenceProtocol
-toCoherenceProtocol(Protocol protocol)
-{
-    switch (protocol) {
-      case Protocol::WriteUpdate: return CoherenceProtocol::WriteUpdate;
-      case Protocol::WriteInvalidate:
-        return CoherenceProtocol::WriteInvalidate;
-      case Protocol::Auto:
-      default: return CoherenceProtocol::Env;
-    }
-}
-
-/**
- * Fluent machine construction — the one supported way to build a
- * machine. Call knobs in any order; build() validates the assembled
- * configuration (rejecting contradictions with actionable messages)
- * and returns the running-ready machine.
+ * Fluent machine construction over MachineConfig. Call knobs in any
+ * order; build() validates the assembled configuration (rejecting
+ * contradictions with actionable messages) and returns the
+ * running-ready machine.
  */
 class MachineBuilder
 {
@@ -186,21 +97,15 @@ class MachineBuilder
     MachineBuilder&
     engine(Engine e)
     {
-        config_.engine = toSimEngine(e);
+        config_.engine = e;
         return *this;
     }
 
-    /**
-     * Coherence protocol (see plus::Protocol and docs/PROTOCOLS.md).
-     * Calling this knob is the explicit opt-in MachineConfig::validate
-     * requires for a non-default protocol; code relying on the implicit
-     * write-update default (deprecated) should name it here instead.
-     */
+    /** Coherence protocol (see plus::Protocol and docs/PROTOCOLS.md). */
     MachineBuilder&
     protocol(Protocol p)
     {
-        config_.protocol = toCoherenceProtocol(p);
-        config_.protocolOptIn = true;
+        config_.protocol = p;
         return *this;
     }
 

@@ -20,7 +20,9 @@
 #   7. determinism: both engine backends must produce byte-for-byte
 #                  identical bench output — the full matrix is
 #                  {wheel, heap} x {update, invalidate}, the heap run
-#                  diffed against the wheel run of the same protocol
+#                  diffed against the wheel run of the same protocol —
+#                  and stray PLUS_ENGINE/PLUS_PROTOCOL variables must
+#                  leave the default output equal to golden/
 #   8. protocols:  per-protocol suites — tests/test_protocol, then
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
@@ -102,13 +104,6 @@ run_tidy() {
 
 run_lint() {
     echo "=== lint: pluslint determinism contract over src/ ==="
-    # compile_commands.json lets the clang frontend (when libclang is
-    # available) parse each TU with its real flags; the token frontend
-    # needs no build at all, so the stage degrades gracefully.
-    if command -v cmake >/dev/null 2>&1; then
-        cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-            >/dev/null 2>&1 || true
-    fi
     python3 scripts/pluslint.py
     echo "--- linter self-test against tests/lint_corpus"
     python3 tests/lint_corpus/driver.py
@@ -195,6 +190,13 @@ run_determinism() {
         diff "$out/wheel_harness.txt" "$out/heap_harness.txt"
     done
     echo "both engine backends are cycle-for-cycle identical per protocol"
+
+    # Engine and protocol are chosen only by config and CLI flags; the
+    # environment must not reach them.
+    PLUS_ENGINE=heap PLUS_PROTOCOL=invalidate \
+        build/bench/sim_harness --nodes=16 > "$out/env_harness.txt"
+    diff golden/sim_harness_16.txt "$out/env_harness.txt"
+    echo "PLUS_ENGINE/PLUS_PROTOCOL leave default output at golden/"
 }
 
 run_protocols() {

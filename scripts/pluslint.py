@@ -33,22 +33,16 @@ named rules, and a checked-in baseline (scripts/pluslint_baseline.txt,
 refreshed with --update-baseline) grandfathers existing debt. Everything
 else fails the lint CI stage.
 
-Frontends: when the clang Python bindings and libclang are importable the
-analyzer parses every TU listed in compile_commands.json through
-clang.cindex and checks the typed AST. When they are not (the default
-container has no libclang C API), a built-in tokenizer frontend performs
-the same checks lexically: it tracks type aliases and declarations across
-each file's quoted-include closure so member iteration in a .cpp over an
-unordered map declared in the .hpp is still caught. Both frontends share
-the suppression, baseline, and reporting machinery, and the lint corpus
-(tests/lint_corpus) must pass under whichever frontend is active.
+The checks are lexical: a built-in tokenizer tracks type aliases and
+declarations across each file's quoted-include closure, so member
+iteration in a .cpp over an unordered map declared in the .hpp is still
+caught. The lint corpus (tests/lint_corpus) pins what each rule reports.
 
 Exit status: 0 clean (or fully suppressed/baselined), 1 findings, 2 usage.
 """
 
 import argparse
 import hashlib
-import json
 import os
 import re
 import sys
@@ -116,8 +110,8 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Tokenizer (shared: the fallback frontend, allow-comment scanning, and
-# the PLUS_HOST_ONLY file-annotation check all run on this).
+# Tokenizer (the rule checks, allow-comment scanning, and the
+# PLUS_HOST_ONLY file-annotation check all run on this).
 # --------------------------------------------------------------------------
 
 TOKEN_RE = re.compile(r"""
@@ -205,7 +199,7 @@ class SourceFile:
 
 
 # --------------------------------------------------------------------------
-# Token frontend
+# Rule checks
 # --------------------------------------------------------------------------
 
 def skip_template_args(toks, i):
@@ -571,7 +565,7 @@ def load_source(path, cache):
     return cache[rp]
 
 
-def run_token_frontend(files, root, verbose):
+def lint_files(files, root, verbose):
     findings = []
     cache = {}
     for path in files:
@@ -593,147 +587,6 @@ def run_token_frontend(files, root, verbose):
             continue
         kept.append(f)
     return kept
-
-
-# --------------------------------------------------------------------------
-# clang.cindex frontend
-# --------------------------------------------------------------------------
-
-UNORDERED_TYPE_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
-PTR_KEY_RE = re.compile(
-    r"\bstd::(map|set|multimap|multiset|less)<[^,<>]*\*")
-
-
-def run_clang_frontend(files, root, ccdb_path, verbose):
-    """Typed-AST checks via libclang. Returns findings, or None when the
-    bindings/library are unavailable (caller falls back to tokens)."""
-    try:
-        from clang import cindex
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception as exc:  # noqa: BLE001 — any load failure => fallback
-        if verbose:
-            print(f"  clang: libclang unavailable ({exc})", file=sys.stderr)
-        return None
-
-    args_by_file = {}
-    if ccdb_path and os.path.isfile(ccdb_path):
-        try:
-            for entry in json.load(open(ccdb_path, encoding="utf-8")):
-                fp = os.path.realpath(
-                    os.path.join(entry.get("directory", "."),
-                                 entry["file"]))
-                raw = entry.get("arguments") or entry.get("command",
-                                                          "").split()
-                args = [a for a in raw[1:]
-                        if not a.endswith((".cpp", ".o", ".cc"))
-                        and a not in ("-c", "-o")]
-                args_by_file[fp] = args
-        except (OSError, ValueError, KeyError):
-            pass
-    default_args = ["-std=c++20", f"-I{os.path.join(root, 'src')}",
-                    f"-I{os.path.join(root, 'include')}"]
-
-    wanted = {os.path.realpath(p) for p in files}
-    findings = {}
-    cache = {}
-
-    def add(rule, loc, message):
-        if loc.file is None:
-            return
-        fp = os.path.realpath(loc.file.name)
-        if fp not in wanted:
-            return
-        rel = relpath(fp, root)
-        if rel in ALLOWLIST.get(rule, ()):
-            return
-        src = load_source(fp, cache)
-        if src is not None and src.allows(loc.line, rule):
-            return
-        text = ""
-        if src is not None and 0 < loc.line <= len(src.lines):
-            text = src.lines[loc.line - 1]
-        f = Finding(rule, rel, loc.line, message, text)
-        findings[f.key()] = f
-
-    def visit(cursor, host_only):
-        kind = cursor.kind
-        K = cindex.CursorKind
-        if kind == K.CXX_FOR_RANGE_STMT:
-            for child in cursor.get_children():
-                spelling = child.type.spelling if child.type else ""
-                if UNORDERED_TYPE_RE.search(spelling):
-                    add("R1", cursor.location,
-                        "range-for over unordered container of type "
-                        f"'{spelling}' — use an ordered container or "
-                        "plus::sortedView()")
-                    break
-        elif kind in (K.DECL_REF_EXPR, K.TYPE_REF):
-            name = cursor.spelling.split("::")[-1]
-            if name in R2_BANNED_IDS and not host_only:
-                add("R2", cursor.location,
-                    f"'{name}' is host nondeterminism; use "
-                    "sim::Engine::now() or annotate PLUS_HOST_ONLY")
-        elif kind == K.CALL_EXPR:
-            name = cursor.spelling
-            if name in R2_BANNED_CALLS and not host_only:
-                add("R2", cursor.location,
-                    f"call to '{name}()' reads host clock/entropy; use "
-                    "sim::Engine::now() / common/rng.hpp or annotate "
-                    "PLUS_HOST_ONLY")
-            elif name in R5_BANNED_CALLS:
-                add("R5", cursor.location,
-                    f"'{name}()' outside common/config — route through "
-                    "plus::envRead()")
-        elif kind in (K.VAR_DECL, K.FIELD_DECL):
-            spelling = cursor.type.spelling if cursor.type else ""
-            if PTR_KEY_RE.search(spelling):
-                add("R3", cursor.location,
-                    f"'{spelling}' orders by pointer value — key by a "
-                    "stable id instead")
-            if kind == K.VAR_DECL:
-                parent = cursor.semantic_parent
-                ns_scope = parent is not None and parent.kind in (
-                    K.TRANSLATION_UNIT, K.NAMESPACE)
-                static = cursor.storage_class == \
-                    cindex.StorageClass.STATIC
-                toks = {t.spelling for t in cursor.get_tokens()}
-                is_const = (cursor.type.is_const_qualified()
-                            or "constexpr" in toks or "constinit" in toks
-                            or "const" in toks)
-                if (ns_scope or static or "thread_local" in toks) \
-                        and not is_const:
-                    add("R4", cursor.location,
-                        f"mutable {'static ' if static else ''}state "
-                        f"'{cursor.spelling}' at namespace/static scope")
-        for child in cursor.get_children():
-            visit(child, host_only)
-
-    parsed_any = False
-    for path in files:
-        if not path.endswith((".cpp", ".cc", ".cxx")):
-            continue  # headers are linted through the TUs that pull them in
-        rp = os.path.realpath(path)
-        args = args_by_file.get(rp, default_args)
-        try:
-            tu = index.parse(rp, args=args)
-        except Exception:  # noqa: BLE001
-            continue
-        parsed_any = True
-        src = load_source(rp, cache)
-        host_only = src.host_only if src else False
-        visit(tu.cursor, host_only)
-    if not parsed_any:
-        return None
-    # Headers never included by any TU still need the lexical checks.
-    header_only = [p for p in files
-                   if not p.endswith((".cpp", ".cc", ".cxx"))]
-    if header_only:
-        for f in run_token_frontend(header_only, root, False):
-            findings.setdefault(f.key(), f)
-    return list(findings.values())
 
 
 # --------------------------------------------------------------------------
@@ -784,9 +637,6 @@ def main(argv):
                     help="files/directories to lint (default: src/)")
     ap.add_argument("--root", default=root_default,
                     help="repo root for relative paths and src/ includes")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json for the clang frontend "
-                         "(default: <root>/build/compile_commands.json)")
     ap.add_argument("--baseline", default=None,
                     help="baseline file (default: "
                          "<root>/scripts/pluslint_baseline.txt)")
@@ -794,8 +644,6 @@ def main(argv):
                     help="ignore the baseline (report all findings)")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline with the current findings")
-    ap.add_argument("--frontend", choices=("auto", "clang", "tokens"),
-                    default="auto")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -805,27 +653,8 @@ def main(argv):
     if not files:
         print("pluslint: nothing to lint", file=sys.stderr)
         return 2
-    ccdb = args.compile_commands or os.path.join(
-        root, "build", "compile_commands.json")
 
-    findings = None
-    frontend = "tokens"
-    if args.frontend in ("auto", "clang"):
-        try:
-            findings = run_clang_frontend(files, root, ccdb, args.verbose)
-        except Exception as exc:  # noqa: BLE001 — never die on the AST path
-            print(f"pluslint: clang frontend failed ({exc}); "
-                  "falling back to the token frontend", file=sys.stderr)
-            findings = None
-        if findings is not None:
-            frontend = "clang"
-        elif args.frontend == "clang":
-            print("pluslint: clang.cindex/libclang not usable here",
-                  file=sys.stderr)
-            return 2
-    if findings is None:
-        findings = run_token_frontend(files, root, args.verbose)
-
+    findings = lint_files(files, root, args.verbose)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
     baseline_path = args.baseline or os.path.join(
@@ -849,7 +678,7 @@ def main(argv):
 
     for f in fresh:
         print(f.render())
-    tail = (f"pluslint[{frontend}]: {len(files)} file(s), "
+    tail = (f"pluslint: {len(files)} file(s), "
             f"{len(fresh)} finding(s)")
     if suppressed:
         tail += f", {suppressed} baselined"

@@ -233,7 +233,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         violation(concat("chain ", chain, " applied twice at copy ",
                          toString(copy)));
     }
-    if (mode_ == ProtocolMode::WriteInvalidate) {
+    if (mode_ == CoherenceProtocol::WriteInvalidate) {
         // Single-writer: a chain stop at a non-master copy must have
         // invalidated its words (WordInvalidated precedes this event),
         // never applied the written values.
@@ -348,7 +348,7 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
             }
         }
         chains_.erase(entry.chain);
-    } else if (!entry.fromRmw && mode_ != ProtocolMode::WriteInvalidate) {
+    } else if (!entry.fromRmw && mode_ != CoherenceProtocol::WriteInvalidate) {
         // Write-invalidate legally retires chainless: a write whose words
         // are already invalidated at every copy skips the chain entirely.
         violation(concat("node ", node, " retired write tag ", tag,
@@ -393,7 +393,7 @@ InvariantChecker::readServed(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::wordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ == ProtocolMode::WriteUpdate) {
+    if (mode_ == CoherenceProtocol::WriteUpdate) {
         violation(concat("word invalidation reported for page ", vpn,
                          " word ", word_offset, " at n", node,
                          " under write-update, which never invalidates"));
@@ -404,7 +404,7 @@ InvariantChecker::wordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::wordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ == ProtocolMode::WriteUpdate) {
+    if (mode_ == CoherenceProtocol::WriteUpdate) {
         violation(concat("word revalidation reported for page ", vpn,
                          " word ", word_offset, " at n", node,
                          " under write-update, which never invalidates"));
@@ -422,7 +422,7 @@ InvariantChecker::wordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::localValueServed(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ != ProtocolMode::WriteInvalidate) {
+    if (mode_ != CoherenceProtocol::WriteInvalidate) {
         return; // write-update never invalidates: every local serve is legal
     }
     auto nit = invalidWords_.find(node);

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "check/event.hpp"
+#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -53,16 +54,6 @@ class CopyList;
 } // namespace mem
 
 namespace check {
-
-/**
- * Which coherence protocol's invariants to enforce. Mirrors the resolved
- * plus::CoherenceProtocol; kept as a separate enum so check/ stays free
- * of the config layer.
- */
-enum class ProtocolMode : std::uint8_t {
-    WriteUpdate,
-    WriteInvalidate,
-};
 
 /** Checks the protocol ordering invariants; see file comment. */
 class InvariantChecker
@@ -82,9 +73,9 @@ class InvariantChecker
     }
 
     /** Select the invariant set to enforce (default: write-update). */
-    void setProtocol(ProtocolMode mode) { mode_ = mode; }
+    void setProtocol(CoherenceProtocol mode) { mode_ = mode; }
 
-    ProtocolMode protocol() const { return mode_; }
+    CoherenceProtocol protocol() const { return mode_; }
 
     /** The OS mutated the copy-list of @p vpn (splice, reorder, ...). */
     void copyListChanged(Vpn vpn);
@@ -184,7 +175,7 @@ class InvariantChecker
     /** Copy-list mutation counters per page. */
     std::unordered_map<Vpn, std::uint64_t> generations_;
 
-    ProtocolMode mode_ = ProtocolMode::WriteUpdate;
+    CoherenceProtocol mode_ = CoherenceProtocol::WriteUpdate;
     /**
      * Write-invalidate shadow validity: word offsets currently invalid
      * at each node's copy of each page, maintained purely from the

@@ -29,18 +29,29 @@ const char*
 toString(SimEngine engine)
 {
     switch (engine) {
-      case SimEngine::Env: return "env";
       case SimEngine::Wheel: return "wheel";
       case SimEngine::Heap: return "heap";
       default: return "?";
     }
 }
 
+bool
+engineFromString(std::string_view name, SimEngine& out)
+{
+    if (name == "wheel") {
+        out = SimEngine::Wheel;
+    } else if (name == "heap") {
+        out = SimEngine::Heap;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 const char*
 toString(CoherenceProtocol protocol)
 {
     switch (protocol) {
-      case CoherenceProtocol::Env: return "env";
       case CoherenceProtocol::WriteUpdate: return "write-update";
       case CoherenceProtocol::WriteInvalidate: return "write-invalidate";
       default: return "?";
@@ -48,18 +59,16 @@ toString(CoherenceProtocol protocol)
 }
 
 bool
-coherenceProtocolFromString(const char* name, CoherenceProtocol& out)
+protocolFromString(std::string_view name, CoherenceProtocol& out)
 {
-    const std::string_view s(name);
-    if (s == "update" || s == "write-update") {
+    if (name == "update" || name == "write-update") {
         out = CoherenceProtocol::WriteUpdate;
-        return true;
-    }
-    if (s == "invalidate" || s == "write-invalidate") {
+    } else if (name == "invalidate" || name == "write-invalidate") {
         out = CoherenceProtocol::WriteInvalidate;
-        return true;
+    } else {
+        return false;
     }
-    return false;
+    return true;
 }
 
 void
@@ -173,27 +182,7 @@ MachineConfig::validate()
         PLUS_FATAL("watchdog window must be positive");
     }
 
-    if (protocol == CoherenceProtocol::Env) {
-        resolvedProtocol_ = CoherenceProtocol::WriteUpdate;
-        if (const char* name = envRead("PLUS_PROTOCOL")) {
-            if (!coherenceProtocolFromString(name, resolvedProtocol_)) {
-                PLUS_FATAL("PLUS_PROTOCOL=", name, " names no coherence "
-                           "protocol; valid names: update, write-update, "
-                           "invalidate, write-invalidate");
-            }
-        }
-    } else {
-        if (!protocolOptIn) {
-            PLUS_FATAL("MachineConfig.protocol overridden to ",
-                       toString(protocol), " without protocolOptIn; use "
-                       "plus::MachineBuilder::protocol() (which opts in "
-                       "for you), or set protocolOptIn = true on the "
-                       "deprecated direct Machine(MachineConfig) path to "
-                       "confirm the override is intended");
-        }
-        resolvedProtocol_ = protocol;
-    }
-    if (resolvedProtocol_ == CoherenceProtocol::WriteInvalidate) {
+    if (protocol == CoherenceProtocol::WriteInvalidate) {
         if (fault.recover) {
             PLUS_FATAL("write-invalidate does not support fail-stop "
                        "recovery: re-mastering would promote a replica "

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -173,43 +174,44 @@ struct NetworkConfig {
 };
 
 /**
- * Event-engine backend selection (mirrors sim::EngineImpl without
- * depending on the sim layer). Every backend realises the exact same
- * event order — see docs/PERF.md for the determinism contract.
+ * Event-engine backend (sim::EngineImpl and plus::Engine are aliases of
+ * this one enum). Every backend realises the exact same event order —
+ * see docs/PERF.md for the determinism contract.
  */
-enum class SimEngine : std::uint8_t {
-    /** Honour the PLUS_ENGINE environment variable (default: wheel). */
-    Env,
+enum class SimEngine {
     /** Serial hierarchical timing wheel (the default backend). */
     Wheel,
     /** Serial priority-queue oracle. */
     Heap,
 };
 
+/** "wheel" | "heap". */
 const char* toString(SimEngine engine);
 
+/** Parse "wheel" | "heap" into @p out; false if @p name matches none. */
+bool engineFromString(std::string_view name, SimEngine& out);
+
 /**
- * Coherence-protocol backend selection (mirrors plus::Protocol without
- * depending on the public header). Write-update is the paper's design
- * and the default; write-invalidate is the MSI-style comparison backend.
- * See docs/PROTOCOLS.md.
+ * Coherence-protocol backend (plus::Protocol is an alias of this one
+ * enum). Write-update is the paper's design and the default;
+ * write-invalidate is the MSI-style comparison backend. See
+ * docs/PROTOCOLS.md.
  */
 enum class CoherenceProtocol : std::uint8_t {
-    /** Honour the PLUS_PROTOCOL environment variable (default: update). */
-    Env,
     /** PLUS's non-demand write-update copy-list protocol (the paper). */
     WriteUpdate,
     /** MSI-style write-invalidate: a write invalidates remote copies. */
     WriteInvalidate,
 };
 
+/** "write-update" | "write-invalidate". */
 const char* toString(CoherenceProtocol protocol);
 
 /**
  * Parse a protocol name ("update"/"write-update"/"invalidate"/
  * "write-invalidate") into @p out; false if @p name matches none.
  */
-bool coherenceProtocolFromString(const char* name, CoherenceProtocol& out);
+bool protocolFromString(std::string_view name, CoherenceProtocol& out);
 
 /** How the processor hides (or fails to hide) memory/sync latency. */
 enum class ProcessorMode {
@@ -410,20 +412,11 @@ struct MachineConfig {
     /** Processor latency-hiding mode. */
     ProcessorMode mode = ProcessorMode::Delayed;
 
-    /** Event-engine backend (Env = honour PLUS_ENGINE). */
-    SimEngine engine = SimEngine::Env;
+    /** Event-engine backend. */
+    SimEngine engine = SimEngine::Wheel;
 
-    /** Coherence-protocol backend (Env = honour PLUS_PROTOCOL). */
-    CoherenceProtocol protocol = CoherenceProtocol::Env;
-
-    /**
-     * Explicit acknowledgement that a non-default protocol override is
-     * intended. plus::MachineBuilder::protocol() sets it; the deprecated
-     * direct Machine(MachineConfig) construction path must set it by
-     * hand or validate() rejects the override — configs written before
-     * the protocol field existed cannot silently change meaning.
-     */
-    bool protocolOptIn = false;
+    /** Coherence-protocol backend. */
+    CoherenceProtocol protocol = CoherenceProtocol::WriteUpdate;
 
     NetworkConfig network;
     CostModel cost;
@@ -447,13 +440,12 @@ struct MachineConfig {
     unsigned meshWidth() const { return resolvedMeshWidth_; }
     unsigned meshHeight() const { return resolvedMeshHeight_; }
 
-    /** Protocol after validate(): explicit, or PLUS_PROTOCOL, or update. */
-    CoherenceProtocol resolvedProtocol() const { return resolvedProtocol_; }
+    /** The coherence protocol; read `protocol` directly in new code. */
+    CoherenceProtocol resolvedProtocol() const { return protocol; }
 
   private:
     unsigned resolvedMeshWidth_ = 0;
     unsigned resolvedMeshHeight_ = 0;
-    CoherenceProtocol resolvedProtocol_ = CoherenceProtocol::WriteUpdate;
 };
 
 } // namespace plus

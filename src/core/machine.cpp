@@ -16,22 +16,6 @@
 namespace plus {
 namespace core {
 
-namespace {
-
-/** Map the config's engine request onto a concrete backend. */
-sim::EngineImpl
-resolveImpl(const MachineConfig& config)
-{
-    switch (config.engine) {
-      case SimEngine::Wheel: return sim::EngineImpl::Wheel;
-      case SimEngine::Heap: return sim::EngineImpl::Heap;
-      case SimEngine::Env:
-      default: return sim::implFromEnv();
-    }
-}
-
-} // namespace
-
 /**
  * Adapter handing proto::RecoveryManager the machine services it needs
  * (directory walks, table rewrites, processor halts) while keeping the
@@ -148,7 +132,7 @@ MachineReport::operator-(const MachineReport& baseline) const
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
-      engine_(resolveImpl(config_)),
+      engine_(config_.engine),
       topology_(1, 1, 1) // replaced below once the config is validated
 {
     config_.validate();
@@ -178,11 +162,7 @@ Machine::Machine(MachineConfig config)
                                                 : nullptr;
             });
         if (checker_->invariants()) {
-            checker_->invariants()->setProtocol(
-                config_.resolvedProtocol() ==
-                        CoherenceProtocol::WriteInvalidate
-                    ? check::ProtocolMode::WriteInvalidate
-                    : check::ProtocolMode::WriteUpdate);
+            checker_->invariants()->setProtocol(config_.protocol);
         }
     }
 
@@ -774,7 +754,7 @@ Machine::replicate(Addr addr, NodeId target)
     // mask), and master-as-predecessor keeps batch data and subsequent
     // invalidation chains on one FIFO channel.
     PhysPage anchor = cl.master();
-    if (config_.resolvedProtocol() != CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol != CoherenceProtocol::WriteInvalidate) {
         unsigned best_dist = topology_.distance(target, anchor.node);
         for (const PhysPage& copy : cl.copies()) {
             const unsigned d = topology_.distance(target, copy.node);
@@ -922,7 +902,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
     // Move the target to the head, keep the remaining order, then
     // rewrite every copy's master/next-copy table entries.
     const PhysPage new_master = *cl.copyOn(node);
-    if (config_.resolvedProtocol() == CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol == CoherenceProtocol::WriteInvalidate) {
         // The promoted copy may hold invalidated words the old master
         // never pushed back (invalidate chains carry no values). The
         // machine is quiesced, so sync the full page untimed before the
@@ -969,7 +949,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
                                ? std::optional<PhysPage>(order[i + 1])
                                : std::nullopt);
     }
-    if (config_.resolvedProtocol() == CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol == CoherenceProtocol::WriteInvalidate) {
         // Full-page sync above revalidated the new master; the old
         // master's invalid-everywhere knowledge is stale topology.
         nodes_[node]->cm().protocol().onMasterPromoted(new_master.frame,

@@ -84,10 +84,9 @@ class Machine
 {
   public:
     /**
-     * @deprecated Construct through plus::MachineBuilder
-     * (plus/plus.hpp) — the fluent, validated front door. This
-     * constructor is the thin shim the builder itself lands on; both
-     * paths produce identical machines (tests/test_builder.cpp).
+     * Validate @p config (FatalError on contradictions) and build the
+     * machine. plus::MachineBuilder (plus/plus.hpp) assembles the
+     * config fluently and lands here.
      */
     explicit Machine(MachineConfig config);
     ~Machine();

@@ -119,11 +119,7 @@ class CoherenceManager
         mem::RefCounters* refCounters = nullptr; ///< optional
     };
 
-    /**
-     * @p protocol selects the coherence-protocol strategy; it must be a
-     * resolved choice (never CoherenceProtocol::Env — run
-     * MachineConfig::validate, or pass MachineConfig::resolvedProtocol).
-     */
+    /** @p protocol selects the coherence-protocol strategy. */
     CoherenceManager(NodeId self, const CostModel& cost, Deps deps,
                      CoherenceProtocol protocol =
                          CoherenceProtocol::WriteUpdate);

@@ -77,10 +77,9 @@ makeProtocol(CoherenceProtocol kind, CoherenceManager& cm)
         return std::make_unique<WriteUpdateProtocol>(cm);
       case CoherenceProtocol::WriteInvalidate:
         return std::make_unique<WriteInvalidateProtocol>(cm);
-      case CoherenceProtocol::Env:
       default:
-        PLUS_PANIC("coherence protocol choice not resolved — "
-                   "MachineConfig::validate() must run first");
+        PLUS_PANIC("unknown coherence protocol ",
+                   static_cast<int>(kind));
     }
 }
 

@@ -55,7 +55,7 @@ class Protocol
     Protocol(const Protocol&) = delete;
     Protocol& operator=(const Protocol&) = delete;
 
-    /** Which protocol this is (never CoherenceProtocol::Env). */
+    /** Which protocol this is. */
     virtual CoherenceProtocol kind() const = 0;
 
     // --- write path -------------------------------------------------------

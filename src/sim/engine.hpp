@@ -12,10 +12,10 @@
  * heap allocation: the callable is a `sim::Event` with inline capture
  * storage) ordered by a hierarchical timing wheel — O(1) schedule,
  * cancel and dispatch for the short fixed delays that dominate the
- * simulation. The pre-wheel `std::priority_queue` backend is kept
- * behind `PLUS_ENGINE=heap` as a determinism oracle that must execute
- * the exact same event order — CI diffs the two byte-for-byte
- * (docs/PERF.md).
+ * simulation. The pre-wheel `std::priority_queue` backend is kept as
+ * `EngineImpl::Heap` (`--engine=heap` in the benches), a determinism
+ * oracle that must execute the exact same event order — CI diffs the
+ * two byte-for-byte (docs/PERF.md).
  *
  * Scheduling contexts and lanes: every event carries a *lane* — the
  * node it executes at, or kMachineLane for machine-level work. The
@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/types.hpp"
 #include "sim/event.hpp"
 #include "sim/event_slab.hpp"
@@ -52,17 +53,8 @@ using EventId = std::uint64_t;
 /** Sentinel meaning "no event". */
 inline constexpr EventId kInvalidEvent = 0;
 
-/** Which event-queue backend an Engine runs on. */
-enum class EngineImpl {
-    Wheel, ///< hierarchical timing wheel (default)
-    Heap,  ///< legacy priority queue, kept as a determinism oracle
-};
-
-/**
- * The backend named by PLUS_ENGINE (Wheel when unset). Any other name
- * is a FatalError naming the accepted values.
- */
-EngineImpl implFromEnv();
+/** Which event-queue backend an Engine runs on (Wheel or Heap). */
+using EngineImpl = SimEngine;
 
 /** Counters describing engine health (exported as sim.* metrics). */
 struct EngineStats {
@@ -79,8 +71,8 @@ struct EngineStats {
 class Engine
 {
   public:
-    /** Backend chosen by PLUS_ENGINE ("wheel" | "heap"). */
-    Engine();
+    /** The timing-wheel backend. */
+    Engine() : Engine(EngineImpl::Wheel) {}
     explicit Engine(EngineImpl impl);
     ~Engine();
 

@@ -2,9 +2,9 @@
  * @file
  * The plus::MachineBuilder facade: every knob must land in the built
  * machine's configuration, the faults()/watchdog() conveniences must
- * flip the corresponding enable bits, and the deprecated direct
- * MachineConfig constructor must produce a byte-identical machine so
- * existing callers can migrate without a behavior change.
+ * flip the corresponding enable bits, constructing directly from a
+ * MachineConfig must produce a byte-identical machine, and the
+ * environment must never choose the engine or the protocol.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/panic.hpp"
 #include "core/context.hpp"
 #include "plus/plus.hpp"
 #include "sim/engine.hpp"
@@ -77,27 +76,30 @@ TEST(Builder, TuneEscapeHatchSeesFullConfig)
 
 TEST(Builder, EngineStringRoundTrip)
 {
-    for (Engine e : {Engine::Auto, Engine::Wheel, Engine::Heap}) {
-        Engine parsed = Engine::Auto;
+    for (Engine e : {Engine::Wheel, Engine::Heap}) {
+        Engine parsed = e == Engine::Wheel ? Engine::Heap : Engine::Wheel;
         EXPECT_TRUE(engineFromString(toString(e), parsed));
         EXPECT_EQ(parsed, e);
     }
-    Engine parsed = Engine::Auto;
+    Engine parsed = Engine::Wheel;
+    EXPECT_FALSE(engineFromString("auto", parsed));
     EXPECT_FALSE(engineFromString("quantum", parsed));
     EXPECT_FALSE(engineFromString("parallel", parsed));
 }
 
-TEST(Builder, EngineEnvRejectsUnknownNames)
+/** Engine and protocol come from the config alone, never the environment. */
+TEST(Builder, EnvironmentNeverChoosesEngineOrProtocol)
 {
     ::setenv("PLUS_ENGINE", "heap", 1);
-    EXPECT_EQ(sim::implFromEnv(), sim::EngineImpl::Heap);
-
-    ::setenv("PLUS_ENGINE", "parallel", 1);
-    EXPECT_THROW(sim::implFromEnv(), FatalError); // unknown engine name
-    EXPECT_THROW(MachineBuilder().nodes(2).build(), FatalError);
-
+    ::setenv("PLUS_PROTOCOL", "invalidate", 1);
+    auto m = MachineBuilder().nodes(2).build();
+    const sim::Engine engine;
     ::unsetenv("PLUS_ENGINE");
-    EXPECT_EQ(sim::implFromEnv(), sim::EngineImpl::Wheel);
+    ::unsetenv("PLUS_PROTOCOL");
+
+    EXPECT_EQ(m->engine().impl(), sim::EngineImpl::Wheel);
+    EXPECT_EQ(m->config().protocol, CoherenceProtocol::WriteUpdate);
+    EXPECT_EQ(engine.impl(), sim::EngineImpl::Wheel);
 }
 
 TEST(Builder, BuiltMachineMatchesKnobs)
@@ -106,8 +108,8 @@ TEST(Builder, BuiltMachineMatchesKnobs)
     EXPECT_EQ(m->nodeCount(), 6u);
 }
 
-/** The deprecated direct constructor and the builder must agree. */
-TEST(Builder, DeprecatedCtorPathIsIdentical)
+/** The direct constructor and the builder must agree. */
+TEST(Builder, BuildMatchesDirectConstruction)
 {
     auto workload = [](core::Machine& m) {
         const Addr page = m.alloc(kPageBytes, 0);

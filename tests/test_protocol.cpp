@@ -1,7 +1,7 @@
 /**
  * @file
  * The proto::Protocol seam and the write-invalidate backend: the
- * builder/config plumbing (knob, env override, validate() rejections),
+ * builder/config plumbing (knob, name parsing, validate() rejections),
  * the protocol's visible behavior (invalidate-on-write,
  * re-fetch-on-read-miss, chain skipping, ownership accounting), the
  * per-protocol invariant sets of the checker, and end-to-end image
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -46,71 +45,36 @@ invalidateProtocolAt(Machine& m, NodeId node)
 // Builder knob, strings, and MachineConfig::validate()
 // --------------------------------------------------------------------------
 
-TEST(ProtocolConfig, BuilderKnobSetsProtocolAndOptsIn)
+TEST(ProtocolConfig, BuilderKnobSetsProtocol)
 {
     const MachineBuilder b =
         MachineBuilder().nodes(2).protocol(Protocol::WriteInvalidate);
     EXPECT_EQ(b.config().protocol, CoherenceProtocol::WriteInvalidate);
-    EXPECT_TRUE(b.config().protocolOptIn);
 
-    const MachineBuilder a = MachineBuilder().protocol(Protocol::Auto);
-    EXPECT_EQ(a.config().protocol, CoherenceProtocol::Env);
-
-    // No knob: the implicit default stays Env (resolved to write-update).
-    EXPECT_EQ(MachineBuilder().config().protocol, CoherenceProtocol::Env);
-    EXPECT_FALSE(MachineBuilder().config().protocolOptIn);
+    // No knob: the paper's write-update protocol.
+    EXPECT_EQ(MachineBuilder().config().protocol,
+              CoherenceProtocol::WriteUpdate);
 }
 
 TEST(ProtocolConfig, StringsRoundTrip)
 {
-    Protocol p = Protocol::Auto;
+    Protocol p = Protocol::WriteInvalidate;
     EXPECT_TRUE(protocolFromString("update", p));
     EXPECT_EQ(p, Protocol::WriteUpdate);
     EXPECT_TRUE(protocolFromString("write-invalidate", p));
     EXPECT_EQ(p, Protocol::WriteInvalidate);
-    EXPECT_TRUE(protocolFromString("auto", p));
-    EXPECT_EQ(p, Protocol::Auto);
+    EXPECT_FALSE(protocolFromString("auto", p));
     EXPECT_FALSE(protocolFromString("mesi", p));
     EXPECT_STREQ(toString(Protocol::WriteInvalidate), "write-invalidate");
-}
-
-TEST(ProtocolConfig, EnvOverrideResolvesThroughValidate)
-{
-    MachineConfig cfg;
-    cfg.nodes = 2;
-
-    ::setenv("PLUS_PROTOCOL", "invalidate", 1);
-    cfg.validate();
-    EXPECT_EQ(cfg.resolvedProtocol(), CoherenceProtocol::WriteInvalidate);
-
-    ::setenv("PLUS_PROTOCOL", "mosi", 1);
-    EXPECT_THROW(cfg.validate(), FatalError); // unknown protocol name
-
-    ::unsetenv("PLUS_PROTOCOL");
-    cfg.validate();
-    EXPECT_EQ(cfg.resolvedProtocol(), CoherenceProtocol::WriteUpdate);
 }
 
 TEST(ProtocolConfig, ValidateRejectsBadCombinations)
 {
     {
-        // Protocol override on the deprecated direct-config path needs
-        // the explicit opt-in flag.
-        MachineConfig cfg;
-        cfg.nodes = 2;
-        cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        EXPECT_THROW(cfg.validate(), FatalError);
-        cfg.protocolOptIn = true;
-        cfg.validate();
-        EXPECT_EQ(cfg.resolvedProtocol(),
-                  CoherenceProtocol::WriteInvalidate);
-    }
-    {
         // Fail-stop recovery re-masters from possibly-invalid replicas.
         MachineConfig cfg;
         cfg.nodes = 2;
         cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        cfg.protocolOptIn = true;
         cfg.network.fault.enabled = true;
         cfg.network.fault.recover = true;
         EXPECT_THROW(cfg.validate(), FatalError);
@@ -120,7 +84,6 @@ TEST(ProtocolConfig, ValidateRejectsBadCombinations)
         MachineConfig cfg;
         cfg.nodes = 2;
         cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        cfg.protocolOptIn = true;
         cfg.network.fault.enabled = true;
         cfg.network.fault.fencedPageReplicas.push_back({0, 1});
         EXPECT_THROW(cfg.validate(), FatalError);
@@ -278,7 +241,7 @@ using check::EventKind;
 TEST(ProtocolChecker, InvalidateHooksAreViolationsUnderUpdate)
 {
     check::Checker c(invariantsOnly());
-    ASSERT_EQ(c.invariants()->protocol(), check::ProtocolMode::WriteUpdate);
+    ASSERT_EQ(c.invariants()->protocol(), CoherenceProtocol::WriteUpdate);
     EXPECT_THROW(c.consume(wordEvent(EventKind::WordInvalidated, 0, 5)),
                  PanicError);
 }
@@ -286,7 +249,7 @@ TEST(ProtocolChecker, InvalidateHooksAreViolationsUnderUpdate)
 TEST(ProtocolChecker, StaleLocalReadDetectedUnderInvalidate)
 {
     check::Checker c(invariantsOnly());
-    c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+    c.invariants()->setProtocol(CoherenceProtocol::WriteInvalidate);
     c.consume(wordEvent(EventKind::WordInvalidated, 1, 5));
     // Serving the invalidated word from the local copy is the seeded bug.
     EXPECT_THROW(c.consume(wordEvent(EventKind::LocalValueServed, 1, 5)),
@@ -296,7 +259,7 @@ TEST(ProtocolChecker, StaleLocalReadDetectedUnderInvalidate)
 TEST(ProtocolChecker, RevalidatedWordServesCleanly)
 {
     check::Checker c(invariantsOnly());
-    c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+    c.invariants()->setProtocol(CoherenceProtocol::WriteInvalidate);
     c.consume(wordEvent(EventKind::WordInvalidated, 1, 5));
     c.consume(wordEvent(EventKind::WordRevalidated, 1, 5));
     EXPECT_NO_THROW(c.consume(wordEvent(EventKind::LocalValueServed, 1, 5)));
@@ -326,7 +289,7 @@ TEST(ProtocolChecker, ChainlessRetireLegalOnlyUnderInvalidate)
     }
     {
         check::Checker c(invariantsOnly());
-        c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+        c.invariants()->setProtocol(CoherenceProtocol::WriteInvalidate);
         c.consume(insert);
         c.consume(issued);
         // Write-invalidate legally skips the chain for committed words.
