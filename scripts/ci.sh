@@ -33,9 +33,9 @@
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
 #                  corrupt 0.5%, mixed + transient link kill) — every
 #                  run must reproduce the fault-free memory image, and
-#                  with the injector disabled bench output must stay
-#                  byte-identical to the committed golden/ files under
-#                  both engine backends
+#                  with the injector disabled the output of every paper
+#                  bench and sim_harness must stay byte-identical to the
+#                  committed golden/ files under both engine backends
 #  11. recovery:   node-crash chaos matrix — the recovery unit tests,
 #                  then chaos_sweep --kill-node on wheel and heap; every
 #                  run must leave the surviving replicas mutually
@@ -263,8 +263,13 @@ EOF
 run_chaos() {
     echo "=== chaos: fault sweep + fault-free golden check ==="
     cmake -B build -S . >/dev/null
+    # Every paper result (tables, figures, ablations, placement,
+    # production replication) has a committed golden/<bench>.txt.
+    local papers=(table_2_1 figure_2_1 table_3_1 figure_3_1 table_3_2_lock
+        ablation_copylist ablation_network ablation_depths ablation_fence
+        ablation_snoop placement_policies production_replication)
     cmake --build build -j "$JOBS" --target chaos_sweep sim_harness \
-        table_3_1
+        "${papers[@]}"
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
@@ -275,10 +280,12 @@ run_chaos() {
 
     # The fault machinery must be invisible when disabled: bench output
     # stays byte-identical to the committed goldens on every backend.
-    local eng
+    local eng bench
     for eng in wheel heap; do
-        build/bench/table_3_1 --engine="$eng" > "$out/table.txt"
-        diff golden/table_3_1.txt "$out/table.txt"
+        for bench in "${papers[@]}"; do
+            build/bench/"$bench" --engine="$eng" > "$out/$bench.txt"
+            diff "golden/$bench.txt" "$out/$bench.txt"
+        done
         build/bench/sim_harness --nodes=16 --engine="$eng" \
             > "$out/harness.txt"
         diff golden/sim_harness_16.txt "$out/harness.txt"

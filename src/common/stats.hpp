@@ -95,6 +95,19 @@ class Histogram
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/**
+ * One exported stats field: its full dotted metric name and a pointer to
+ * the member it reads. Each stats struct declares its rows next to
+ * itself, in snapshot order, and the owner registers a whole table with
+ * MetricsRegistry::addCounters or addGauges. Adding a counter is adding
+ * a row.
+ */
+template <typename Stats, typename Field = std::uint64_t>
+struct StatRow {
+    const char* name;
+    Field Stats::*field;
+};
+
 /** Ratio helper that renders 0/0 as 0 instead of NaN. */
 inline double
 safeRatio(double numerator, double denominator)

@@ -324,138 +324,67 @@ Machine::diagnosticDump()
 void
 Machine::registerMetrics()
 {
-    // Machine-wide aggregates: each getter re-sums the per-node structs
-    // at snapshot time, so registration costs the hot path nothing.
-    auto sumCm = [this](std::uint64_t proto::CmStats::* field) {
-        return [this, field] {
-            std::uint64_t total = 0;
-            for (const auto& n : nodes_) {
-                total += n->cm().stats().*field;
-            }
-            return total;
-        };
-    };
-    metrics_.addCounter("cm.localReads",
-                        sumCm(&proto::CmStats::localReads));
-    metrics_.addCounter("cm.remoteReads",
-                        sumCm(&proto::CmStats::remoteReads));
-    metrics_.addCounter("cm.localWrites",
-                        sumCm(&proto::CmStats::localWrites));
-    metrics_.addCounter("cm.remoteWrites",
-                        sumCm(&proto::CmStats::remoteWrites));
-    metrics_.addCounter("cm.localRmws", sumCm(&proto::CmStats::localRmws));
-    metrics_.addCounter("cm.remoteRmws",
-                        sumCm(&proto::CmStats::remoteRmws));
-    metrics_.addCounter("cm.retries", sumCm(&proto::CmStats::retries));
-    metrics_.addCounter("cm.recoveryAborts",
-                        sumCm(&proto::CmStats::recoveryAborts));
-    metrics_.addCounter("cm.staleAcks", sumCm(&proto::CmStats::staleAcks));
-    metrics_.addCounter("proto.invalidations",
-                        sumCm(&proto::CmStats::invalidations));
-    metrics_.addCounter("proto.refetches",
-                        sumCm(&proto::CmStats::refetches));
-    metrics_.addCounter("proto.ownershipTransfers",
-                        sumCm(&proto::CmStats::ownershipTransfers));
-    metrics_.addCounter("cm.busyCycles", [this] {
-        std::uint64_t total = 0;
+    // Machine-wide aggregates: each getter re-sums the stats structs its
+    // visitor reaches at snapshot time, so registration costs the hot
+    // path nothing. Absent subsystems are not visited and read 0.
+    const auto eachCm = [this](const auto& visit) {
         for (const auto& n : nodes_) {
-            total += n->cm().stats().busyCycles;
+            visit(n->cm().stats());
         }
-        return total;
-    });
+    };
+    const auto eachProc = [this](const auto& visit) {
+        for (const auto& n : nodes_) {
+            visit(n->processor().stats());
+        }
+    };
+    const auto eachCache = [this](const auto& visit) {
+        for (const auto& n : nodes_) {
+            if (const node::Cache* cache = n->cache()) {
+                visit(cache->stats());
+            }
+        }
+    };
+    const auto eachFault = [this](const auto& visit) {
+        if (const net::FaultInjector* inj = network_->faultInjector()) {
+            visit(inj->stats());
+        }
+    };
+    const auto eachLink = [this](const auto& visit) {
+        if (const net::LinkLayer* link = network_->linkLayer()) {
+            visit(link->stats());
+        }
+    };
+    const auto eachNetwork = [this](const auto& visit) {
+        visit(network_->stats());
+    };
+    const auto eachEngine = [this](const auto& visit) {
+        visit(engine_.stats());
+    };
+    using telemetry::MetricsRegistry;
+
+    metrics_.addCounters(proto::kCmStatRows, eachCm);
     for (std::size_t t = 0;
          t < static_cast<std::size_t>(proto::MsgType::NumTypes); ++t) {
         const auto type = static_cast<proto::MsgType>(t);
         metrics_.addCounter(
             std::string("cm.sent.") + proto::toString(type),
-            [this, type] {
-                std::uint64_t total = 0;
-                for (const auto& n : nodes_) {
-                    total += n->cm().stats().sentOf(type);
-                }
-                return total;
-            });
+            MetricsRegistry::sumOf(
+                [type](const proto::CmStats& s) { return s.sentOf(type); },
+                eachCm));
     }
 
-    auto sumProcEvents = [this](std::uint64_t node::ProcessorStats::* f) {
-        return [this, f] {
-            std::uint64_t total = 0;
-            for (const auto& n : nodes_) {
-                total += n->processor().stats().*f;
-            }
-            return total;
-        };
-    };
-    metrics_.addCounter("proc.reads",
-                        sumProcEvents(&node::ProcessorStats::reads));
-    metrics_.addCounter("proc.writes",
-                        sumProcEvents(&node::ProcessorStats::writes));
-    metrics_.addCounter("proc.rmwIssues",
-                        sumProcEvents(&node::ProcessorStats::rmwIssues));
-    metrics_.addCounter("proc.fences",
-                        sumProcEvents(&node::ProcessorStats::fences));
-    metrics_.addCounter("proc.ctxSwitches",
-                        sumProcEvents(&node::ProcessorStats::ctxSwitches));
-    metrics_.addCounter("proc.pageFaults",
-                        sumProcEvents(&node::ProcessorStats::pageFaults));
-    metrics_.addCounter(
-        "proc.pageLostFaults",
-        sumProcEvents(&node::ProcessorStats::pageLostFaults));
-
-    auto sumProcCycles = [this](Cycles node::ProcessorStats::* f) {
-        return [this, f]() -> std::uint64_t {
-            Cycles total = 0;
-            for (const auto& n : nodes_) {
-                total += n->processor().stats().*f;
-            }
-            return total;
-        };
-    };
-    metrics_.addCounter("proc.cycles.compute",
-                        sumProcCycles(&node::ProcessorStats::compute));
-    metrics_.addCounter("proc.cycles.memBusy",
-                        sumProcCycles(&node::ProcessorStats::memBusy));
-    metrics_.addCounter("proc.cycles.issueBusy",
-                        sumProcCycles(&node::ProcessorStats::issueBusy));
-    metrics_.addCounter("proc.cycles.verifyBusy",
-                        sumProcCycles(&node::ProcessorStats::verifyBusy));
-    metrics_.addCounter("proc.cycles.ctxOverhead",
-                        sumProcCycles(&node::ProcessorStats::ctxOverhead));
+    metrics_.addCounters(node::kProcessorStatRows, eachProc);
     for (unsigned k = 1;
          k < static_cast<unsigned>(node::StallKind::NumKinds); ++k) {
-        const auto kind = static_cast<node::StallKind>(k);
         metrics_.addCounter(
-            std::string("proc.stall.") + node::toString(kind),
-            [this, k] {
-                std::uint64_t total = 0;
-                for (const auto& n : nodes_) {
-                    total += n->processor().stats().stall[k];
-                }
-                return total;
-            });
+            std::string("proc.stall.") +
+                node::toString(static_cast<node::StallKind>(k)),
+            MetricsRegistry::sumOf(
+                [k](const node::ProcessorStats& s) { return s.stall[k]; },
+                eachProc));
     }
 
-    auto sumCache = [this](std::uint64_t node::Cache::Stats::* f) {
-        return [this, f] {
-            std::uint64_t total = 0;
-            for (const auto& n : nodes_) {
-                if (const node::Cache* cache = n->cache()) {
-                    total += cache->stats().*f;
-                }
-            }
-            return total;
-        };
-    };
-    metrics_.addCounter("cache.hits",
-                        sumCache(&node::Cache::Stats::hits));
-    metrics_.addCounter("cache.misses",
-                        sumCache(&node::Cache::Stats::misses));
-    metrics_.addCounter("cache.evictions",
-                        sumCache(&node::Cache::Stats::evictions));
-    metrics_.addCounter("cache.snoopUpdates",
-                        sumCache(&node::Cache::Stats::snoopUpdates));
-    metrics_.addCounter("cache.snoopInvalidates",
-                        sumCache(&node::Cache::Stats::snoopInvalidates));
+    metrics_.addCounters(node::Cache::kStatRows, eachCache);
 
     metrics_.addGauge("pending.maxInFlight", [this] {
         unsigned high = 0;
@@ -472,86 +401,29 @@ Machine::registerMetrics()
         return static_cast<double>(high);
     });
 
-    metrics_.addCounter("net.packets",
-                        [this] { return network_->stats().packets; });
-    metrics_.addCounter("net.payloadBytes",
-                        [this] { return network_->stats().payloadBytes; });
-    metrics_.addCounter("net.totalHops",
-                        [this] { return network_->stats().totalHops; });
+    metrics_.addCounters(net::kNetworkStatRows, eachNetwork);
     metrics_.addDistribution("net.latency", &network_->latencyHistogram());
     metrics_.addDistribution("net.queueing",
                              &network_->queueingHistogram());
-    metrics_.addCounter("net.dropped",
-                        [this] { return network_->stats().dropped; });
-    metrics_.addCounter("net.backpressureStalls", [this] {
-        return network_->stats().backpressureStalls;
-    });
 
     // Fault / reliable-link counters read through the accessors at
     // snapshot time: zero (and zero cost) until enableFaults() ran.
-    auto faultStat = [this](std::uint64_t net::FaultStats::* field) {
-        return [this, field]() -> std::uint64_t {
-            const net::FaultInjector* inj = network_->faultInjector();
-            return inj ? inj->stats().*field : 0;
-        };
-    };
-    metrics_.addCounter("net.fault.dropped",
-                        faultStat(&net::FaultStats::dropped));
-    metrics_.addCounter("net.fault.corrupted",
-                        faultStat(&net::FaultStats::corrupted));
-    metrics_.addCounter("net.fault.duplicated",
-                        faultStat(&net::FaultStats::duplicated));
-    metrics_.addCounter("net.fault.delayed",
-                        faultStat(&net::FaultStats::delayed));
-    auto linkStat = [this](std::uint64_t net::LinkStats::* field) {
-        return [this, field]() -> std::uint64_t {
-            const net::LinkLayer* link = network_->linkLayer();
-            return link ? link->stats().*field : 0;
-        };
-    };
-    metrics_.addCounter("net.link.retransmits",
-                        linkStat(&net::LinkStats::retransmits));
-    metrics_.addCounter("net.link.acksSent",
-                        linkStat(&net::LinkStats::acksSent));
-    metrics_.addCounter("net.link.dupSuppressed",
-                        linkStat(&net::LinkStats::dupSuppressed));
-    metrics_.addCounter("net.link.crcDrops",
-                        linkStat(&net::LinkStats::crcDrops));
-    metrics_.addCounter("net.link.peerDeaths",
-                        linkStat(&net::LinkStats::peerDeaths));
-    metrics_.addCounter("net.link.sealedDrops",
-                        linkStat(&net::LinkStats::sealedDrops));
-    metrics_.addCounter("net.fault.nodeCrashes",
-                        faultStat(&net::FaultStats::nodeCrashes));
+    metrics_.addCounters(net::kFaultStatRows, eachFault);
+    metrics_.addCounters(net::kLinkStatRows, eachLink);
+    metrics_.addCounters(net::kFaultCrashStatRows, eachFault);
 
     // Crash-recovery outcomes (see docs/ROBUSTNESS.md "Crash recovery").
     if (recovery_) {
-        auto recStat = [this](std::uint64_t proto::RecoveryStats::* field) {
-            return [this, field] { return recovery_->stats().*field; };
-        };
-        metrics_.addCounter(
-            "recovery.epochs",
-            recStat(&proto::RecoveryStats::nodeRecoveries));
-        metrics_.addCounter(
-            "recovery.pagesRemastered",
-            recStat(&proto::RecoveryStats::pagesRemastered));
-        metrics_.addCounter(
-            "recovery.copyListsRepaired",
-            recStat(&proto::RecoveryStats::copyListsRepaired));
-        metrics_.addCounter("recovery.pagesLost",
-                            recStat(&proto::RecoveryStats::pagesLost));
-        metrics_.addCounter("recovery.abortedOps",
-                            recStat(&proto::RecoveryStats::abortedOps));
-        metrics_.addCounter(
-            "recovery.lostCompletions",
-            recStat(&proto::RecoveryStats::lostCompletions));
+        metrics_.addCounters(proto::kRecoveryStatRows,
+                             [this](const auto& visit) {
+                                 visit(recovery_->stats());
+                             });
         metrics_.addDistribution("recovery.latency",
                                  &recovery_->latencyHistogram());
     }
 
     // NACK re-translation retries (see CostModel::nackRetryLimit).
-    metrics_.addCounter("proto.nack_retries",
-                        sumCm(&proto::CmStats::retries));
+    metrics_.addCounters(proto::kCmNackStatRows, eachCm);
     metrics_.addGauge("proto.nack_retries.max", [this] {
         std::uint64_t high = 0;
         for (const auto& n : nodes_) {
@@ -566,20 +438,8 @@ Machine::registerMetrics()
 
     // Engine health: how hard the event core itself is working (see
     // docs/PERF.md for what healthy numbers look like).
-    metrics_.addCounter("sim.eventsScheduled",
-                        [this] { return engine_.stats().scheduled; });
-    metrics_.addCounter("sim.eventsExecuted",
-                        [this] { return engine_.stats().executed; });
-    metrics_.addCounter("sim.eventsCancelled",
-                        [this] { return engine_.stats().cancelled; });
-    metrics_.addCounter("sim.wheelCascades",
-                        [this] { return engine_.stats().cascades; });
-    metrics_.addGauge("sim.slabHighWater", [this] {
-        return static_cast<double>(engine_.stats().slabHighWater);
-    });
-    metrics_.addGauge("sim.slabSlots", [this] {
-        return static_cast<double>(engine_.stats().slabSlots);
-    });
+    metrics_.addCounters(sim::kEngineStatRows, eachEngine);
+    metrics_.addGauges(sim::kEngineGaugeRows, eachEngine);
 
     if (telemetry_) {
         telemetry_->registerMetrics(metrics_);

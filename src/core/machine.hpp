@@ -77,6 +77,8 @@ struct MachineReport {
      * activity, e.g. application execution after replication setup.
      */
     MachineReport operator-(const MachineReport& baseline) const;
+
+    bool operator==(const MachineReport&) const = default;
 };
 
 /** The whole simulated PLUS machine. */

@@ -17,17 +17,9 @@ WorkQueue::create(Machine& machine, const std::vector<NodeId>& lane_nodes,
 
     WorkQueue wq;
     wq.stats_ = std::make_shared<WorkQueueStats>();
-    {
-        const std::shared_ptr<WorkQueueStats> stats = wq.stats_;
-        telemetry::MetricsRegistry& m = machine.metrics();
-        m.addCounter("workq.pushes", [stats] { return stats->pushes; });
-        m.addCounter("workq.pushFull",
-                     [stats] { return stats->pushFull; });
-        m.addCounter("workq.pops", [stats] { return stats->pops; });
-        m.addCounter("workq.emptyPolls",
-                     [stats] { return stats->emptyPolls; });
-        m.addCounter("workq.steals", [stats] { return stats->steals; });
-    }
+    machine.metrics().addCounters(
+        kWorkQueueStatRows,
+        [stats = wq.stats_](const auto& visit) { visit(*stats); });
     wq.queueBase_ = machine.config().cost.queueBaseOffset;
     const Word base = static_cast<Word>(wq.queueBase_);
 

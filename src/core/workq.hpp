@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/context.hpp"
 #include "core/machine.hpp"
@@ -33,6 +34,15 @@ struct WorkQueueStats {
     std::uint64_t pops = 0;       ///< items successfully dequeued
     std::uint64_t emptyPolls = 0; ///< tryPop found the lane empty
     std::uint64_t steals = 0;     ///< pops served by a non-home lane
+};
+
+/** WorkQueueStats exported as workq.* (#2, #3, ... per extra queue). */
+inline constexpr StatRow<WorkQueueStats> kWorkQueueStatRows[] = {
+    {"workq.pushes", &WorkQueueStats::pushes},
+    {"workq.pushFull", &WorkQueueStats::pushFull},
+    {"workq.pops", &WorkQueueStats::pops},
+    {"workq.emptyPolls", &WorkQueueStats::emptyPolls},
+    {"workq.steals", &WorkQueueStats::steals},
 };
 
 /** Multi-lane distributed queue of 31-bit work items. */

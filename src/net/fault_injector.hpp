@@ -29,6 +29,7 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "net/topology.hpp"
 
@@ -59,6 +60,19 @@ struct FaultStats {
     std::uint64_t linkKills = 0;
     std::uint64_t nodeKills = 0;
     std::uint64_t nodeCrashes = 0;
+};
+
+/** FaultStats exported as net.fault.* (0 while no injector exists). */
+inline constexpr StatRow<FaultStats> kFaultStatRows[] = {
+    {"net.fault.dropped", &FaultStats::dropped},
+    {"net.fault.corrupted", &FaultStats::corrupted},
+    {"net.fault.duplicated", &FaultStats::duplicated},
+    {"net.fault.delayed", &FaultStats::delayed},
+};
+
+/** nodeCrashes, exported after the net.link.* block. */
+inline constexpr StatRow<FaultStats> kFaultCrashStatRows[] = {
+    {"net.fault.nodeCrashes", &FaultStats::nodeCrashes},
 };
 
 /** Seeded fault source plus link/router liveness (see file comment). */

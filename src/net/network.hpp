@@ -110,6 +110,15 @@ struct NetworkStats {
     std::uint64_t backpressureStalls = 0;
 };
 
+/** NetworkStats exported as net.* counters, in snapshot order. */
+inline constexpr StatRow<NetworkStats> kNetworkStatRows[] = {
+    {"net.packets", &NetworkStats::packets},
+    {"net.payloadBytes", &NetworkStats::payloadBytes},
+    {"net.totalHops", &NetworkStats::totalHops},
+    {"net.dropped", &NetworkStats::dropped},
+    {"net.backpressureStalls", &NetworkStats::backpressureStalls},
+};
+
 /** Per-node packet sink. */
 using DeliveryHandler = std::function<void(Packet)>;
 

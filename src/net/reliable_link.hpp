@@ -68,6 +68,16 @@ struct LinkStats {
     std::uint64_t sealedDrops = 0;   ///< frames from sealed crashed sources
 };
 
+/** LinkStats exported as net.link.* (0 while no link layer exists). */
+inline constexpr StatRow<LinkStats> kLinkStatRows[] = {
+    {"net.link.retransmits", &LinkStats::retransmits},
+    {"net.link.acksSent", &LinkStats::acksSent},
+    {"net.link.dupSuppressed", &LinkStats::dupSuppressed},
+    {"net.link.crcDrops", &LinkStats::crcDrops},
+    {"net.link.peerDeaths", &LinkStats::peerDeaths},
+    {"net.link.sealedDrops", &LinkStats::sealedDrops},
+};
+
 /** Per-(src,dst) sequencing, ack/retransmit, dedup (see file comment). */
 class LinkLayer
 {

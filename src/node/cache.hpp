@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -42,6 +43,15 @@ class Cache
         std::uint64_t evictions = 0;
         std::uint64_t snoopUpdates = 0;
         std::uint64_t snoopInvalidates = 0;
+    };
+
+    /** Stats exported as sums over the nodes that model a cache. */
+    static constexpr StatRow<Stats> kStatRows[] = {
+        {"cache.hits", &Stats::hits},
+        {"cache.misses", &Stats::misses},
+        {"cache.evictions", &Stats::evictions},
+        {"cache.snoopUpdates", &Stats::snoopUpdates},
+        {"cache.snoopInvalidates", &Stats::snoopInvalidates},
     };
 
     Cache(const CostModel& cost, SnoopPolicy policy = SnoopPolicy::Update);

@@ -33,6 +33,7 @@
 
 #include "check/event.hpp"
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "node/cache.hpp"
 #include "proto/coherence_manager.hpp"
@@ -94,6 +95,22 @@ struct ProcessorStats {
     {
         return stall[static_cast<unsigned>(StallKind::Idle)];
     }
+};
+
+/** Exported as sums over nodes; proc.stall.* is a per-kind loop. */
+inline constexpr StatRow<ProcessorStats> kProcessorStatRows[] = {
+    {"proc.reads", &ProcessorStats::reads},
+    {"proc.writes", &ProcessorStats::writes},
+    {"proc.rmwIssues", &ProcessorStats::rmwIssues},
+    {"proc.fences", &ProcessorStats::fences},
+    {"proc.ctxSwitches", &ProcessorStats::ctxSwitches},
+    {"proc.pageFaults", &ProcessorStats::pageFaults},
+    {"proc.pageLostFaults", &ProcessorStats::pageLostFaults},
+    {"proc.cycles.compute", &ProcessorStats::compute},
+    {"proc.cycles.memBusy", &ProcessorStats::memBusy},
+    {"proc.cycles.issueBusy", &ProcessorStats::issueBusy},
+    {"proc.cycles.verifyBusy", &ProcessorStats::verifyBusy},
+    {"proc.cycles.ctxOverhead", &ProcessorStats::ctxOverhead},
 };
 
 /** One PLUS node's processor with its resident threads. */

@@ -40,6 +40,7 @@
 
 #include "check/event.hpp"
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/coherence_tables.hpp"
 #include "mem/local_memory.hpp"
@@ -100,6 +101,28 @@ struct CmStats {
         return sent[static_cast<std::size_t>(t)];
     }
     std::uint64_t totalSent() const;
+};
+
+/** CmStats exported as sums over nodes; cm.sent.* is a per-type loop. */
+inline constexpr StatRow<CmStats> kCmStatRows[] = {
+    {"cm.localReads", &CmStats::localReads},
+    {"cm.remoteReads", &CmStats::remoteReads},
+    {"cm.localWrites", &CmStats::localWrites},
+    {"cm.remoteWrites", &CmStats::remoteWrites},
+    {"cm.localRmws", &CmStats::localRmws},
+    {"cm.remoteRmws", &CmStats::remoteRmws},
+    {"cm.retries", &CmStats::retries},
+    {"cm.recoveryAborts", &CmStats::recoveryAborts},
+    {"cm.staleAcks", &CmStats::staleAcks},
+    {"proto.invalidations", &CmStats::invalidations},
+    {"proto.refetches", &CmStats::refetches},
+    {"proto.ownershipTransfers", &CmStats::ownershipTransfers},
+    {"cm.busyCycles", &CmStats::busyCycles},
+};
+
+/** retries again, exported after recovery.* (see nackRetryLimit). */
+inline constexpr StatRow<CmStats> kCmNackStatRows[] = {
+    {"proto.nack_retries", &CmStats::retries},
 };
 
 /**

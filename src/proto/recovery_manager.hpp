@@ -68,6 +68,16 @@ struct RecoveryStats {
     std::uint64_t lostCompletions = 0;  ///< ops completed with kPageLostValue
 };
 
+/** RecoveryStats exported once recovery is armed, in snapshot order. */
+inline constexpr StatRow<RecoveryStats> kRecoveryStatRows[] = {
+    {"recovery.epochs", &RecoveryStats::nodeRecoveries},
+    {"recovery.pagesRemastered", &RecoveryStats::pagesRemastered},
+    {"recovery.copyListsRepaired", &RecoveryStats::copyListsRepaired},
+    {"recovery.pagesLost", &RecoveryStats::pagesLost},
+    {"recovery.abortedOps", &RecoveryStats::abortedOps},
+    {"recovery.lostCompletions", &RecoveryStats::lostCompletions},
+};
+
 /**
  * Orchestrates one recovery epoch per dead node; see file comment.
  *

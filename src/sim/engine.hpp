@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "sim/event.hpp"
 #include "sim/event_slab.hpp"
@@ -65,6 +66,18 @@ struct EngineStats {
     std::size_t slabLive = 0;       ///< records currently allocated
     std::size_t slabHighWater = 0;  ///< peak simultaneous records
     std::size_t slabSlots = 0;      ///< slab capacity (bounded by peak)
+};
+
+/** EngineStats exported as sim.* counters and gauges. */
+inline constexpr StatRow<EngineStats> kEngineStatRows[] = {
+    {"sim.eventsScheduled", &EngineStats::scheduled},
+    {"sim.eventsExecuted", &EngineStats::executed},
+    {"sim.eventsCancelled", &EngineStats::cancelled},
+    {"sim.wheelCascades", &EngineStats::cascades},
+};
+inline constexpr StatRow<EngineStats, std::size_t> kEngineGaugeRows[] = {
+    {"sim.slabHighWater", &EngineStats::slabHighWater},
+    {"sim.slabSlots", &EngineStats::slabSlots},
 };
 
 /** The event loop: a time-ordered queue of closures. */

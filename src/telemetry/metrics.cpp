@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "common/panic.hpp"
-#include "common/table.hpp"
 #include "telemetry/json.hpp"
 
 namespace plus {
@@ -97,30 +96,6 @@ MetricsRegistry::snapshot(Cycles now) const
         snap.distributions.emplace_back(name, d);
     }
     return snap;
-}
-
-std::string
-MetricsRegistry::renderTable(const Snapshot& snap)
-{
-    TablePrinter table("metrics @ cycle " + std::to_string(snap.cycle));
-    table.setHeader({"metric", "type", "value"});
-    for (const auto& [name, value] : snap.counters) {
-        table.addRow({name, "counter", TablePrinter::num(value)});
-    }
-    for (const auto& [name, value] : snap.gauges) {
-        table.addRow({name, "gauge", TablePrinter::num(value, 3)});
-    }
-    for (const auto& [name, d] : snap.distributions) {
-        table.addRow({name, "dist",
-                      "n=" + TablePrinter::num(d.count) +
-                          " mean=" + TablePrinter::num(d.mean, 1) +
-                          " p50=" + TablePrinter::num(d.p50, 1) +
-                          " p95=" + TablePrinter::num(d.p95, 1) +
-                          " p99=" + TablePrinter::num(d.p99, 1) +
-                          " p999=" + TablePrinter::num(d.p999, 1) +
-                          " max=" + TablePrinter::num(d.max, 1)});
-    }
-    return table.toString();
 }
 
 void

@@ -4,16 +4,17 @@
  *
  * Every per-subsystem stat struct (CmStats, ProcessorStats, Cache::Stats,
  * NetworkStats, the pending-writes and delayed-op caches, the work queue)
- * registers its counters here under a dotted name ("cm.sent.UpdateReq",
- * "proc.stall.fence", ...). Registration is pull-based: the registry
- * stores a getter, the subsystem keeps incrementing its own plain struct,
- * and nothing on the hot path changes — a snapshot reads every getter at
- * the moment it is taken. Distributions are registered as pointers to the
+ * registers its counters here under a dotted name ("cm.sent.update-req",
+ * "proc.stall.fence", ...), mostly through StatRow tables declared next
+ * to the struct (common/stats.hpp). Registration is pull-based: the
+ * registry stores a getter, the subsystem keeps incrementing its own
+ * plain struct, and nothing on the hot path changes — a snapshot reads
+ * every getter at the moment it is taken. Distributions are registered as pointers to the
  * owner's Histogram and summarized at snapshot time.
  *
  * core::Machine owns one registry per machine and registers every node's
- * stats at construction; snapshots can be rendered as an aligned table
- * (TablePrinter) or dumped as JSON for the --stats-out harness flag.
+ * stats at construction; snapshots are dumped as JSON for the
+ * --stats-out harness flag.
  */
 
 #ifndef PLUS_TELEMETRY_METRICS_HPP_
@@ -62,6 +63,46 @@ class MetricsRegistry
      */
     void addDistribution(std::string name, const Histogram* hist);
 
+    /**
+     * A getter summing @p proj (a member pointer or a callable) over
+     * every stats struct that @p each hands to its visitor at snapshot
+     * time. A visitor that is never called reads 0.
+     */
+    template <typename Proj, typename Each>
+    static auto
+    sumOf(Proj proj, Each each)
+    {
+        return [proj, each]() -> std::uint64_t {
+            std::uint64_t total = 0;
+            each([&](const auto& stats) {
+                total += std::invoke(proj, stats);
+            });
+            return total;
+        };
+    }
+
+    /** One counter per StatRow of @p rows, summed over @p each. */
+    template <typename Rows, typename Each>
+    void
+    addCounters(const Rows& rows, const Each& each)
+    {
+        for (const auto& row : rows) {
+            addCounter(row.name, sumOf(row.field, each));
+        }
+    }
+
+    /** One gauge per StatRow of @p rows, summed over @p each. */
+    template <typename Rows, typename Each>
+    void
+    addGauges(const Rows& rows, const Each& each)
+    {
+        for (const auto& row : rows) {
+            addGauge(row.name, [get = sumOf(row.field, each)] {
+                return static_cast<double>(get());
+            });
+        }
+    }
+
     /** Everything the registry knew at one cycle. */
     struct Snapshot {
         Cycles cycle = 0;
@@ -72,9 +113,6 @@ class MetricsRegistry
 
     /** Read every source. Sources are reported in registration order. */
     Snapshot snapshot(Cycles now) const;
-
-    /** Render a snapshot as an aligned three-column table. */
-    static std::string renderTable(const Snapshot& snap);
 
     /**
      * Write a snapshot as one JSON object:

@@ -474,12 +474,7 @@ TEST(Machine, CrossBackendIdentity)
     ASSERT_FALSE(wheel.image.empty());
     EXPECT_EQ(wheel.elapsed, heap.elapsed);
     EXPECT_EQ(wheel.image, heap.image);
-    EXPECT_EQ(wheel.report.localReads, heap.report.localReads);
-    EXPECT_EQ(wheel.report.remoteReads, heap.report.remoteReads);
-    EXPECT_EQ(wheel.report.localWrites, heap.report.localWrites);
-    EXPECT_EQ(wheel.report.remoteWrites, heap.report.remoteWrites);
-    EXPECT_EQ(wheel.report.updateMessages, heap.report.updateMessages);
-    EXPECT_EQ(wheel.report.totalMessages, heap.report.totalMessages);
+    EXPECT_EQ(wheel.report, heap.report);
     EXPECT_EQ(wheel.executed, heap.executed);
 }
 
