@@ -216,12 +216,13 @@ printHeader(const std::string& what, const std::string& paper_ref)
 /** Print @p table followed by the closing commentary every bench ends
  *  with (pass "" for none). */
 inline void
-finishTable(TablePrinter& table, const std::string& note = "")
+finishTable(TablePrinter& table, const std::string& note = "",
+            std::ostream& os = std::cout)
 {
-    table.print(std::cout);
-    std::cout << "\n";
+    table.print(os);
+    os << "\n";
     if (!note.empty()) {
-        std::cout << note << "\n\n";
+        os << note << "\n\n";
     }
 }
 

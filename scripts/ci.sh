@@ -33,8 +33,8 @@
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
 #                  corrupt 0.5%, mixed + transient link kill) — every
 #                  run must reproduce the fault-free memory image, and
-#                  with the injector disabled the output of every paper
-#                  bench and sim_harness must stay byte-identical to the
+#                  with the injector disabled the output of paper_results
+#                  and sim_harness must stay byte-identical to the
 #                  committed golden/ files under both engine backends
 #  11. recovery:   node-crash chaos matrix — the recovery unit tests,
 #                  then chaos_sweep --kill-node on wheel and heap; every
@@ -123,7 +123,7 @@ run_format() {
 run_trace() {
     echo "=== trace: telemetry export smoke test ==="
     cmake -B build -S . >/dev/null
-    cmake --build build -j "$JOBS" --target sim_harness table_3_1
+    cmake --build build -j "$JOBS" --target sim_harness paper_results
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
@@ -158,8 +158,8 @@ EOF
     echo "trace and stats exports match golden/trace_harness_4.sha256"
 
     # Telemetry must never perturb the simulation.
-    build/bench/table_3_1 > "$out/plain.txt"
-    build/bench/table_3_1 --trace-out="$out/t.json" \
+    build/bench/paper_results table_3_1 > "$out/plain.txt"
+    build/bench/paper_results table_3_1 --trace-out="$out/t.json" \
         --stats-out="$out/s.json" > "$out/traced.txt"
     diff "$out/plain.txt" "$out/traced.txt"
     echo "bench output bit-identical with telemetry enabled"
@@ -168,7 +168,7 @@ EOF
 run_determinism() {
     echo "=== determinism: backend x protocol matrix, byte-for-byte ==="
     cmake -B build -S . >/dev/null
-    cmake --build build -j "$JOBS" --target sim_harness table_3_1
+    cmake --build build -j "$JOBS" --target sim_harness paper_results
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
@@ -180,8 +180,8 @@ run_determinism() {
     local proto eng
     for proto in update invalidate; do
         for eng in wheel heap; do
-            build/bench/table_3_1 --engine="$eng" --protocol="$proto" \
-                > "$out/${eng}_table.txt"
+            build/bench/paper_results table_3_1 --engine="$eng" \
+                --protocol="$proto" > "$out/${eng}_table.txt"
             build/bench/sim_harness --nodes=16 --engine="$eng" \
                 --protocol="$proto" > "$out/${eng}_harness.txt"
         done
@@ -263,13 +263,8 @@ EOF
 run_chaos() {
     echo "=== chaos: fault sweep + fault-free golden check ==="
     cmake -B build -S . >/dev/null
-    # Every paper result (tables, figures, ablations, placement,
-    # production replication) has a committed golden/<bench>.txt.
-    local papers=(table_2_1 figure_2_1 table_3_1 figure_3_1 table_3_2_lock
-        ablation_copylist ablation_network ablation_depths ablation_fence
-        ablation_snoop placement_policies production_replication)
     cmake --build build -j "$JOBS" --target chaos_sweep sim_harness \
-        "${papers[@]}"
+        paper_results
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
@@ -280,12 +275,18 @@ run_chaos() {
 
     # The fault machinery must be invisible when disabled: bench output
     # stays byte-identical to the committed goldens on every backend.
-    local eng bench
+    # Every paper result (tables, figures, ablations, placement,
+    # production replication) has a committed golden/<name>.txt; a bare
+    # paper_results prints them all, in this order.
+    local name eng
+    for name in table_2_1 figure_2_1 table_3_1 figure_3_1 table_3_2_lock \
+        ablation_copylist ablation_network ablation_depths ablation_fence \
+        ablation_snoop placement_policies production_replication; do
+        cat "golden/$name.txt"
+    done > "$out/papers_golden.txt"
     for eng in wheel heap; do
-        for bench in "${papers[@]}"; do
-            build/bench/"$bench" --engine="$eng" > "$out/$bench.txt"
-            diff "golden/$bench.txt" "$out/$bench.txt"
-        done
+        build/bench/paper_results --engine="$eng" > "$out/papers.txt"
+        diff "$out/papers_golden.txt" "$out/papers.txt"
         build/bench/sim_harness --nodes=16 --engine="$eng" \
             > "$out/harness.txt"
         diff golden/sim_harness_16.txt "$out/harness.txt"

@@ -100,11 +100,22 @@ Log::disableAll()
     enabled_.fill(false);
 }
 
+std::function<Cycles()>&
+Log::threadClock()
+{
+    // pluslint: allow(R4) -- the clock of the engine running on this
+    // host thread; a machine never migrates between host threads, and
+    // the clock only stamps log output.
+    thread_local std::function<Cycles()> clock;
+    return clock;
+}
+
 void
 Log::write(LogComponent c, const std::string& msg)
 {
-    if (clock_) {
-        (*stream_) << "[" << clock_() << "] ";
+    const std::function<Cycles()>& now = threadClock();
+    if (now) {
+        (*stream_) << "[" << now() << "] ";
     }
     (*stream_) << logComponentName(c) << ": " << msg << "\n";
 }

@@ -44,7 +44,11 @@ enum class LogComponent : unsigned {
 /** Short tag printed in front of each message. */
 const char* logComponentName(LogComponent c);
 
-/** Global logging switchboard (singleton; the simulator is single-threaded). */
+/**
+ * Global logging switchboard (singleton). Each machine is serial, but
+ * independent machines may run on different host threads, so the
+ * simulated clock stamped on messages is per host thread.
+ */
 class Log
 {
   public:
@@ -69,8 +73,12 @@ class Log
     static bool componentFromName(const std::string& name,
                                   LogComponent& out);
 
-    /** Register the simulated-clock source; pass nullptr to clear. */
-    void setClock(std::function<Cycles()> clock) { clock_ = std::move(clock); }
+    /** Register the calling thread's simulated-clock source; pass
+     *  nullptr to clear. */
+    void setClock(std::function<Cycles()> clock)
+    {
+        threadClock() = std::move(clock);
+    }
 
     /** Redirect output (defaults to std::cerr); pass nullptr to reset. */
     void setStream(std::ostream* os) { stream_ = os ? os : &std::cerr; }
@@ -81,10 +89,10 @@ class Log
     Log();
 
     static unsigned index(LogComponent c) { return static_cast<unsigned>(c); }
+    static std::function<Cycles()>& threadClock();
 
     std::array<bool, static_cast<unsigned>(LogComponent::NumComponents)>
         enabled_{};
-    std::function<Cycles()> clock_;
     std::ostream* stream_ = &std::cerr;
 };
 

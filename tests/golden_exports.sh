@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 check of the committed export goldens: the 4-node Perfetto and
-# stats JSON of both protocols against golden/trace_harness_4.sha256,
-# and the default sim_harness and table_3_1 output against their text
-# goldens.
+# Tier-1 check of the committed goldens: the 4-node Perfetto and stats
+# JSON of both protocols against golden/trace_harness_4.sha256, the
+# default sim_harness output, and one full paper_results sweep against
+# the 12 golden/<experiment>.txt files joined in declared order.
 #
-# Usage: golden_exports.sh <sim_harness> <table_3_1> <golden dir>
+# Usage: golden_exports.sh <sim_harness> <paper_results> <golden dir>
 
 set -euo pipefail
 
 harness="$1"
-table="$2"
+papers="$2"
 golden="$(cd "$3" && pwd)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
@@ -23,6 +23,13 @@ done
 
 "$harness" --nodes=16 > "$out/harness.txt"
 diff "$golden/sim_harness_16.txt" "$out/harness.txt"
-"$table" > "$out/table.txt"
-diff "$golden/table_3_1.txt" "$out/table.txt"
+
+# The order of paperResults() in bench/paper_results.cpp.
+for name in table_2_1 figure_2_1 table_3_1 figure_3_1 table_3_2_lock \
+    ablation_copylist ablation_network ablation_depths ablation_fence \
+    ablation_snoop placement_policies production_replication; do
+    cat "$golden/$name.txt"
+done > "$out/expected.txt"
+"$papers" > "$out/papers.txt"
+diff "$out/expected.txt" "$out/papers.txt"
 echo "exports match golden/"

@@ -2,8 +2,8 @@
  * @file
  * Regression tests pinning the end-to-end cost arithmetic to the
  * paper's published numbers (Section 3.1): these are the quantities
- * bench/table_3_1 prints, asserted here so any timing regression fails
- * CI rather than silently skewing every experiment.
+ * `paper_results table_3_1` prints, asserted here so any timing
+ * regression fails CI rather than silently skewing every experiment.
  */
 
 #include <gtest/gtest.h>
