@@ -37,9 +37,9 @@
 #include "common/panic.hpp"
 #include "common/stats.hpp"
 #include "core/context.hpp"
+#include "core/recovery.hpp"
 #include "net/fault_injector.hpp"
 #include "net/reliable_link.hpp"
-#include "proto/recovery_manager.hpp"
 
 namespace {
 
@@ -56,7 +56,7 @@ struct RunResult {
     net::FaultStats faults;
     net::LinkStats link;
     // Fail-stop runs only (FaultConfig::recover armed):
-    proto::RecoveryStats rec;            ///< epoch outcome counters
+    core::RecoveryStats rec;            ///< epoch outcome counters
     telemetry::DistSummary recLatency;   ///< recovery.latency snapshot
     bool survivorsConsistent = true;     ///< replicas byte-identical
 };
@@ -138,7 +138,7 @@ runOnce(unsigned nodes, const FaultConfig* fault)
     if (const net::LinkLayer* link = machine.network().linkLayer()) {
         r.link = link->stats();
     }
-    if (const proto::RecoveryManager* rm = machine.recovery()) {
+    if (const core::RecoveryManager* rm = machine.recovery()) {
         r.rec = rm->stats();
         for (const auto& [name, dist] :
              machine.metricsSnapshot().distributions) {

@@ -309,19 +309,20 @@ run_recovery() {
 
     # Crash the end node of a 1x8 line mid-run on each backend. Every
     # run self-checks (survivor image vs oracle, replica consistency),
-    # and the combined post-recovery image hash — memory words, elapsed
-    # cycles, and epoch outcomes — must be byte-identical across
-    # backends.
+    # the whole output must match golden/chaos_sweep_8.txt, and the
+    # combined post-recovery image hash — memory words, elapsed cycles,
+    # and epoch outcomes — must be byte-identical across backends.
     local eng
     for eng in wheel heap; do
         echo "--- fail-stop sweep: $eng"
         build/bench/chaos_sweep --nodes=8 --seeds=2 --kill-node=7@2000 \
             --engine="$eng" | tee "$out/sweep_$eng.txt"
+        diff golden/chaos_sweep_8.txt "$out/sweep_$eng.txt"
         grep "fail-stop image hash" "$out/sweep_$eng.txt" \
             > "$out/hash_$eng.txt"
     done
     diff "$out/hash_wheel.txt" "$out/hash_heap.txt"
-    echo "post-recovery image byte-identical across backends"
+    echo "post-recovery image byte-identical across backends and golden/"
 }
 
 run_prof() {

@@ -107,7 +107,7 @@ EventRing::render(std::size_t newest) const
 void
 violation(const EventRing& history, const std::string& message)
 {
-    PLUS_PANIC("plus::check invariant violation: ", message, "\n",
+    PLUS_PANIC(kViolationPrefix, message, "\n",
                history.render());
 }
 

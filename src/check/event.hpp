@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -334,6 +335,10 @@ class EventRing
     std::uint64_t recorded_ = 0;
     std::uint64_t dropped_ = 0;
 };
+
+/** Opens every violation's panic text (which carries its history). */
+inline constexpr std::string_view kViolationPrefix =
+    "plus::check invariant violation: ";
 
 /**
  * Raise a checker violation: panics with @p message followed by the

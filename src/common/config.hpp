@@ -42,7 +42,7 @@ struct FaultScriptEntry {
          * and memory all go permanently silent at the scheduled cycle.
          * Unlike NodeDown there is no matching revive — a crashed node
          * never comes back, and with FaultConfig::recover armed the
-         * machine runs the proto::RecoveryManager protocol instead of
+         * machine runs the core::RecoveryManager protocol instead of
          * panicking on retransmit-budget exhaustion.
          */
         CrashNode,
@@ -102,7 +102,7 @@ struct FaultConfig {
     unsigned backoffCap = 6;
 
     /**
-     * Arm fail-stop crash recovery (proto::RecoveryManager). When true,
+     * Arm fail-stop crash recovery (core::RecoveryManager). When true,
      * retransmit-budget exhaustion against a node the injector reports
      * as crashed becomes a peer-death signal: the recovery manager
      * re-masters the dead node's pages onto surviving replicas, purges
@@ -311,13 +311,6 @@ struct CostModel {
     unsigned pendingWriteEntries = 8;
     /** Delayed-operations cache entries ("8 in the current implementation"). */
     unsigned delayedOpEntries = 8;
-
-    /**
-     * Whether a delayed RMW's update chain occupies a pending-write entry
-     * until the chain completes (so fences also drain RMW side effects).
-     * See DESIGN.md "RMW vs fence".
-     */
-    bool rmwOccupiesPendingWrite = true;
 
     /**
      * DASH-style ordering (ablation): every interlocked operation

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace plus {
 
@@ -30,13 +31,15 @@ class PanicError : public std::logic_error {
 
 /**
  * Optional hook appended to every panic message. Diagnostic layers
- * (the host-time profiler's flight recorder) install one so stall and
- * invariant-failure reports carry recent per-thread activity. The
- * decorator must be safe to call from any thread and must not throw.
+ * (the running machine's dossier, the host-time profiler's flight
+ * recorder) install one so stall and invariant-failure reports carry
+ * recent activity. It is passed the panic text it decorates, so it can
+ * leave out what that text already carries. The decorator must be safe
+ * to call from any thread and must not throw.
  */
-using PanicDecorator = std::string (*)();
+using PanicDecorator = std::string (*)(std::string_view message);
 
-/** Install @p fn (nullptr to clear). Not thread-safe vs. a racing panic. */
+/** Install @p fn (nullptr to clear); atomic, so safe vs. a racing panic. */
 void setPanicDecorator(PanicDecorator fn);
 
 /**

@@ -73,7 +73,7 @@ inline constexpr Word kPayloadMask = 0x7fffffffu;
 /**
  * Value returned by degraded-mode accesses to a *lost* page — one whose
  * every physical copy died with a fail-stop node crash (see
- * proto::RecoveryManager). Reads and interlocked results complete with
+ * core::RecoveryManager). Reads and interlocked results complete with
  * this sentinel instead of retrying forever; writes are dropped.
  */
 inline constexpr Word kPageLostValue = 0xDEADDEADu;

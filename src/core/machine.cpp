@@ -10,95 +10,56 @@
 #include "net/fault_injector.hpp"
 #include "net/reliable_link.hpp"
 #include "proto/protocol.hpp"
-#include "proto/recovery_manager.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/prof.hpp"
 
 namespace plus {
 namespace core {
 
-/**
- * Adapter handing proto::RecoveryManager the machine services it needs
- * (directory walks, table rewrites, processor halts) while keeping the
- * proto layer free of a core dependency. Every call arrives in machine
- * context except toMachine(), which is the lane-crossing primitive.
- */
-struct Machine::RecoveryHost final : proto::RecoveryManager::Host {
-    explicit RecoveryHost(Machine& machine) : m(machine) {}
+namespace {
 
-    Cycles now() const override { return m.engine_.now(); }
-    unsigned nodeCount() const override { return m.config_.nodes; }
+// pluslint: allow(R4) -- diagnostic only: names the machine whose
+// dossier a panic on this thread carries; never feeds simulation state.
+thread_local Machine* t_running = nullptr;
 
-    std::vector<Vpn> mappedVpns() const override
+/** Makes a machine the thread's running one for its lifetime. */
+class RunningScope
+{
+  public:
+    explicit RunningScope(Machine& m) : previous_(t_running)
     {
-        return m.directory_.sortedVpns();
+        t_running = &m;
     }
+    ~RunningScope() { t_running = previous_; }
 
-    mem::CopyList& copyListOf(Vpn vpn) override
-    {
-        return m.directory_.copyList(vpn);
-    }
+    RunningScope(const RunningScope&) = delete;
+    RunningScope& operator=(const RunningScope&) = delete;
 
-    mem::CoherenceTables& tablesOf(NodeId node) override
-    {
-        return m.nodes_[node]->tables();
-    }
-
-    proto::CoherenceManager& cmOf(NodeId node) override
-    {
-        return m.nodes_[node]->cm();
-    }
-
-    void haltNode(NodeId node) override { m.haltNode(node); }
-
-    void pageLost(Vpn vpn) override
-    {
-        m.lostPages_.insert(vpn);
-        m.emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
-        m.shootdown(vpn);
-        m.directory_.destroy(vpn);
-    }
-
-    void syncPageCopy(PhysPage from, PhysPage to) override
-    {
-        mem::LocalMemory& src = m.nodes_[from.node]->memory();
-        mem::LocalMemory& dst = m.nodes_[to.node]->memory();
-        for (Addr w = 0; w < kPageWords; ++w) {
-            dst.write(to.frame, w, src.read(from.frame, w));
-        }
-        // The overwrite happened behind the survivor's cache.
-        if (node::Cache* cache = m.nodes_[to.node]->cache()) {
-            cache->flush();
-        }
-    }
-
-    void copyListRebuilt(Vpn vpn) override
-    {
-        m.emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
-        m.shootdown(vpn);
-    }
-
-    void purgeLinks(NodeId dead) override
-    {
-        if (net::LinkLayer* link = m.network_->linkLayer()) {
-            link->purgeNode(dead);
-            link->sealNode(dead);
-        }
-    }
-
-    void sealEpoch(NodeId dead, std::uint64_t epoch) override
-    {
-        m.emit({.kind = check::EventKind::EpochSealed,
-                .node = dead,
-                .a = epoch});
-    }
-
-    void toMachine(std::function<void()> fn) override
-    {
-        m.engine_.scheduleMachine(m.machineLaneDelay_, std::move(fn));
-    }
-
-    Machine& m;
+  private:
+    Machine* previous_;
 };
+
+} // namespace
+
+// Installed once, during static initialization (before main, so before
+// any worker thread): every panic raised while a machine runs on the
+// thread (watchdog, retry and retransmit budgets, invariant checks)
+// carries its dossier, so the first report already says what the fabric
+// was doing. A decorator installed later at run time replaces it.
+const bool Machine::dossierInstalled_ =
+    (setPanicDecorator(&Machine::panicDossier), true);
+
+std::string
+Machine::panicDossier(std::string_view message)
+{
+    std::string out;
+    if (t_running != nullptr) {
+        // A checker violation's text already carries the history.
+        out += t_running->diagnosticDump(
+            message.find(check::kViolationPrefix) == std::string_view::npos);
+    }
+    return out + prof::flightRecorderDump(); // empty unless profiling
+}
 
 double
 MachineReport::utilization(unsigned processors) const
@@ -190,7 +151,10 @@ Machine::Machine(MachineConfig config)
             id, config_, engine_, *network_,
             std::numeric_limits<std::uint64_t>::max()));
         node::Node& n = *nodes_.back();
-        n.cm().setTranslator([this, id](Vpn vpn) {
+        n.cm().setTranslator([this, id](Vpn vpn) -> std::optional<PhysPage> {
+            if (pageIsLost(vpn)) {
+                return std::nullopt;
+            }
             return freshTranslation(id, vpn);
         });
         n.cm().setPageCopyDoneHandler([this](std::uint32_t copy_id) {
@@ -207,16 +171,10 @@ Machine::Machine(MachineConfig config)
         n.processor().setEventStream(events_.get());
     }
 
-    // Crash recovery: arm the coherence managers' in-flight-op metadata,
-    // route fail-stop crashes (fault script) and peer deaths (link
-    // retransmit exhaustion) into the recovery manager.
+    // Crash recovery: route fail-stop crashes (fault script) and peer
+    // deaths (link retransmit exhaustion) into the recovery manager.
     if (config_.network.fault.enabled && config_.network.fault.recover) {
-        recoveryHost_ = std::make_unique<RecoveryHost>(*this);
-        recovery_ = std::make_unique<proto::RecoveryManager>(
-            *recoveryHost_, config_.nodes);
-        for (auto& n : nodes_) {
-            n->cm().setRecoveryArmed(true);
-        }
+        recovery_ = std::make_unique<RecoveryManager>(*this);
         if (net::LinkLayer* link = network_->linkLayer()) {
             link->setPeerDeathHandler([this](NodeId dead) {
                 recovery_->onPeerDeath(dead);
@@ -237,15 +195,6 @@ Machine::Machine(MachineConfig config)
                 haltNode(node);
             }
         });
-    }
-
-    // Failure diagnostics: the reliable link and the per-node retry
-    // bounds append the machine's dossier to their panics so the first
-    // report already says what the fabric was doing.
-    auto dumper = [this] { return diagnosticDump(); };
-    network_->setTraceDumper(dumper);
-    for (auto& n : nodes_) {
-        n->cm().setTraceDumper(dumper);
     }
 
     if (config_.watchdog.enabled) {
@@ -271,8 +220,7 @@ Machine::Machine(MachineConfig config)
                     }
                 }
                 return p;
-            },
-            dumper);
+            });
     }
 
     registerMetrics();
@@ -281,7 +229,7 @@ Machine::Machine(MachineConfig config)
 Machine::~Machine() = default;
 
 std::string
-Machine::diagnosticDump()
+Machine::diagnosticDump(bool with_history)
 {
     std::ostringstream os;
     os << "\n--- machine diagnostics ---"
@@ -315,7 +263,7 @@ Machine::diagnosticDump()
     if (telemetry_) {
         os << "\nrecent trace events, " << telemetry_->events().render(64);
     }
-    if (checker_) {
+    if (checker_ && with_history) {
         os << "\nchecker history, " << checker_->history().render();
     }
     return os.str();
@@ -414,7 +362,7 @@ Machine::registerMetrics()
 
     // Crash-recovery outcomes (see docs/ROBUSTNESS.md "Crash recovery").
     if (recovery_) {
-        metrics_.addCounters(proto::kRecoveryStatRows,
+        metrics_.addCounters(kRecoveryStatRows,
                              [this](const auto& visit) {
                                  visit(recovery_->stats());
                              });
@@ -493,12 +441,6 @@ PhysPage
 Machine::freshTranslation(NodeId node, Vpn vpn)
 {
     if (!directory_.contains(vpn)) {
-        if (lostPages_.find(vpn) != lostPages_.end()) {
-            PLUS_FATAL("protocol translation of lost page ", vpn,
-                       " from node ", node,
-                       " — lost accesses must complete degraded, never "
-                       "re-translate");
-        }
         PLUS_FATAL("access to unmapped virtual page ", vpn,
                    " (address ", pageBase(vpn), ") from node ", node);
     }
@@ -733,15 +675,7 @@ Machine::reorderCopyListQuiesced(Addr addr)
     }
     cl.orderForPathLength(topology_);
     emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
-    const std::vector<PhysPage> order = cl.copies();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        mem::CoherenceTables& tables = nodes_[order[i].node]->tables();
-        tables.setMaster(order[i].frame, cl.master());
-        tables.setNextCopy(order[i].frame,
-                           i + 1 < order.size()
-                               ? std::optional<PhysPage>(order[i + 1])
-                               : std::nullopt);
-    }
+    rewriteTables(cl);
     PLUS_LOG(LogComponent::Machine, "reordered copy-list of vpn ", vpn,
              " to path length ", cl.pathLength(topology_));
 }
@@ -767,15 +701,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
         // never pushed back (invalidate chains carry no values). The
         // machine is quiesced, so sync the full page untimed before the
         // new master becomes the page's authority.
-        mem::LocalMemory& src = nodes_[old_master.node]->memory();
-        mem::LocalMemory& dst = nodes_[node]->memory();
-        for (Addr off = 0; off < kPageWords; ++off) {
-            dst.write(new_master.frame, off,
-                      src.read(old_master.frame, off));
-        }
-        if (node::Cache* cache = nodes_[node]->cache()) {
-            cache->flush();
-        }
+        syncPageCopy(old_master, new_master);
     }
     std::vector<PhysPage> order;
     order.push_back(new_master);
@@ -800,15 +726,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
         }
     }
     emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
-
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        mem::CoherenceTables& tables = nodes_[order[i].node]->tables();
-        tables.setMaster(order[i].frame, new_master);
-        tables.setNextCopy(order[i].frame,
-                           i + 1 < order.size()
-                               ? std::optional<PhysPage>(order[i + 1])
-                               : std::nullopt);
-    }
+    rewriteTables(cl);
     if (config_.protocol == CoherenceProtocol::WriteInvalidate) {
         // Full-page sync above revalidated the new master; the old
         // master's invalid-everywhere knowledge is stale topology.
@@ -820,6 +738,33 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
     shootdown(vpn);
     PLUS_LOG(LogComponent::Machine, "promoted master of vpn ", vpn,
              " to n", node);
+}
+
+void
+Machine::rewriteTables(const mem::CopyList& cl)
+{
+    const std::vector<PhysPage>& order = cl.copies();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        mem::CoherenceTables& tables = nodes_[order[i].node]->tables();
+        tables.setMaster(order[i].frame, cl.master());
+        tables.setNextCopy(order[i].frame,
+                           i + 1 < order.size()
+                               ? std::optional<PhysPage>(order[i + 1])
+                               : std::nullopt);
+    }
+}
+
+void
+Machine::syncPageCopy(PhysPage from, PhysPage to)
+{
+    const mem::LocalMemory& src = nodes_[from.node]->memory();
+    mem::LocalMemory& dst = nodes_[to.node]->memory();
+    for (Addr w = 0; w < kPageWords; ++w) {
+        dst.write(to.frame, w, src.read(from.frame, w));
+    }
+    if (node::Cache* cache = nodes_[to.node]->cache()) {
+        cache->flush();
+    }
 }
 
 void
@@ -918,6 +863,7 @@ Machine::spawn(NodeId node, ThreadBody body)
 void
 Machine::run(Cycles max_cycles)
 {
+    const RunningScope running(*this);
     started_ = true;
     if (net::FaultInjector* injector = network_->faultInjector()) {
         injector->scheduleScript(); // idempotent; cycles now count from here
@@ -950,6 +896,7 @@ Machine::run(Cycles max_cycles)
 void
 Machine::settle()
 {
+    const RunningScope running(*this);
     if (watchdog_ && engine_.pendingEvents() > 0) {
         watchdog_->arm();
     }

@@ -26,12 +26,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "check/checker.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
+#include "core/recovery.hpp"
 #include "mem/page_table.hpp"
 #include "net/network.hpp"
 #include "node/node.hpp"
@@ -41,11 +43,6 @@
 #include "telemetry/tracer.hpp"
 
 namespace plus {
-
-namespace proto {
-class RecoveryManager;
-} // namespace proto
-
 namespace core {
 
 class Context;
@@ -238,8 +235,8 @@ class Machine
      * The crash-recovery orchestrator, or null unless
      * MachineConfig::network.fault.recover armed it.
      */
-    proto::RecoveryManager* recovery() { return recovery_.get(); }
-    const proto::RecoveryManager* recovery() const
+    RecoveryManager* recovery() { return recovery_.get(); }
+    const RecoveryManager* recovery() const
     {
         return recovery_.get();
     }
@@ -274,20 +271,44 @@ class Machine
 
   private:
     friend class Context;
+    friend class RecoveryManager;
 
     node::Processor::Translation translateFor(NodeId node, Vpn vpn);
     PhysPage freshTranslation(NodeId node, Vpn vpn);
 
     /**
      * Render the machine's distress dossier — engine state, network and
-     * link counters, the telemetry tail and the checker's event trace —
-     * appended to watchdog / retry-exhaustion panics.
+     * link counters, the recovery state, the telemetry tail and, when
+     * @p with_history, the checker's event history.
      */
-    std::string diagnosticDump();
+    std::string diagnosticDump(bool with_history);
+
+    /**
+     * The process's panic decorator: the dossier of the machine running
+     * on the calling thread (if any), without the checker history when
+     * @p message is a checker violation (which carries it), then the
+     * host profiler's flight recorder when profiling is on.
+     */
+    static std::string panicDossier(std::string_view message);
+
+    /** panicDossier() is the process's decorator from static init on. */
+    static const bool dossierInstalled_;
 
     void onPageCopyDone(std::uint32_t copy_id);
     void shootdown(Vpn vpn);
     PhysAddr masterOf(Addr addr) const;
+
+    /**
+     * Point every copy's coherence-table entries at the master of @p cl
+     * and at its successor in list order.
+     */
+    void rewriteTables(const mem::CopyList& cl);
+
+    /**
+     * Untimed full-page copy of @p from's frame over @p to's; flushes
+     * @p to's cache, which the overwrite bypassed.
+     */
+    void syncPageCopy(PhysPage from, PhysPage to);
 
     /**
      * Fail-stop: freeze @p node's processor, write its threads off the
@@ -341,14 +362,8 @@ class Machine
     /** Forward-progress watchdog; null unless config_.watchdog. */
     std::unique_ptr<sim::Watchdog> watchdog_;
 
-    /**
-     * Crash recovery (null unless config_.network.fault.recover): the
-     * host adapter hands proto::RecoveryManager the machine services it
-     * needs without a proto -> core dependency.
-     */
-    struct RecoveryHost;
-    std::unique_ptr<RecoveryHost> recoveryHost_;
-    std::unique_ptr<proto::RecoveryManager> recovery_;
+    /** Crash recovery; null unless config_.network.fault.recover. */
+    std::unique_ptr<RecoveryManager> recovery_;
     /** Pages whose last copy died; served degraded (kPageLostValue). */
     std::unordered_set<Vpn> lostPages_;
 

@@ -1,55 +1,18 @@
-#include "proto/recovery_manager.hpp"
+#include "core/recovery.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "common/log.hpp"
 #include "common/panic.hpp"
+#include "core/machine.hpp"
+#include "net/reliable_link.hpp"
 
 namespace plus {
-namespace proto {
+namespace core {
 
-namespace {
-
-// Panic decoration is a process-wide single slot (a bare function
-// pointer), so the active manager registers itself here and chains to
-// whatever decorator was installed before it (the profiler's flight
-// recorder, typically).
-// pluslint: allow(R4) -- diagnostic-only hooks; they decorate panic
-// text and never feed simulation state.
-RecoveryManager* g_active = nullptr;      // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-// pluslint: allow(R4) -- see above.
-PanicDecorator g_previous = nullptr;      // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-
-std::string
-decoratePanic()
+RecoveryManager::RecoveryManager(Machine& machine)
+    : machine_(machine), nodes_(machine.nodeCount())
 {
-    std::string out = g_previous ? g_previous() : std::string();
-    if (g_active != nullptr) {
-        out += g_active->panicSummary();
-    }
-    return out;
-}
-
-} // namespace
-
-RecoveryManager::RecoveryManager(Host& host, unsigned nodes)
-    : host_(host), nodes_(nodes)
-{
-    if (g_active == nullptr) {
-        g_active = this;
-        g_previous = panicDecorator();
-        setPanicDecorator(&decoratePanic);
-    }
-}
-
-RecoveryManager::~RecoveryManager()
-{
-    if (g_active == this) {
-        setPanicDecorator(g_previous);
-        g_previous = nullptr;
-        g_active = nullptr;
-    }
 }
 
 const RecoveryManager::NodeState&
@@ -69,12 +32,12 @@ RecoveryManager::onNodeCrashed(NodeId node)
         return;
     }
     st.crashed = true;
-    st.crashCycle = host_.now();
+    st.crashCycle = machine_.now();
     PLUS_LOG(LogComponent::Proto, "node ", node, " fail-stop crashed at cycle ",
              st.crashCycle);
     // Fail-stop: the processor halts with the node. Survivors do not
     // learn anything yet — detection comes from their link layers.
-    host_.haltNode(node);
+    machine_.haltNode(node);
 }
 
 void
@@ -87,7 +50,8 @@ RecoveryManager::onPeerDeath(NodeId dead)
     if (nodes_[dead].recovered) {
         return;
     }
-    host_.toMachine([this, dead] { recover(dead); });
+    machine_.engine_.scheduleMachine(machine_.machineLaneDelay_,
+                                     [this, dead] { recover(dead); });
 }
 
 void
@@ -102,51 +66,48 @@ RecoveryManager::recover(NodeId dead)
     st.recovered = true;
     recovering_ = dead;
     PLUS_LOG(LogComponent::Proto, "recovery epoch for node ", dead,
-             " starting at cycle ", host_.now());
+             " starting at cycle ", machine_.now());
 
-    // 1. Repair every copy-list the dead node appears in. mappedVpns()
+    // 1. Repair every copy-list the dead node appears in. sortedVpns()
     //    is ascending, so `affected` and `lost` come out sorted — the
     //    coherence managers binary-search them during replay.
+    mem::PageDirectory& directory = machine_.directory_;
     std::vector<Vpn> affected;
     std::vector<Vpn> lost;
-    for (const Vpn vpn : host_.mappedVpns()) {
-        mem::CopyList& list = host_.copyListOf(vpn);
+    for (const Vpn vpn : directory.sortedVpns()) {
+        mem::CopyList& list = directory.copyList(vpn);
         if (!list.hasCopyOn(dead)) {
             continue;
         }
         if (list.size() == 1) {
-            // The dead node held the only copy: the page is gone.
+            // The dead node held the only copy: the page is gone. Unmap
+            // it everywhere; accesses now complete degraded.
             lost.push_back(vpn);
             stats_.pagesLost += 1;
-            host_.pageLost(vpn);
+            machine_.lostPages_.insert(vpn);
+            machine_.emit(
+                {.kind = check::EventKind::CopyListChanged, .vpn = vpn});
+            machine_.shootdown(vpn);
+            directory.destroy(vpn);
             continue;
         }
         affected.push_back(vpn);
         const bool master_died = list.master().node == dead;
         list.removeOn(dead); // removing the master promotes its successor
-
-        // Rewrite the survivors' hardware tables for the new chain.
-        const PhysPage master = list.master();
-        const auto& order = list.copies();
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            mem::CoherenceTables& tables = host_.tablesOf(order[i].node);
-            tables.setMaster(order[i].frame, master);
-            tables.setNextCopy(order[i].frame,
-                               i + 1 < order.size()
-                                   ? std::optional<PhysPage>(order[i + 1])
-                                   : std::nullopt);
-        }
+        machine_.rewriteTables(list);
 
         // Re-synchronize the suffix from the new master. Updates flow
         // down the chain in order, so the first surviving copy
         // dominates every later one; anything that died inside the
         // dead node's queue left later copies stale, and when the
         // *originator* was the dead node nobody is left to replay it.
+        const auto& order = list.copies();
         for (std::size_t i = 1; i < order.size(); ++i) {
-            host_.syncPageCopy(master, order[i]);
+            machine_.syncPageCopy(order.front(), order[i]);
         }
 
-        host_.copyListRebuilt(vpn);
+        machine_.emit({.kind = check::EventKind::CopyListChanged, .vpn = vpn});
+        machine_.shootdown(vpn);
         stats_.copyListsRepaired += 1;
         if (master_died) {
             stats_.pagesRemastered += 1;
@@ -161,8 +122,8 @@ RecoveryManager::recover(NodeId dead)
         if (nodes_[n].crashed) {
             continue;
         }
-        const CoherenceManager::RecoveryOutcome outcome =
-            host_.cmOf(n).recoverAfterCrash(dead, affected, lost);
+        const proto::CoherenceManager::RecoveryOutcome outcome =
+            machine_.nodeAt(n).cm().recoverAfterCrash(dead, affected, lost);
         stats_.abortedOps += outcome.abortedReads + outcome.abortedWrites +
                              outcome.abortedRmws;
         stats_.lostCompletions += outcome.lostCompletions;
@@ -171,13 +132,17 @@ RecoveryManager::recover(NodeId dead)
     // 3. Tear down link state toward the dead node and seal it: any
     //    frame it still has in flight is dropped at the receiver from
     //    here on (the checker's crashed-source invariant).
-    host_.purgeLinks(dead);
+    if (net::LinkLayer* link = machine_.network().linkLayer()) {
+        link->purgeNode(dead);
+        link->sealNode(dead);
+    }
 
     // 4. Seal the epoch.
     epoch_ += 1;
-    host_.sealEpoch(dead, epoch_);
+    machine_.emit(
+        {.kind = check::EventKind::EpochSealed, .node = dead, .a = epoch_});
     stats_.nodeRecoveries += 1;
-    latency_.record(static_cast<double>(host_.now() - st.crashCycle));
+    latency_.record(static_cast<double>(machine_.now() - st.crashCycle));
     recovering_ = kInvalidNode;
     PLUS_LOG(LogComponent::Proto, "recovery epoch ", epoch_, " for node ", dead,
              " sealed: ", affected.size(), " copy-list(s) repaired, ",
@@ -213,5 +178,5 @@ RecoveryManager::panicSummary() const
     return out.str();
 }
 
-} // namespace proto
+} // namespace core
 } // namespace plus

@@ -30,7 +30,7 @@
  *       - every survivor's coherence manager aborts in-flight
  *         operations addressed to the dead node and re-dispatches them
  *         against the repaired copy-lists
- *         (CoherenceManager::recoverAfterCrash);
+ *         (proto::CoherenceManager::recoverAfterCrash);
  *       - link channels to and from the dead node are purged and the
  *         node is sealed, and the invariant checker learns the epoch:
  *         processing any message from the dead node afterwards is a
@@ -41,22 +41,20 @@
  * byte-identical post-recovery memory images on every engine backend.
  */
 
-#ifndef PLUS_PROTO_RECOVERY_MANAGER_HPP_
-#define PLUS_PROTO_RECOVERY_MANAGER_HPP_
+#ifndef PLUS_CORE_RECOVERY_HPP_
+#define PLUS_CORE_RECOVERY_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mem/coherence_tables.hpp"
-#include "mem/copy_list.hpp"
-#include "proto/coherence_manager.hpp"
 
 namespace plus {
-namespace proto {
+namespace core {
+
+class Machine;
 
 /** Counters for the `recovery.*` metrics namespace. */
 struct RecoveryStats {
@@ -79,65 +77,13 @@ inline constexpr StatRow<RecoveryStats> kRecoveryStatRows[] = {
 };
 
 /**
- * Orchestrates one recovery epoch per dead node; see file comment.
- *
- * The manager is protocol-layer code: everything it needs from the
- * machine (directory walks, page-table shootdowns, halting a
- * processor) arrives through the Host interface, which core::Machine
- * implements. It installs a panic decorator so PLUS_PANIC dumps carry
- * the recovery state (epoch, crashed nodes, repair progress).
+ * Orchestrates one recovery epoch per dead node over its machine's
+ * directory, nodes and links; see file comment.
  */
 class RecoveryManager
 {
   public:
-    /** Machine-side services; all calls arrive in machine context. */
-    class Host
-    {
-      public:
-        virtual ~Host() = default;
-
-        virtual Cycles now() const = 0;
-        virtual unsigned nodeCount() const = 0;
-
-        /** Every mapped virtual page, ascending. */
-        virtual std::vector<Vpn> mappedVpns() const = 0;
-        virtual mem::CopyList& copyListOf(Vpn vpn) = 0;
-        virtual mem::CoherenceTables& tablesOf(NodeId node) = 0;
-        virtual CoherenceManager& cmOf(NodeId node) = 0;
-
-        /** Write off @p node's threads and stop its processor. Idempotent. */
-        virtual void haltNode(NodeId node) = 0;
-
-        /**
-         * @p vpn lost its last copy: unmap it everywhere and route all
-         * future translations to the degraded (PageLost) path.
-         */
-        virtual void pageLost(Vpn vpn) = 0;
-
-        /** Copy @p from's frame contents over @p to's (plus cache upkeep). */
-        virtual void syncPageCopy(PhysPage from, PhysPage to) = 0;
-
-        /**
-         * The copy-list of @p vpn was repaired: bump the checker's
-         * generation and shoot down stale translations.
-         */
-        virtual void copyListRebuilt(Vpn vpn) = 0;
-
-        /** Purge and seal every link channel to or from @p dead. */
-        virtual void purgeLinks(NodeId dead) = 0;
-
-        /** Recovery for @p dead is complete; inform the checker. */
-        virtual void sealEpoch(NodeId dead, std::uint64_t epoch) = 0;
-
-        /**
-         * Run @p fn in the machine lane, one minimum cross-node
-         * latency ahead. Callable from any node lane.
-         */
-        virtual void toMachine(std::function<void()> fn) = 0;
-    };
-
-    RecoveryManager(Host& host, unsigned nodes);
-    ~RecoveryManager();
+    explicit RecoveryManager(Machine& machine);
 
     RecoveryManager(const RecoveryManager&) = delete;
     RecoveryManager& operator=(const RecoveryManager&) = delete;
@@ -167,7 +113,7 @@ class RecoveryManager
     /** Crash-cycle → epoch-seal latency, in cycles, per recovery. */
     const Histogram& latencyHistogram() const { return latency_; }
 
-    /** One-paragraph state dump appended to PLUS_PANIC messages. */
+    /** One-paragraph state dump for the machine's panic dossier. */
     std::string panicSummary() const;
 
   private:
@@ -182,7 +128,7 @@ class RecoveryManager
     /** The epoch itself; machine context, exactly once per dead node. */
     void recover(NodeId dead);
 
-    Host& host_;
+    Machine& machine_;
     std::vector<NodeState> nodes_;
     std::uint64_t epoch_ = 0;
     /** Node whose epoch is mid-flight (panic diagnostics only). */
@@ -191,7 +137,7 @@ class RecoveryManager
     Histogram latency_;
 };
 
-} // namespace proto
+} // namespace core
 } // namespace plus
 
-#endif // PLUS_PROTO_RECOVERY_MANAGER_HPP_
+#endif // PLUS_CORE_RECOVERY_HPP_

@@ -147,15 +147,6 @@ class Network
     void setEventStream(check::EventStream* events) { events_ = events; }
 
     /**
-     * Provide the event-trace renderer used when the reliable layer
-     * panics (retransmit-budget exhaustion); wired by core::Machine.
-     */
-    void setTraceDumper(std::function<std::string()> dumper)
-    {
-        traceDumper_ = std::move(dumper);
-    }
-
-    /**
      * Arm fault injection and the reliable-delivery layer (always
      * together: an unreliable fabric without recovery would break the
      * protocol's FIFO assumptions). Call once, before any traffic.
@@ -239,7 +230,6 @@ class Network
     Histogram queueing_;
     std::vector<DeliveryHandler> handlers_;
     check::EventStream* events_ = nullptr;
-    std::function<std::string()> traceDumper_;
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<LinkLayer> link_;
 };

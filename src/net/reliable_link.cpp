@@ -303,8 +303,7 @@ LinkLayer::onTimeout(NodeId src, NodeId dst, std::uint32_t seq)
         }
         PLUS_PANIC("reliable link ", src, " -> ", dst, " gave up on frame ",
                    seq, " after ", config_.maxRetransmits,
-                   " retransmits (permanent partition?)",
-                   net_.traceDumper_ ? net_.traceDumper_() : std::string());
+                   " retransmits (permanent partition?)");
     }
     stats_.retransmits += 1;
     if (net_.events_) {

@@ -105,7 +105,7 @@ class LinkLayer
      * Install the sink for peer-death signals. With FaultConfig::recover
      * armed, a retransmit budget exhausted toward a fail-stop-crashed
      * destination reports the death here instead of panicking (see
-     * onTimeout); core::Machine wires this to proto::RecoveryManager.
+     * onTimeout); core::Machine wires this to core::RecoveryManager.
      * The handler may fire more than once per dead node (every channel
      * toward it can exhaust) — the sink must be idempotent.
      */

@@ -145,18 +145,37 @@ CoherenceManager::procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
                 deps_.refCounters->recordRemoteRef(vpn);
             }
             const ReadTag tag = nextReadTag_++;
-            readWaiters_.emplace(tag, std::move(done));
-            if (recoveryArmed_) {
-                readMeta_.emplace(tag, ReadMeta{vpn, word_offset,
-                                                phys.page.node});
-            }
-            auto msg = std::make_unique<ReadReq>();
-            msg->target = phys;
-            msg->vpn = vpn;
-            msg->originator = self_;
-            msg->tag = tag;
-            send(phys.page.node, std::move(msg), ReadReq::kBytes);
+            readWaiters_.emplace(
+                tag, ReadWaiter{vpn, word_offset, kInvalidNode,
+                                std::move(done)});
+            sendRead(tag, phys);
         });
+}
+
+void
+CoherenceManager::sendRead(ReadTag tag, PhysAddr phys, bool refetch)
+{
+    auto it = readWaiters_.find(tag);
+    PLUS_ASSERT(it != readWaiters_.end(), "no waiting read with tag ", tag);
+    it->second.dst = phys.page.node;
+    auto msg = std::make_unique<ReadReq>();
+    msg->target = phys;
+    msg->vpn = it->second.vpn;
+    msg->originator = self_;
+    msg->tag = tag;
+    msg->refetch = refetch;
+    send(phys.page.node, std::move(msg), ReadReq::kBytes);
+}
+
+std::function<void(Word)>
+CoherenceManager::takeReadWaiter(ReadTag tag)
+{
+    auto it = readWaiters_.find(tag);
+    PLUS_ASSERT(it != readWaiters_.end(), "no waiting read with tag ", tag);
+    clearNackRetries(NackedKind::Read, tag);
+    auto done = std::move(it->second.done);
+    readWaiters_.erase(it);
+    return done;
 }
 
 void
@@ -211,7 +230,7 @@ CoherenceManager::procWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
             [this, vpn, word_offset, phys, value,
              accepted = std::move(accepted)]() mutable {
                 const WriteTag tag =
-                    pendingWrites_.insert(vpn, word_offset);
+                    pendingWrites_.insert(vpn, word_offset, value);
                 pendingWrites_.noteHighWater();
                 if (events_) {
                     events_->emit({.kind = check::EventKind::WriteIssued,
@@ -219,11 +238,6 @@ CoherenceManager::procWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
                                    .vpn = vpn,
                                    .word = word_offset,
                                    .a = tag});
-                }
-                if (recoveryArmed_) {
-                    writeMeta_.emplace(
-                        tag, WriteMeta{vpn, word_offset, value,
-                                       phys.page.node, /*fromRmw=*/false});
                 }
                 accepted();
                 dispatchWrite(vpn, word_offset, phys, value, tag);
@@ -235,37 +249,15 @@ void
 CoherenceManager::dispatchWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
                                 Word value, WriteTag tag)
 {
-    // Remember where this dispatch addressed the write so a crash of
-    // that node can be mapped back to the in-flight operation.
-    const auto noteDst = [this, tag](NodeId dst) {
-        if (recoveryArmed_) {
-            auto it = writeMeta_.find(tag);
-            if (it != writeMeta_.end()) {
-                it->second.dst = dst;
-            }
-        }
-    };
+    // A local copy that is not the master forwards to the master.
+    const PhysPage target = phys.page.node == self_
+                                ? deps_.tables->master(phys.page.frame)
+                                : phys.page;
+    // Recovery maps a crash of this node back to the write.
+    pendingWrites_.entry(tag).dst = target.node;
 
-    if (phys.page.node != self_) {
-        noteDst(phys.page.node);
-        stats_.remoteWrites += 1;
-        if (deps_.refCounters) {
-            deps_.refCounters->recordRemoteRef(vpn);
-        }
-        auto msg = std::make_unique<WriteReq>();
-        msg->target = phys;
-        msg->vpn = vpn;
-        msg->value = value;
-        msg->originator = self_;
-        msg->tag = tag;
-        send(phys.page.node, std::move(msg), WriteReq::kBytes);
-        return;
-    }
-
-    const FrameId frame = phys.page.frame;
-    const PhysPage master = deps_.tables->master(frame);
-    if (master.node == self_) {
-        noteDst(self_);
+    if (target.node == self_) {
+        const FrameId frame = phys.page.frame;
         // A write is "local" only if it completes with no network traffic.
         if (deps_.tables->nextCopy(frame)) {
             stats_.remoteWrites += 1;
@@ -277,25 +269,26 @@ CoherenceManager::dispatchWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
                     protocol_->writeAtMaster(vpn, frame, word_offset,
                                              value, self_, tag);
                 });
-    } else {
-        noteDst(master.node);
-        stats_.remoteWrites += 1;
-        auto msg = std::make_unique<WriteReq>();
-        msg->target = PhysAddr{master, word_offset};
-        msg->vpn = vpn;
-        msg->value = value;
-        msg->originator = self_;
-        msg->tag = tag;
-        send(master.node, std::move(msg), WriteReq::kBytes);
+        return;
     }
+    stats_.remoteWrites += 1;
+    if (phys.page.node != self_ && deps_.refCounters) {
+        deps_.refCounters->recordRemoteRef(vpn);
+    }
+    auto msg = std::make_unique<WriteReq>();
+    msg->target = PhysAddr{target, word_offset};
+    msg->vpn = vpn;
+    msg->value = value;
+    msg->originator = self_;
+    msg->tag = tag;
+    send(target.node, std::move(msg), WriteReq::kBytes);
 }
 
 void
 CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
                                 std::vector<WordWrite> writes,
                                 NodeId originator, WriteTag tag,
-                                bool from_rmw, bool need_ack,
-                                bool invalidate)
+                                bool from_rmw, bool invalidate)
 {
     const std::optional<PhysPage> next = deps_.tables->nextCopy(frame);
     if (next) {
@@ -307,7 +300,6 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
         msg->tag = tag;
         msg->chainId = chain;
         msg->fromRmw = from_rmw;
-        msg->needAck = need_ack;
         msg->invalidate = invalidate;
         const unsigned bytes = msg->bytes();
         send(next->node, std::move(msg), bytes);
@@ -328,9 +320,6 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
         }
         // Degenerate chain (master with no copies): ack directly below.
     }
-    if (!need_ack) {
-        return;
-    }
     if (originator == self_) {
         retireWrite(tag);
     } else {
@@ -345,20 +334,20 @@ void
 CoherenceManager::retireWrite(WriteTag tag)
 {
     clearNackRetries(NackedKind::Write, tag);
-    if (recoveryArmed_) {
-        writeMeta_.erase(tag);
-    }
     pendingWrites_.complete(tag);
 }
 
 void
-CoherenceManager::notePendingAborted(WriteTag tag, bool retried)
+CoherenceManager::abortPendingWrite(WriteTag tag, bool retried)
 {
     if (events_) {
         events_->emit({.kind = check::EventKind::PendingAborted,
                        .cls = retried,
                        .node = self_,
                        .a = tag});
+    }
+    if (!retried) {
+        retireWrite(tag);
     }
 }
 
@@ -380,7 +369,6 @@ CoherenceManager::procIssueLostRmw(
 {
     // No master copy left to execute at: allocate the slot for protocol
     // uniformity and complete it on the spot with the lost sentinel.
-    // Nothing is sent, so no recovery metadata is recorded.
     delayedOps_.whenSlotFree([this, op, issued = std::move(issued)] {
         const DelayedOpHandle handle = delayedOps_.allocate(op);
         issued(handle);
@@ -393,106 +381,51 @@ CoherenceManager::issueRmwUngated(
     RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys, Word operand,
     std::function<void(DelayedOpHandle)> issued)
 {
+    // The op occupies a delayed-op slot until its result arrives and a
+    // pending-writes entry until its update chain completes, so fences
+    // also drain interlocked side effects (DESIGN.md "RMW vs fence").
     delayedOps_.whenSlotFree(
         [this, op, vpn, word_offset, phys, operand,
          issued = std::move(issued)]() mutable {
-            const DelayedOpHandle handle = delayedOps_.allocate(op);
-            if (recoveryArmed_) {
-                rmwMeta_.emplace(handle,
-                                 RmwMeta{op, vpn, word_offset, operand,
-                                         phys.page.node, /*writeTag=*/0,
-                                         /*track=*/false});
-            }
-            if (cost_.rmwOccupiesPendingWrite) {
-                pendingWrites_.whenSlotFree(
-                    [this, op, vpn, word_offset, phys, operand, handle,
-                     issued = std::move(issued)]() mutable {
-                        const WriteTag tag =
-                            pendingWrites_.insert(vpn, word_offset);
-                        pendingWrites_.noteHighWater();
-                        if (events_) {
-                            events_->emit(
-                                {.kind = check::EventKind::WriteIssued,
-                                 .cls = /*from_rmw=*/1,
-                                 .node = self_,
-                                 .vpn = vpn,
-                                 .word = word_offset,
-                                 .a = tag});
-                        }
-                        if (recoveryArmed_) {
-                            // The paired pseudo-write: the RMW path owns
-                            // its replay, so mark it fromRmw.
-                            writeMeta_.emplace(
-                                tag, WriteMeta{vpn, word_offset, operand,
-                                               phys.page.node,
-                                               /*fromRmw=*/true});
-                            auto rit = rmwMeta_.find(handle);
-                            if (rit != rmwMeta_.end()) {
-                                rit->second.writeTag = tag;
-                                rit->second.track = true;
-                            }
-                        }
-                        issued(handle);
-                        dispatchRmw(op, vpn, word_offset, phys, operand,
-                                    handle, tag, /*track=*/true);
-                    });
-            } else {
-                issued(handle);
-                dispatchRmw(op, vpn, word_offset, phys, operand, handle,
-                            /*tag=*/0, /*track=*/false);
-            }
+            const DelayedOpHandle handle =
+                delayedOps_.allocate(op, vpn, word_offset, operand);
+            pendingWrites_.whenSlotFree(
+                [this, op, vpn, word_offset, phys, operand, handle,
+                 issued = std::move(issued)]() mutable {
+                    const WriteTag tag = pendingWrites_.insert(
+                        vpn, word_offset, operand, /*from_rmw=*/true);
+                    pendingWrites_.noteHighWater();
+                    if (events_) {
+                        events_->emit({.kind = check::EventKind::WriteIssued,
+                                       .cls = /*from_rmw=*/1,
+                                       .node = self_,
+                                       .vpn = vpn,
+                                       .word = word_offset,
+                                       .a = tag});
+                    }
+                    delayedOps_.op(handle).writeTag = tag;
+                    issued(handle);
+                    dispatchRmw(op, vpn, word_offset, phys, operand, handle,
+                                tag);
+                });
         });
 }
 
 void
 CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
                               PhysAddr phys, Word operand,
-                              DelayedOpHandle handle, WriteTag tag,
-                              bool track)
+                              DelayedOpHandle handle, WriteTag tag)
 {
-    const auto noteDst = [this, handle, tag, track](NodeId dst) {
-        if (!recoveryArmed_) {
-            return;
-        }
-        auto it = rmwMeta_.find(handle);
-        if (it != rmwMeta_.end()) {
-            it->second.dst = dst;
-        }
-        if (track) {
-            auto wit = writeMeta_.find(tag);
-            if (wit != writeMeta_.end()) {
-                wit->second.dst = dst;
-            }
-        }
-    };
+    // A local copy that is not the master forwards to the master.
+    const PhysPage target = phys.page.node == self_
+                                ? deps_.tables->master(phys.page.frame)
+                                : phys.page;
+    // Recovery maps a crash of this node back to the op and its write.
+    delayedOps_.op(handle).dst = target.node;
+    pendingWrites_.entry(tag).dst = target.node;
 
-    auto forward = [&](PhysPage target_page, NodeId dst) {
-        noteDst(dst);
-        auto msg = std::make_unique<RmwReq>();
-        msg->op = op;
-        msg->target = PhysAddr{target_page, word_offset};
-        msg->vpn = vpn;
-        msg->operand = operand;
-        msg->originator = self_;
-        msg->opTag = handle;
-        msg->writeTag = tag;
-        msg->trackWrite = track;
-        send(dst, std::move(msg), RmwReq::kBytes);
-    };
-
-    if (phys.page.node != self_) {
-        stats_.remoteRmws += 1;
-        if (deps_.refCounters) {
-            deps_.refCounters->recordRemoteRef(vpn);
-        }
-        forward(phys.page, phys.page.node);
-        return;
-    }
-
-    const FrameId frame = phys.page.frame;
-    const PhysPage master = deps_.tables->master(frame);
-    if (master.node == self_) {
-        noteDst(self_);
+    if (target.node == self_) {
+        const FrameId frame = phys.page.frame;
         if (deps_.tables->nextCopy(frame)) {
             stats_.remoteRmws += 1;
         } else {
@@ -501,22 +434,32 @@ CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
         const Cycles occupancy = isComplexOp(op) ? cost_.cmRmwComplex
                                                  : cost_.cmRmwSimple;
         enqueue(occupancy,
-                [this, op, vpn, frame, word_offset, operand, handle, tag,
-                 track] {
+                [this, op, vpn, frame, word_offset, operand, handle, tag] {
                     rmwAtMaster(op, vpn, frame, word_offset, operand, self_,
-                                handle, tag, track);
+                                handle, tag);
                 });
-    } else {
-        stats_.remoteRmws += 1;
-        forward(master, master.node);
+        return;
     }
+    stats_.remoteRmws += 1;
+    if (phys.page.node != self_ && deps_.refCounters) {
+        deps_.refCounters->recordRemoteRef(vpn);
+    }
+    auto msg = std::make_unique<RmwReq>();
+    msg->op = op;
+    msg->target = PhysAddr{target, word_offset};
+    msg->vpn = vpn;
+    msg->operand = operand;
+    msg->originator = self_;
+    msg->opTag = handle;
+    msg->writeTag = tag;
+    send(target.node, std::move(msg), RmwReq::kBytes);
 }
 
 void
 CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
                               Addr word_offset, Word operand,
                               NodeId originator, OpTag op_tag,
-                              WriteTag write_tag, bool track)
+                              WriteTag write_tag)
 {
     PageView view{[this, frame](Addr off) {
         return deps_.memory->read(frame, off);
@@ -543,16 +486,13 @@ CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
     }
 
     protocol_->propagateRmwEffects(vpn, frame, std::move(writes),
-                                   originator, write_tag, track);
+                                   originator, write_tag);
 }
 
 void
 CoherenceManager::completeRmw(OpTag tag, Word old_value)
 {
     clearNackRetries(NackedKind::Rmw, tag);
-    if (recoveryArmed_) {
-        rmwMeta_.erase(tag);
-    }
     delayedOps_.complete(tag, old_value);
 }
 
@@ -717,22 +657,15 @@ CoherenceManager::onReadReq(std::unique_ptr<ReadReq> msg)
 void
 CoherenceManager::onReadResp(const ReadResp& msg)
 {
-    auto it = readWaiters_.find(msg.tag);
-    if (it == readWaiters_.end()) {
+    if (readWaiters_.find(msg.tag) == readWaiters_.end()) {
         // Only recovery can retire a read out from under its response:
         // it re-dispatched the request and the original answer arrived
         // after the replayed one (or after a degraded completion).
-        PLUS_ASSERT(recoveryArmed_, "read response with unknown tag");
+        PLUS_ASSERT(recovered_, "read response with unknown tag");
         stats_.staleAcks += 1;
         return;
     }
-    clearNackRetries(NackedKind::Read, msg.tag);
-    if (recoveryArmed_) {
-        readMeta_.erase(msg.tag);
-    }
-    auto done = std::move(it->second);
-    readWaiters_.erase(it);
-    done(msg.value);
+    takeReadWaiter(msg.tag)(msg.value);
 }
 
 void
@@ -800,7 +733,7 @@ CoherenceManager::onWriteAck(const WriteAck& msg)
             protocol_->chainAckAtMaster(chain);
             return;
         }
-        if (recoveryArmed_ && writeMeta_.find(tag) == writeMeta_.end()) {
+        if (recovered_ && !pendingWrites_.live(tag)) {
             // Recovery replayed this write and the first acknowledgement
             // (old chain's or new chain's) already retired the entry;
             // tags are never reused, so the straggler is safely dropped.
@@ -840,14 +773,12 @@ CoherenceManager::onRmwReq(std::unique_ptr<RmwReq> msg)
             nack->writeTag = m->writeTag;
             nack->value = m->operand;
             nack->op = m->op;
-            nack->trackWrite = m->trackWrite;
             send(m->originator, std::move(nack), Nack::kBytes);
             return;
         }
         if (master_here) {
             rmwAtMaster(m->op, m->vpn, frame, m->target.wordOffset,
-                        m->operand, m->originator, m->opTag,
-                        m->writeTag, m->trackWrite);
+                        m->operand, m->originator, m->opTag, m->writeTag);
         } else {
             // Forward the request itself; only the target changes.
             const PhysPage master = deps_.tables->master(frame);
@@ -860,7 +791,7 @@ CoherenceManager::onRmwReq(std::unique_ptr<RmwReq> msg)
 void
 CoherenceManager::onRmwResp(const RmwResp& msg)
 {
-    if (recoveryArmed_ && rmwMeta_.find(msg.opTag) == rmwMeta_.end()) {
+    if (recovered_ && !delayedOps_.inFlight(msg.opTag)) {
         // Replay raced the original response; first one in completed.
         stats_.staleAcks += 1;
         return;
@@ -881,8 +812,7 @@ CoherenceManager::noteNackRetry(NackedKind kind, std::uint32_t tag)
                    : kind == NackedKind::Write ? "write"
                                                : "rmw",
                    " (tag ", tag, ") exhausted ", cost_.nackRetryLimit,
-                   " re-translation retries — livelock",
-                   traceDumper_ ? traceDumper_() : std::string());
+                   " re-translation retries — livelock");
     }
     // The first retry keeps the seed's exact timing; later ones back
     // off exponentially so a livelocking retry storm decays.
@@ -898,9 +828,9 @@ CoherenceManager::nackTargetLive(const Nack& nack) const
       case NackedKind::Read:
         return readWaiters_.find(nack.readTag) != readWaiters_.end();
       case NackedKind::Write:
-        return writeMeta_.find(nack.writeTag) != writeMeta_.end();
+        return pendingWrites_.live(nack.writeTag);
       case NackedKind::Rmw:
-        return rmwMeta_.find(nack.opTag) != rmwMeta_.end();
+        return delayedOps_.inFlight(nack.opTag);
       default:
         PLUS_PANIC("unknown nack kind");
     }
@@ -911,30 +841,16 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
 {
     stats_.recoveryAborts += 1;
     switch (nack.kind) {
-      case NackedKind::Read: {
-        auto it = readWaiters_.find(nack.readTag);
-        PLUS_ASSERT(it != readWaiters_.end(),
-                    "lost-page nacked read with no waiter");
-        clearNackRetries(NackedKind::Read, nack.readTag);
-        readMeta_.erase(nack.readTag);
-        auto done = std::move(it->second);
-        readWaiters_.erase(it);
-        done(kPageLostValue);
+      case NackedKind::Read:
+        takeReadWaiter(nack.readTag)(kPageLostValue);
         break;
-      }
       case NackedKind::Write:
-        notePendingAborted(nack.writeTag, /*retried=*/false);
-        retireWrite(nack.writeTag);
+        abortPendingWrite(nack.writeTag, /*retried=*/false);
         break;
-      case NackedKind::Rmw: {
-        auto it = rmwMeta_.find(nack.opTag);
-        if (it != rmwMeta_.end() && it->second.track) {
-            notePendingAborted(it->second.writeTag, /*retried=*/false);
-            retireWrite(it->second.writeTag);
-        }
+      case NackedKind::Rmw:
+        abortPendingWrite(nack.writeTag, /*retried=*/false);
         completeRmw(nack.opTag, kPageLostValue);
         break;
-      }
       default:
         PLUS_PANIC("unknown nack kind");
     }
@@ -947,7 +863,7 @@ CoherenceManager::onNack(std::unique_ptr<Nack> msg)
     // re-translates through the centralized table and the request is
     // retried against the page's current placement.
     PLUS_ASSERT(translate_, "nack received but no translator installed");
-    if (recoveryArmed_ && !nackTargetLive(*msg)) {
+    if (recovered_ && !nackTargetLive(*msg)) {
         // Recovery already aborted the operation; don't let a straggler
         // nack count against the livelock retry budget.
         stats_.staleAcks += 1;
@@ -959,61 +875,37 @@ CoherenceManager::onNack(std::unique_ptr<Nack> msg)
                                                     : msg->opTag);
     enqueue(cost_.cmForward + cost_.osPageFillCycles + backoff,
             [this, m = std::move(msg)] {
-        if (recoveryArmed_) {
-            // Re-check at execution time: a crash recovery may have run
-            // while this retry sat behind the manager's occupancy.
-            if (!nackTargetLive(*m)) {
-                stats_.staleAcks += 1;
-                return;
-            }
-            if (lostVpns_.count(m->vpn) != 0) {
-                // The page's directory entry died with its last copy;
-                // re-translation would fault. Complete degraded instead.
-                completeNackedAsLost(*m);
-                return;
-            }
+        // Re-check at execution time: a crash recovery may have run
+        // while this retry sat behind the manager's occupancy.
+        if (recovered_ && !nackTargetLive(*m)) {
+            stats_.staleAcks += 1;
+            return;
+        }
+        const std::optional<PhysPage> page = translate_(m->vpn);
+        if (!page) {
+            // The page's directory entry died with its last copy.
+            completeNackedAsLost(*m);
+            return;
         }
         stats_.retries += 1;
-        const PhysPage page = translate_(m->vpn);
-        const PhysAddr phys{page, m->wordOffset};
+        const PhysAddr phys{*page, m->wordOffset};
         switch (m->kind) {
-          case NackedKind::Read: {
-            if (page.node == self_) {
-                auto it = readWaiters_.find(m->readTag);
-                PLUS_ASSERT(it != readWaiters_.end(),
-                            "nacked read with unknown tag");
-                clearNackRetries(NackedKind::Read, m->readTag);
-                if (recoveryArmed_) {
-                    readMeta_.erase(m->readTag);
-                }
-                auto done = std::move(it->second);
-                readWaiters_.erase(it);
+          case NackedKind::Read:
+            if (page->node == self_) {
                 protocol_->serveNackedLocalRead(m->vpn, m->wordOffset,
-                                                page.frame,
-                                                std::move(done));
+                                                page->frame,
+                                                takeReadWaiter(m->readTag));
             } else {
-                if (recoveryArmed_) {
-                    auto rit = readMeta_.find(m->readTag);
-                    if (rit != readMeta_.end()) {
-                        rit->second.dst = page.node;
-                    }
-                }
-                auto req = std::make_unique<ReadReq>();
-                req->target = phys;
-                req->vpn = m->vpn;
-                req->originator = self_;
-                req->tag = m->readTag;
-                send(page.node, std::move(req), ReadReq::kBytes);
+                sendRead(m->readTag, phys);
             }
             break;
-          }
           case NackedKind::Write:
             dispatchWrite(m->vpn, m->wordOffset, phys, m->value,
                           m->writeTag);
             break;
           case NackedKind::Rmw:
             dispatchRmw(m->op, m->vpn, m->wordOffset, phys, m->value,
-                        m->opTag, m->writeTag, m->trackWrite);
+                        m->opTag, m->writeTag);
             break;
           default:
             PLUS_PANIC("unknown nack kind");
@@ -1030,13 +922,18 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
                                     const std::vector<Vpn>& affected,
                                     const std::vector<Vpn>& lost)
 {
-    PLUS_ASSERT(recoveryArmed_,
-                "recovery walk without armed bookkeeping");
     RecoveryOutcome out;
-    lostVpns_.insert(lost.begin(), lost.end());
+    recovered_ = true;
 
     const auto isLost = [&lost](Vpn vpn) {
         return std::binary_search(lost.begin(), lost.end(), vpn);
+    };
+    // Ops on pages lost in this epoch complete degraded instead, so a
+    // replay must translate; a page lost earlier is a recovery bug.
+    const auto replayPage = [this](Vpn vpn) {
+        const std::optional<PhysPage> page = translate_(vpn);
+        PLUS_ASSERT(page, "recovery replay of lost page ", vpn);
+        return *page;
     };
     // An in-flight operation is torn by the crash if it was last
     // addressed to the dead node (the request or its response died with
@@ -1047,99 +944,105 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
                std::binary_search(affected.begin(), affected.end(), vpn);
     };
 
-    // Collect first: the replay handlers mutate the maps. std::map keys
-    // iterate in ascending tag order, which is issue order — the same on
-    // every backend.
+    // Collect first: the replay handlers mutate the records. Tags and
+    // handles replay in ascending order — the same on every backend.
 
     std::vector<ReadTag> reads;
-    for (const auto& [tag, meta] : readMeta_) {
-        if (isLost(meta.vpn) || meta.dst == dead) {
+    // pluslint: allow(R1) -- sorted below.
+    for (const auto& [tag, waiter] : readWaiters_) {
+        if (isLost(waiter.vpn) || waiter.dst == dead) {
             reads.push_back(tag);
         }
     }
+    std::sort(reads.begin(), reads.end());
     for (const ReadTag tag : reads) {
-        const ReadMeta meta = readMeta_.at(tag);
-        auto wit = readWaiters_.find(tag);
-        PLUS_ASSERT(wit != readWaiters_.end(),
-                    "recovery found a read with no waiter");
+        const ReadWaiter& waiter = readWaiters_.at(tag);
+        const Vpn vpn = waiter.vpn;
+        const Addr word_offset = waiter.wordOffset;
         clearNackRetries(NackedKind::Read, tag);
-        if (isLost(meta.vpn)) {
-            readMeta_.erase(tag);
-            auto done = std::move(wit->second);
-            readWaiters_.erase(wit);
-            done(kPageLostValue);
+        if (isLost(vpn)) {
+            takeReadWaiter(tag)(kPageLostValue);
             out.lostCompletions += 1;
             continue;
         }
         out.abortedReads += 1;
-        const PhysPage page = translate_(meta.vpn);
+        const PhysPage page = replayPage(vpn);
         if (page.node == self_) {
-            readMeta_.erase(tag);
-            auto done = std::move(wit->second);
-            readWaiters_.erase(wit);
-            done(deps_.memory->read(page.frame, meta.wordOffset));
+            takeReadWaiter(tag)(deps_.memory->read(page.frame, word_offset));
         } else {
-            readMeta_.at(tag).dst = page.node;
-            auto req = std::make_unique<ReadReq>();
-            req->target = PhysAddr{page, meta.wordOffset};
-            req->vpn = meta.vpn;
-            req->originator = self_;
-            req->tag = tag;
-            send(page.node, std::move(req), ReadReq::kBytes);
+            sendRead(tag, PhysAddr{page, word_offset});
         }
     }
 
+    // The pending write of an interlocked op still in flight replays
+    // with the op, in the RMW walk below.
+    const auto ownedByLiveRmw = [this](WriteTag tag) {
+        for (DelayedOpHandle h = 0; h < delayedOps_.capacity(); ++h) {
+            if (delayedOps_.inFlight(h) && delayedOps_.op(h).writeTag == tag) {
+                return true;
+            }
+        }
+        return false;
+    };
     std::vector<WriteTag> writes;
-    for (const auto& [tag, meta] : writeMeta_) {
-        // Tracked interlocked pseudo-writes replay through the RMW walk.
-        if (!meta.fromRmw && (isLost(meta.vpn) || torn(meta.vpn, meta.dst))) {
+    for (const WriteTag tag : pendingWrites_.sortedTags()) {
+        const PendingWrites::Entry& e = pendingWrites_.entry(tag);
+        if ((isLost(e.vpn) || torn(e.vpn, e.dst)) &&
+            !(e.fromRmw && ownedByLiveRmw(tag))) {
             writes.push_back(tag);
         }
     }
     for (const WriteTag tag : writes) {
-        const WriteMeta meta = writeMeta_.at(tag);
-        if (isLost(meta.vpn)) {
-            notePendingAborted(tag, /*retried=*/false);
-            retireWrite(tag);
+        const PendingWrites::Entry e = pendingWrites_.entry(tag);
+        if (e.fromRmw) {
+            // The op completed, so its effect is at the master, and the
+            // repair re-synced every surviving copy from the master:
+            // only the torn chain's acknowledgement is missing.
+            abortPendingWrite(tag, /*retried=*/false);
+            continue;
+        }
+        if (isLost(e.vpn)) {
+            abortPendingWrite(tag, /*retried=*/false);
             out.lostCompletions += 1;
             continue;
         }
-        notePendingAborted(tag, /*retried=*/true);
+        abortPendingWrite(tag, /*retried=*/true);
         out.abortedWrites += 1;
-        const PhysPage page = translate_(meta.vpn);
-        dispatchWrite(meta.vpn, meta.wordOffset,
-                      PhysAddr{page, meta.wordOffset}, meta.value, tag);
+        const PhysPage page = replayPage(e.vpn);
+        dispatchWrite(e.vpn, e.wordOffset, PhysAddr{page, e.wordOffset},
+                      e.value, tag);
     }
 
-    std::vector<OpTag> rmws;
-    for (const auto& [tag, meta] : rmwMeta_) {
-        if (isLost(meta.vpn) || torn(meta.vpn, meta.dst)) {
-            rmws.push_back(tag);
+    std::vector<DelayedOpHandle> rmws;
+    for (DelayedOpHandle h = 0; h < delayedOps_.capacity(); ++h) {
+        if (!delayedOps_.inFlight(h)) {
+            continue;
+        }
+        // writeTag 0: still waiting for a pending-writes entry, so not
+        // dispatched yet — nothing of it can have been torn.
+        const DelayedOpCache::Op& op = delayedOps_.op(h);
+        if (op.writeTag != 0 && (isLost(op.vpn) || torn(op.vpn, op.dst))) {
+            rmws.push_back(h);
         }
     }
-    for (const OpTag tag : rmws) {
-        const RmwMeta meta = rmwMeta_.at(tag);
-        if (isLost(meta.vpn)) {
-            if (meta.track) {
-                notePendingAborted(meta.writeTag, /*retried=*/false);
-                retireWrite(meta.writeTag);
-            }
-            completeRmw(tag, kPageLostValue);
+    for (const DelayedOpHandle h : rmws) {
+        const DelayedOpCache::Op op = delayedOps_.op(h);
+        if (isLost(op.vpn)) {
+            abortPendingWrite(op.writeTag, /*retried=*/false);
+            completeRmw(h, kPageLostValue);
             out.lostCompletions += 1;
             continue;
         }
-        if (meta.track) {
-            notePendingAborted(meta.writeTag, /*retried=*/true);
-        }
+        abortPendingWrite(op.writeTag, /*retried=*/true);
         out.abortedRmws += 1;
         // Re-execution is at-least-once: if the dead master applied the
         // op but its response was lost, the replay applies it again at
         // the promoted master (see docs/ROBUSTNESS.md). Deterministic
         // either way — every backend replays identically.
-        const PhysPage page = translate_(meta.vpn);
-        dispatchRmw(meta.op, meta.vpn, meta.wordOffset,
-                    PhysAddr{page, meta.wordOffset}, meta.operand, tag,
-                    meta.writeTag, meta.track);
+        const PhysPage page = replayPage(op.vpn);
+        dispatchRmw(op.kind, op.vpn, op.wordOffset,
+                    PhysAddr{page, op.wordOffset}, op.operand, h,
+                    op.writeTag);
     }
 
     stats_.recoveryAborts += out.abortedReads + out.abortedWrites +

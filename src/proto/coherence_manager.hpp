@@ -12,7 +12,7 @@
  *
  * The manager owns the protocol-independent plumbing: occupancy,
  * message dispatch, the pending-writes cache and fences, nack/retry,
- * page-copy framing, recovery metadata and statistics. What a write
+ * page-copy framing, the crash-recovery walk and statistics. What a write
  * does at the master, what a chain stop does at a copy, and how reads
  * are served is the installed proto::Protocol strategy's business
  * (protocol.hpp) — PLUS's write-update protocol by default.
@@ -32,10 +32,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/event.hpp"
@@ -157,11 +156,12 @@ class CoherenceManager
     // --- OS hooks ---------------------------------------------------------
 
     /**
-     * Translation service used to retry nacked requests: maps a virtual
-     * page to the node's current physical copy (performing a lazy
-     * page-table fill if needed).
+     * Translation service used to retry nacked and crash-torn requests:
+     * maps a virtual page to the node's current physical copy
+     * (performing a lazy page-table fill if needed), or to nullopt once
+     * the page lost its last copy to a crash.
      */
-    using Translator = std::function<PhysPage(Vpn)>;
+    using Translator = std::function<std::optional<PhysPage>(Vpn)>;
     void setTranslator(Translator t) { translate_ = std::move(t); }
 
     /**
@@ -188,17 +188,6 @@ class CoherenceManager
     {
         events_ = events;
         pendingWrites_.setEventStream(events, self_);
-    }
-
-    /**
-     * Provide the event-trace renderer appended to the panic raised
-     * when a request exhausts CostModel::nackRetryLimit; wired by
-     * core::Machine.
-     */
-    void
-    setTraceDumper(std::function<std::string()> dumper)
-    {
-        traceDumper_ = std::move(dumper);
     }
 
     // --- processor-side interface ------------------------------------------
@@ -289,17 +278,6 @@ class CoherenceManager
 
     // --- crash recovery ------------------------------------------------------
 
-    /**
-     * Arm recovery bookkeeping. While armed the manager records, for
-     * every in-flight read, write and interlocked operation, enough
-     * metadata (address, value, last destination) to abort and replay
-     * it after a fail-stop crash — and tolerates the stale
-     * acknowledgements such a replay can race against. Costs three map
-     * updates per remote operation; fault-free configurations leave it
-     * off and pay nothing.
-     */
-    void setRecoveryArmed(bool armed) { recoveryArmed_ = armed; }
-
     /** What recoverAfterCrash did at this manager, for recovery.* metrics. */
     struct RecoveryOutcome {
         unsigned abortedReads = 0;
@@ -310,15 +288,16 @@ class CoherenceManager
     };
 
     /**
-     * Machine-lane entry point run by proto::RecoveryManager once
-     * @p dead is detected down and the directory is repaired: abort
-     * every in-flight operation that was addressed to the dead node or
-     * rides a page whose copy-list contained it (@p affected, sorted
-     * ascending), replay those against the repaired placement under
-     * their original tags, and complete operations on @p lost pages
-     * (sorted ascending) with the PageLost sentinel. Idempotent per
-     * crash: aborted tags leave the metadata maps, so a second walk
-     * finds nothing to do.
+     * Machine-lane entry point run by core::RecoveryManager once @p dead
+     * is detected down and the directory is repaired. Walks the records
+     * the manager already keeps for each in-flight operation (read
+     * waiters, pending writes, delayed-op slots): aborts every one that
+     * was last addressed to the dead node or rides a page whose
+     * copy-list contained it (@p affected, sorted ascending), replays
+     * those against the repaired placement under their original tags,
+     * and completes operations on @p lost pages (sorted ascending) with
+     * the PageLost sentinel. From the first walk on, responses to
+     * operations no longer in flight are counted stale and dropped.
      */
     RecoveryOutcome recoverAfterCrash(NodeId dead,
                                       const std::vector<Vpn>& affected,
@@ -363,15 +342,15 @@ class CoherenceManager
      */
     void continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
                        std::vector<WordWrite> writes, NodeId originator,
-                       WriteTag tag, bool from_rmw, bool need_ack,
-                       bool invalidate);
+                       WriteTag tag, bool from_rmw, bool invalidate);
     void retireWrite(WriteTag tag);
 
     /**
-     * Report that crash recovery aborted pending write @p tag: re-sent
-     * under the same tag when @p retried, force-retired otherwise.
+     * Crash recovery aborted pending write @p tag: report it, then
+     * retire it unless the caller re-sends it under the same tag
+     * (@p retried).
      */
-    void notePendingAborted(WriteTag tag, bool retried);
+    void abortPendingWrite(WriteTag tag, bool retried);
 
     /** Chain identity for a write this master starts propagating. */
     check::ChainId
@@ -385,11 +364,10 @@ class CoherenceManager
                          PhysAddr phys, Word operand,
                          std::function<void(DelayedOpHandle)> issued);
     void dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys,
-                     Word operand, DelayedOpHandle handle, WriteTag tag,
-                     bool track);
+                     Word operand, DelayedOpHandle handle, WriteTag tag);
     void rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame, Addr word_offset,
                      Word operand, NodeId originator, OpTag op_tag,
-                     WriteTag write_tag, bool track);
+                     WriteTag write_tag);
     void completeRmw(OpTag tag, Word old_value);
 
     // Message handlers. Handlers that defer work behind the manager's
@@ -403,7 +381,7 @@ class CoherenceManager
     void onRmwReq(std::unique_ptr<RmwReq> msg);
     void onRmwResp(const RmwResp& msg);
     void onNack(std::unique_ptr<Nack> msg);
-    /** True if the nacked operation is still in flight (recovery armed). */
+    /** True if the nacked operation is still in flight. */
     bool nackTargetLive(const Nack& nack) const;
     /** Complete a nacked operation on a lost page with the sentinel. */
     void completeNackedAsLost(const Nack& nack);
@@ -429,9 +407,27 @@ class CoherenceManager
      */
     void gateBehindFence(std::function<void()> fn);
 
-    /** Blocked remote-read continuations, by tag. */
-    std::unordered_map<ReadTag, std::function<void(Word)>> readWaiters_;
+    /** An outstanding remote read: ReadReq sent, response pending. */
+    struct ReadWaiter {
+        Vpn vpn = 0;
+        Addr wordOffset = 0;
+        /** Node the request was last sent to. */
+        NodeId dst = kInvalidNode;
+        std::function<void(Word)> done;
+    };
+
+    /** Blocked remote reads, by tag. */
+    std::unordered_map<ReadTag, ReadWaiter> readWaiters_;
     ReadTag nextReadTag_ = 1;
+
+    /**
+     * (Re-)send the ReadReq of waiting read @p tag to @p phys; @p refetch
+     * marks a write-invalidate re-fetch (ReadReq::refetch).
+     */
+    void sendRead(ReadTag tag, PhysAddr phys, bool refetch = false);
+
+    /** Retire waiting read @p tag; returns its continuation. */
+    std::function<void(Word)> takeReadWaiter(ReadTag tag);
 
     /**
      * Write-fence state: each procWriteFence() opens a group; writes
@@ -478,64 +474,15 @@ class CoherenceManager
     SnoopHook snoop_;
     PageCopyDoneHandler pageCopyDone_;
     check::EventStream* events_ = nullptr;
-    std::function<std::string()> traceDumper_;
     std::unordered_map<std::uint64_t, unsigned> nackRetries_;
     std::uint32_t chainCounter_ = 0;
 
-    // --- recovery metadata (populated only while recoveryArmed_) ----------
-    //
-    // One entry per in-flight operation, keyed by its tag and erased at
-    // the operation's single completion point. recoverAfterCrash walks
-    // these to find what to abort; the response handlers use presence
-    // as the retire-once arbiter when an original response races a
-    // replayed one. std::map, not unordered_map: the recovery walk
-    // iterates, and its replay order must be the same on every backend.
-
-    /** An outstanding remote read (ReadReq sent, response pending). */
-    struct ReadMeta {
-        Vpn vpn = 0;
-        Addr wordOffset = 0;
-        /** Node the request was last sent to. */
-        NodeId dst = kInvalidNode;
-    };
-
-    /** An occupied pending-writes entry (plain write or tracked RMW). */
-    struct WriteMeta {
-        Vpn vpn = 0;
-        Addr wordOffset = 0;
-        Word value = 0;
-        /** Master the write was last dispatched to (self_ if local). */
-        NodeId dst = kInvalidNode;
-        /**
-         * Entry belongs to a tracked interlocked op: the RMW path owns
-         * its replay, so the write walk must skip it.
-         */
-        bool fromRmw = false;
-    };
-
-    /** An outstanding delayed interlocked operation. */
-    struct RmwMeta {
-        RmwOp op = RmwOp::Xchng;
-        Vpn vpn = 0;
-        Addr wordOffset = 0;
-        Word operand = 0;
-        /** Master the request was last dispatched to (self_ if local). */
-        NodeId dst = kInvalidNode;
-        /** Paired pending-writes tag when tracked. */
-        WriteTag writeTag = 0;
-        bool track = false;
-    };
-
-    bool recoveryArmed_ = false;
-    std::map<ReadTag, ReadMeta> readMeta_;
-    std::map<WriteTag, WriteMeta> writeMeta_;
-    std::map<OpTag, RmwMeta> rmwMeta_;
     /**
-     * Pages recovery declared lost (every copy died). Nacked retries
-     * against these complete with kPageLostValue instead of
-     * re-translating: the directory entry no longer exists.
+     * Set by the first recovery walk. Before it every response must
+     * match a live operation (a mismatch is a protocol bug); after it a
+     * replay can race the original response, so mismatches are stale.
      */
-    std::unordered_set<Vpn> lostVpns_;
+    bool recovered_ = false;
 
     CmStats stats_;
 };

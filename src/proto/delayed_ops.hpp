@@ -48,18 +48,33 @@ class DelayedOpCache
     bool full() const { return used_ >= capacity(); }
 
     /**
+     * One issued operation: what a crash-recovery walk needs to abort
+     * and replay it while its slot is in flight.
+     */
+    struct Op {
+        RmwOp kind = RmwOp::Xchng;
+        Vpn vpn = 0;
+        Addr wordOffset = 0;
+        Word operand = 0;
+        /** Node the request was last dispatched to (the issuer if local). */
+        NodeId dst = kInvalidNode;
+        /** The pending write tracking the op's update chain (0 = none yet). */
+        std::uint32_t writeTag = 0;
+    };
+
+    /**
      * Allocate a slot for an operation being issued.
      * @pre !full()
      */
     DelayedOpHandle
-    allocate(RmwOp op)
+    allocate(RmwOp kind, Vpn vpn = 0, Addr word_offset = 0, Word operand = 0)
     {
         PLUS_ASSERT(!full(), "delayed-op cache overflow");
         for (DelayedOpHandle h = 0; h < capacity(); ++h) {
             if (slots_[h].state == State::Free) {
                 slots_[h] = Slot{};
                 slots_[h].state = State::InFlight;
-                slots_[h].op = op;
+                slots_[h].op = Op{kind, vpn, word_offset, operand};
                 ++used_;
                 maxUsed_ = std::max(maxUsed_, used_);
                 return h;
@@ -82,6 +97,22 @@ class DelayedOpCache
             slot.waiter = nullptr;
             fn(result);
         }
+    }
+
+    /** True while @p handle's result has not arrived. */
+    bool
+    inFlight(DelayedOpHandle handle) const
+    {
+        return at(handle).state == State::InFlight;
+    }
+
+    /** The issue record of the operation in slot @p handle. */
+    Op&
+    op(DelayedOpHandle handle)
+    {
+        Slot& slot = at(handle);
+        PLUS_ASSERT(slot.state != State::Free, "record of a free slot");
+        return slot.op;
     }
 
     /** Non-blocking status poll (the paper's software status inspect). */
@@ -144,7 +175,7 @@ class DelayedOpCache
 
     struct Slot {
         State state = State::Free;
-        RmwOp op = RmwOp::Xchng;
+        Op op;
         Word result = 0;
         ResultWaiter waiter;
     };

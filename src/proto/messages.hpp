@@ -139,8 +139,6 @@ struct UpdateReq : ProtoMsg {
     /** Chain identity assigned by the master (see check::ChainId). */
     std::uint64_t chainId = 0;
     bool fromRmw = false;
-    /** Whether the tail of the chain must acknowledge the originator. */
-    bool needAck = true;
     /**
      * Write-invalidate only: the chain invalidates the named words at
      * each copy instead of applying the carried values (which only the
@@ -194,9 +192,8 @@ struct RmwReq : ProtoMsg {
     Word operand = 0;
     NodeId originator = kInvalidNode;
     OpTag opTag = 0;
-    /** Pending-write tag when RMW chains are fence-tracked. */
+    /** The originator's pending write tracking the op's update chain. */
     WriteTag writeTag = 0;
-    bool trackWrite = false;
     static constexpr unsigned kBytes = 20;
 };
 
@@ -233,7 +230,6 @@ struct Nack : ProtoMsg {
     OpTag opTag = 0;
     Word value = 0;   ///< write value / rmw operand
     RmwOp op = RmwOp::Xchng;
-    bool trackWrite = false;
     static constexpr unsigned kBytes = 16;
 };
 

@@ -11,6 +11,7 @@
 #ifndef PLUS_PROTO_PENDING_WRITES_HPP_
 #define PLUS_PROTO_PENDING_WRITES_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -50,16 +51,33 @@ class PendingWrites
     bool empty() const { return map_.empty(); }
 
     /**
-     * Record a new in-flight write to (vpn, word offset).
+     * One in-flight write: its address plus what a crash-recovery walk
+     * needs to abort and replay it.
+     */
+    struct Entry {
+        Vpn vpn = 0;
+        Addr wordOffset = 0;
+        /** The written value (an interlocked op's operand). */
+        Word value = 0;
+        /** Node the write was last dispatched to (the issuer if local). */
+        NodeId dst = kInvalidNode;
+        /** Tracks an interlocked op's update chain, not a plain write. */
+        bool fromRmw = false;
+    };
+
+    /**
+     * Record a new in-flight write of @p value to (vpn, word offset);
+     * @p from_rmw marks the entry of an interlocked op's update chain.
      * @pre !full()
      * @return the tag the eventual acknowledgement must carry.
      */
     Tag
-    insert(Vpn vpn, Addr word_offset)
+    insert(Vpn vpn, Addr word_offset, Word value = 0, bool from_rmw = false)
     {
         PLUS_ASSERT(!full(), "pending-writes cache overflow");
         const Tag tag = nextTag_++;
-        map_.emplace(tag, Key{vpn, word_offset});
+        map_.emplace(tag, Entry{vpn, word_offset, value, kInvalidNode,
+                                from_rmw});
         if (events_) {
             events_->emit({.kind = check::EventKind::PendingInsert,
                            .node = self_,
@@ -87,15 +105,42 @@ class PendingWrites
         wake();
     }
 
+    /** True while the write with @p tag is in flight. */
+    bool live(Tag tag) const { return map_.find(tag) != map_.end(); }
+
+    /** The in-flight write with @p tag. */
+    Entry&
+    entry(Tag tag)
+    {
+        auto it = map_.find(tag);
+        PLUS_ASSERT(it != map_.end(), "no in-flight write with tag ", tag);
+        return it->second;
+    }
+
+    /** Tags of every in-flight write, ascending (= issue order). */
+    std::vector<Tag>
+    sortedTags() const
+    {
+        std::vector<Tag> tags;
+        tags.reserve(map_.size());
+        // pluslint: allow(R1) -- sorted below.
+        for (const auto& [tag, e] : map_) {
+            (void)e;
+            tags.push_back(tag);
+        }
+        std::sort(tags.begin(), tags.end());
+        return tags;
+    }
+
     /** True if any in-flight write targets (vpn, word offset). */
     bool
     pendingOn(Vpn vpn, Addr word_offset) const
     {
         // pluslint: allow(R1) -- pure existence scan; every order gives
         // the same answer.
-        for (const auto& [tag, key] : map_) {
+        for (const auto& [tag, e] : map_) {
             (void)tag;
-            if (key.vpn == vpn && key.wordOffset == word_offset) {
+            if (e.vpn == vpn && e.wordOffset == word_offset) {
                 return true;
             }
         }
@@ -200,7 +245,7 @@ class PendingWrites
     check::EventStream* events_ = nullptr;
     NodeId self_ = kInvalidNode;
     Tag nextTag_ = 1;
-    std::unordered_map<Tag, Key> map_;
+    std::unordered_map<Tag, Entry> map_;
     std::vector<Waiter> emptyWaiters_;
     std::vector<Waiter> slotWaiters_;
     std::vector<AddrWaiter> addrWaiters_;

@@ -21,7 +21,7 @@ Protocol::noteChainStop(const UpdateReq& msg)
     if (cm_.events_) {
         cm_.events_->emit(
             {.kind = check::EventKind::ChainApplied,
-             .cls = check::chainFlags(/*at_master=*/false, msg.needAck),
+             .cls = check::kChainTracked,
              .node = msg.target.node,
              .peer = msg.originator,
              .bytes = static_cast<std::uint32_t>(msg.writes.size()),

@@ -73,13 +73,13 @@ class Protocol
     /**
      * An interlocked operation executed at the master (its writes are
      * already applied there and the old value answered); propagate the
-     * effects. @p track mirrors UpdateReq::needAck: the originator holds
-     * a pending-writes entry awaiting the chain.
+     * effects. The originator's pending write @p write_tag awaits the
+     * chain's acknowledgement.
      */
     virtual void propagateRmwEffects(Vpn vpn, FrameId frame,
                                      std::vector<WordWrite> writes,
-                                     NodeId originator, WriteTag write_tag,
-                                     bool track) = 0;
+                                     NodeId originator,
+                                     WriteTag write_tag) = 0;
 
     /**
      * A chain stopped at this node's (non-master) copy: apply or

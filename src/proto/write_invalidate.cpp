@@ -74,13 +74,13 @@ void
 WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
                                      std::vector<WordWrite> writes,
                                      NodeId originator, WriteTag tag,
-                                     bool from_rmw, bool need_ack)
+                                     bool from_rmw)
 {
     const check::ChainId chain = cm_.nextChainId();
     if (cm_.events_) {
         cm_.events_->emit(
             {.kind = check::EventKind::ChainApplied,
-             .cls = check::chainFlags(/*at_master=*/true, need_ack),
+             .cls = check::kChainAtMaster | check::kChainTracked,
              .node = cm_.self_,
              .peer = originator,
              .bytes = static_cast<std::uint32_t>(writes.size()),
@@ -102,11 +102,10 @@ WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
         pc.originator = originator;
         pc.tag = tag;
         pc.fromRmw = from_rmw;
-        pc.needAck = need_ack;
         pendingChains_.emplace(chain, std::move(pc));
     }
     cm_.continueChain(vpn, chain, frame, std::move(writes), originator, tag,
-                      from_rmw, need_ack, /*invalidate=*/true);
+                      from_rmw, /*invalidate=*/true);
 }
 
 void
@@ -125,27 +124,25 @@ WriteInvalidateProtocol::writeAtMaster(Vpn vpn, FrameId frame,
         return;
     }
     launchChain(vpn, frame, std::move(writes), originator, tag,
-                /*from_rmw=*/false, /*need_ack=*/true);
+                /*from_rmw=*/false);
 }
 
 void
 WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                              std::vector<WordWrite> writes,
                                              NodeId originator,
-                                             WriteTag write_tag, bool track)
+                                             WriteTag write_tag)
 {
     if (!writes.empty()) {
         noteWriter(vpn, frame, originator);
         if (cm_.deps_.tables->nextCopy(frame) &&
             allInvalidEverywhere(frame, writes)) {
-            if (track) {
-                ackOriginator(originator, write_tag, /*from_rmw=*/true);
-            }
+            ackOriginator(originator, write_tag, /*from_rmw=*/true);
             return;
         }
         launchChain(vpn, frame, std::move(writes), originator, write_tag,
-                    /*from_rmw=*/true, /*need_ack=*/track);
-    } else if (track) {
+                    /*from_rmw=*/true);
+    } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         ackOriginator(originator, write_tag, /*from_rmw=*/true);
     }
@@ -171,7 +168,7 @@ WriteInvalidateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
     invGen_[frame] += 1;
     noteChainStop(*msg);
     cm_.continueChain(msg->vpn, msg->chainId, frame, std::move(msg->writes),
-                      msg->originator, msg->tag, msg->fromRmw, msg->needAck,
+                      msg->originator, msg->tag, msg->fromRmw,
                       /*invalidate=*/true);
 }
 
@@ -194,9 +191,7 @@ WriteInvalidateProtocol::chainAckAtMaster(std::uint64_t chain_id)
             committed.insert(off);
         }
     }
-    if (pc.needAck) {
-        ackOriginator(pc.originator, pc.tag, pc.fromRmw);
-    }
+    ackOriginator(pc.originator, pc.tag, pc.fromRmw);
 }
 
 void
@@ -258,38 +253,34 @@ WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
     }
     const ReadTag tag = cm_.nextReadTag_++;
     const std::uint64_t gen = invGen_[frame];
-    cm_.readWaiters_.emplace(
-        tag, [this, vpn, word_offset, frame, gen,
-              done = std::move(done)](Word value) mutable {
-            // Revalidate the copy's word only if nothing invalidated the
-            // copy (or recycled the frame) while the re-fetch was in
-            // flight; the value handed to the reader is correct as of
-            // the master's serialization either way.
-            const auto git = invGen_.find(frame);
-            if (git != invGen_.end() && git->second == gen &&
-                cm_.deps_.memory->allocated(frame)) {
-                cm_.applyLocal(frame, word_offset, value);
-                const auto iit = invalidHere_.find(frame);
-                if (iit != invalidHere_.end()) {
-                    iit->second.erase(word_offset);
-                }
-                if (cm_.events_) {
-                    cm_.events_->emit(
-                        {.kind = check::EventKind::WordRevalidated,
-                         .node = cm_.self_,
-                         .vpn = vpn,
-                         .word = word_offset});
-                }
+    auto revalidate = [this, vpn, word_offset, frame, gen,
+                       done = std::move(done)](Word value) mutable {
+        // Revalidate the copy's word only if nothing invalidated the
+        // copy (or recycled the frame) while the re-fetch was in
+        // flight; the value handed to the reader is correct as of
+        // the master's serialization either way.
+        const auto git = invGen_.find(frame);
+        if (git != invGen_.end() && git->second == gen &&
+            cm_.deps_.memory->allocated(frame)) {
+            cm_.applyLocal(frame, word_offset, value);
+            const auto iit = invalidHere_.find(frame);
+            if (iit != invalidHere_.end()) {
+                iit->second.erase(word_offset);
             }
-            done(value);
-        });
-    auto msg = std::make_unique<ReadReq>();
-    msg->target = PhysAddr{master, word_offset};
-    msg->vpn = vpn;
-    msg->originator = cm_.self_;
-    msg->tag = tag;
-    msg->refetch = true;
-    cm_.send(master.node, std::move(msg), ReadReq::kBytes);
+            if (cm_.events_) {
+                cm_.events_->emit(
+                    {.kind = check::EventKind::WordRevalidated,
+                     .node = cm_.self_,
+                     .vpn = vpn,
+                     .word = word_offset});
+            }
+        }
+        done(value);
+    };
+    cm_.readWaiters_.emplace(
+        tag, CoherenceManager::ReadWaiter{vpn, word_offset, kInvalidNode,
+                                          std::move(revalidate)});
+    cm_.sendRead(tag, PhysAddr{master, word_offset}, /*refetch=*/true);
 }
 
 void

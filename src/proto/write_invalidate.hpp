@@ -64,8 +64,8 @@ class WriteInvalidateProtocol final : public Protocol
                        NodeId originator, WriteTag tag) override;
     void propagateRmwEffects(Vpn vpn, FrameId frame,
                              std::vector<WordWrite> writes,
-                             NodeId originator, WriteTag write_tag,
-                             bool track) override;
+                             NodeId originator,
+                             WriteTag write_tag) override;
     void chainStop(std::unique_ptr<UpdateReq> msg) override;
     void chainAckAtMaster(std::uint64_t chain_id) override;
     void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
@@ -97,7 +97,6 @@ class WriteInvalidateProtocol final : public Protocol
         NodeId originator = kInvalidNode;
         WriteTag tag = 0;
         bool fromRmw = false;
-        bool needAck = false;
     };
 
     /** True if every word in @p writes is committed invalid-everywhere. */
@@ -112,8 +111,7 @@ class WriteInvalidateProtocol final : public Protocol
 
     /** Launch an invalidation chain for applied master writes. */
     void launchChain(Vpn vpn, FrameId frame, std::vector<WordWrite> writes,
-                     NodeId originator, WriteTag tag, bool from_rmw,
-                     bool need_ack);
+                     NodeId originator, WriteTag tag, bool from_rmw);
 
     /** Re-fetch one invalidated word of a local copy from the master. */
     void refetchWord(Vpn vpn, Addr word_offset, FrameId frame,

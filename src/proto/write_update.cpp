@@ -27,21 +27,21 @@ WriteUpdateProtocol::writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset,
     }
     cm_.continueChain(vpn, chain, frame, {WordWrite{word_offset, value}},
                       originator, tag, /*from_rmw=*/false,
-                      /*need_ack=*/true, /*invalidate=*/false);
+                      /*invalidate=*/false);
 }
 
 void
 WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                          std::vector<WordWrite> writes,
                                          NodeId originator,
-                                         WriteTag write_tag, bool track)
+                                         WriteTag write_tag)
 {
     if (!writes.empty()) {
         const check::ChainId chain = cm_.nextChainId();
         if (cm_.events_) {
             cm_.events_->emit(
                 {.kind = check::EventKind::ChainApplied,
-                 .cls = check::chainFlags(/*at_master=*/true, track),
+                 .cls = check::kChainAtMaster | check::kChainTracked,
                  .node = cm_.self_,
                  .peer = originator,
                  .bytes = static_cast<std::uint32_t>(writes.size()),
@@ -51,9 +51,8 @@ WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                  .b = check::packFrameTag(frame, write_tag)});
         }
         cm_.continueChain(vpn, chain, frame, std::move(writes), originator,
-                          write_tag, /*from_rmw=*/true, /*need_ack=*/track,
-                          /*invalidate=*/false);
-    } else if (track) {
+                          write_tag, /*from_rmw=*/true, /*invalidate=*/false);
+    } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         if (originator == cm_.self_) {
             cm_.retireWrite(write_tag);
@@ -76,7 +75,7 @@ WriteUpdateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
     noteChainStop(*msg);
     cm_.continueChain(msg->vpn, msg->chainId, frame,
                       std::move(msg->writes), msg->originator, msg->tag,
-                      msg->fromRmw, msg->needAck, /*invalidate=*/false);
+                      msg->fromRmw, /*invalidate=*/false);
 }
 
 void

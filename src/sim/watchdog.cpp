@@ -5,10 +5,8 @@
 namespace plus {
 namespace sim {
 
-Watchdog::Watchdog(Engine& engine, Cycles window, ProgressFn progress,
-                   DumpFn dump)
-    : engine_(engine), window_(window), progress_(std::move(progress)),
-      dump_(std::move(dump))
+Watchdog::Watchdog(Engine& engine, Cycles window, ProgressFn progress)
+    : engine_(engine), window_(window), progress_(std::move(progress))
 {
     PLUS_ASSERT(window_ > 0, "watchdog window must be positive");
     PLUS_ASSERT(progress_, "watchdog needs a progress counter");
@@ -59,8 +57,7 @@ Watchdog::check()
         stallWindows_ += 1;
         PLUS_PANIC("watchdog: no forward progress in ", window_,
                    " cycles (now ", engine_.now(), ", ",
-                   engine_.pendingEvents(), " events pending)",
-                   dump_ ? dump_() : std::string());
+                   engine_.pendingEvents(), " events pending)");
     }
     lastProgress_ = current;
     if (engine_.pendingEvents() == 0) {

@@ -9,8 +9,8 @@
  * delivered + processor operations retired), it checks once per window
  * that the counter moved. A full window with no progress while other
  * events are still pending means livelock or deadlock — the watchdog
- * panics with a caller-supplied dump (recent telemetry, the checker's
- * event trace, engine state).
+ * panics, and the panic decorator appends the running machine's
+ * dossier (engine state, network counters, recent telemetry).
  *
  * Disarmed (the default and the state after stop()), the watchdog
  * schedules nothing at all, so it cannot perturb event order or
@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/types.hpp"
 #include "sim/engine.hpp"
@@ -42,11 +41,7 @@ class Watchdog
     /** Monotone counter of useful work (any unit; only deltas matter). */
     using ProgressFn = std::function<std::uint64_t()>;
 
-    /** Renders the diagnostic appended to the panic message. */
-    using DumpFn = std::function<std::string()>;
-
-    Watchdog(Engine& engine, Cycles window, ProgressFn progress,
-             DumpFn dump);
+    Watchdog(Engine& engine, Cycles window, ProgressFn progress);
 
     Watchdog(const Watchdog&) = delete;
     Watchdog& operator=(const Watchdog&) = delete;
@@ -81,7 +76,6 @@ class Watchdog
     Engine& engine_;
     Cycles window_;
     ProgressFn progress_;
-    DumpFn dump_;
     EventId pending_ = kInvalidEvent;
     bool stopRequested_ = false;
     std::uint64_t lastProgress_ = 0;

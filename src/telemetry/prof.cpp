@@ -67,11 +67,13 @@ void
 enable(bool on)
 {
     detail::g_prof.enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-    if (on) {
+    if (on && panicDecorator() == nullptr) {
         // Any panic from here on carries the flight recorder: the
         // watchdog's stall report and protocol invariant failures all
-        // say what each thread was last doing on the host.
-        setPanicDecorator([] { return flightRecorderDump(); });
+        // say what each thread was last doing on the host. A machine's
+        // panic dossier appends it too, so one installed already stays.
+        setPanicDecorator(
+            [](std::string_view) { return flightRecorderDump(); });
     }
 }
 

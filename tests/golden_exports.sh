@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 check of the committed goldens: the 4-node Perfetto and stats
 # JSON of both protocols against golden/trace_harness_4.sha256, the
-# default sim_harness output, and one full paper_results sweep against
-# the 12 golden/<experiment>.txt files joined in declared order.
+# default sim_harness output, one full paper_results sweep against the
+# 12 golden/<experiment>.txt files joined in declared order, and the
+# fault and crash-recovery sweep against golden/chaos_sweep_8.txt.
 #
 # Usage: golden_exports.sh <sim_harness> <paper_results> <golden dir>
+#                          <chaos_sweep>
 
 set -euo pipefail
 
 harness="$1"
 papers="$2"
 golden="$(cd "$3" && pwd)"
+chaos="$4"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
@@ -32,4 +35,7 @@ for name in table_2_1 figure_2_1 table_3_1 figure_3_1 table_3_2_lock \
 done > "$out/expected.txt"
 "$papers" > "$out/papers.txt"
 diff "$out/expected.txt" "$out/papers.txt"
+
+"$chaos" --nodes=8 --seeds=2 --kill-node=7@2000 > "$out/chaos.txt"
+diff "$golden/chaos_sweep_8.txt" "$out/chaos.txt"
 echo "exports match golden/"

@@ -139,7 +139,6 @@ TEST(CheckSeeded, UpdateBypassingMasterIsDetected)
     msg->originator = 0;
     msg->tag = 7;
     msg->chainId = 12345; // never assigned by any master
-    msg->needAck = false;
     const unsigned bytes = msg->bytes();
 
     net::Packet packet;
@@ -174,7 +173,19 @@ TEST(CheckSeeded, CopyListSkipIsDetected)
         ctx.write(base + 4 * 5, 99);
         ctx.fence();
     });
-    EXPECT_THROW(m.run(), PanicError);
+    try {
+        m.run();
+        FAIL() << "expected a checker violation";
+    } catch (const PanicError& err) {
+        // The violation carries its history; the machine's dossier adds
+        // the rest without rendering that history a second time.
+        const std::string what = err.what();
+        const std::size_t history = what.find(" events:\n");
+        EXPECT_NE(what.find("machine diagnostics"), std::string::npos)
+            << what;
+        EXPECT_NE(history, std::string::npos) << what;
+        EXPECT_EQ(history, what.rfind(" events:\n")) << what;
+    }
 }
 
 // --------------------------------------------------------------------------

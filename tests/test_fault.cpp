@@ -232,7 +232,14 @@ TEST_P(ReliableLink, RetransmitBudgetExhaustionPanicsWithDiagnostics)
     FaultConfig fault;
     fault.maxRetransmits = 2;
     Harness h(GetParam(), fault);
-    h.network->setTraceDumper([] { return std::string("\nTRACE-MARK"); });
+    // Restores the process-wide decorator however the test exits.
+    struct DecoratorGuard
+    {
+        PanicDecorator previous = panicDecorator();
+        ~DecoratorGuard() { setPanicDecorator(previous); }
+    } const guard;
+    setPanicDecorator(
+        [](std::string_view) { return std::string("\nTRACE-MARK"); });
     h.injector().setLinkAlive(0, 1, false);
     h.network->send(makePacket(0, 1, 1));
     try {
@@ -240,8 +247,8 @@ TEST_P(ReliableLink, RetransmitBudgetExhaustionPanicsWithDiagnostics)
         FAIL() << "expected a PanicError";
     } catch (const PanicError& e) {
         // The diagnosis must name the channel, the frame, the exhausted
-        // budget and the suspected cause, and carry the trace dump —
-        // it is the only artifact a hung chaos run leaves behind.
+        // budget and the suspected cause, and carry the panic decorator's
+        // dump — it is the only artifact a hung chaos run leaves behind.
         const std::string what = e.what();
         EXPECT_NE(what.find("reliable link 0 -> 1"), std::string::npos)
             << what;
@@ -340,6 +347,10 @@ TEST(Watchdog, PermanentPartitionTripsTheWatchdog)
             const std::string what = e.what();
             EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
             EXPECT_NE(what.find("machine diagnostics"), std::string::npos)
+                << what;
+            // Telemetry is off: the checker history is the only event
+            // trail a stall report carries.
+            EXPECT_NE(what.find("checker history"), std::string::npos)
                 << what;
         }
         ASSERT_NE(m.watchdog(), nullptr);

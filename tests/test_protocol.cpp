@@ -318,7 +318,6 @@ TEST(ProtocolChecker, InjectedChainAtSharerPanicsUnderInvalidate)
     msg->originator = 0;
     msg->tag = 7;
     msg->chainId = 12345; // never assigned by any master
-    msg->needAck = false;
     msg->invalidate = true;
     const unsigned bytes = msg->bytes();
 

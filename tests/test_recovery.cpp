@@ -23,6 +23,7 @@
 #include "common/panic.hpp"
 #include "core/context.hpp"
 #include "core/machine.hpp"
+#include "core/recovery.hpp"
 #include "mem/copy_list.hpp"
 #include "mem/local_memory.hpp"
 #include "net/fault_injector.hpp"
@@ -30,8 +31,8 @@
 #include "net/reliable_link.hpp"
 #include "node/node.hpp"
 #include "node/processor.hpp"
-#include "proto/recovery_manager.hpp"
 #include "sim/watchdog.hpp"
+#include "telemetry/prof.hpp"
 
 namespace plus {
 namespace core {
@@ -75,7 +76,7 @@ struct Outcome {
     Addr shared = 0;
     std::vector<Word> image;
     Word soloSeen = 0;
-    proto::RecoveryStats rec;
+    RecoveryStats rec;
     std::uint64_t executed = 0;
 };
 
@@ -265,6 +266,91 @@ TEST(Recovery, PostRecoveryImageIsByteIdenticalAcrossBackends)
             << label;
     };
     expectIdentical(runOn(SimEngine::Heap), "heap");
+}
+
+TEST(Recovery, CompletedRmwWithTornChainDoesNotLeakItsPendingWrite)
+{
+    // A fetch-and-add's result reaches its issuer, then the crash cuts
+    // the update chain toward the replica: the op's slot is already
+    // free, but its pending write still waits for the chain's ack. The
+    // recovery walk must retire that entry (its effect is at the
+    // master), or the issuer's next fence waits forever.
+    for (const Cycles crash :
+         {1000, 1500, 2000, 2500, 3500, 4000, 5000, 6000}) {
+        MachineConfig cfg = recoveryConfig();
+        cfg.network.fault.script = {
+            {crash, FaultScriptEntry::Kind::CrashNode, kDoomed}};
+        Machine m(cfg);
+        const Addr p = m.alloc(kPageBytes, 0);
+        m.replicate(p, kDoomed);
+        m.settle();
+        m.spawn(1, [p](Context& ctx) {
+            for (int i = 0; i < 200; ++i) {
+                ctx.fadd(p, 1);
+                ctx.fence();
+                ctx.compute(20);
+            }
+        });
+        try {
+            m.run();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "crash at cycle " << crash << ": " << e.what();
+            continue;
+        }
+        EXPECT_EQ(m.peek(p), 200u) << "crash at cycle " << crash;
+        EXPECT_EQ(m.recovery()->stats().nodeRecoveries, 1u)
+            << "crash at cycle " << crash;
+    }
+}
+
+/** Occurrences of @p needle in @p haystack. */
+std::size_t
+countOf(const std::string& haystack, const std::string& needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + needle.size())) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(Recovery, PanicInsideARunningMachineCarriesOneDossier)
+{
+    // One decorator serves every panic: the running machine's dossier
+    // (with its recovery state and checker history) and the profiler's
+    // flight recorder, each exactly once.
+    prof::enable(true);
+    prof::reset();
+    Machine m(recoveryConfig());
+    const Addr a = m.alloc(kPageBytes, 0);
+    m.spawn(1, [a](Context& ctx) {
+        ctx.write(a, 1);
+        ctx.fence();
+        PLUS_ASSERT(ctx.read(a) == 2, "dossier probe");
+    });
+    std::string what;
+    try {
+        m.run();
+    } catch (const PanicError& e) {
+        what = e.what();
+    }
+    prof::enable(false);
+    EXPECT_NE(what.find("dossier probe"), std::string::npos) << what;
+    EXPECT_EQ(countOf(what, "machine diagnostics"), 1u) << what;
+    EXPECT_EQ(countOf(what, "checker history"), 1u) << what;
+    EXPECT_EQ(countOf(what, "=== crash recovery ==="), 1u) << what;
+    EXPECT_EQ(countOf(what, "prof flight recorder"), 1u) << what;
+
+    // Outside run() and settle() no machine is running: a panic carries
+    // no machine's dossier.
+    try {
+        PLUS_PANIC("idle probe");
+    } catch (const PanicError& e) {
+        EXPECT_EQ(std::string(e.what()).find("machine diagnostics"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // --- configuration validation -------------------------------------------
