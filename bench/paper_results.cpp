@@ -184,8 +184,7 @@ measure(PointRun& run, std::optional<RmwOp> op, unsigned hops)
     Machine& machine = run.build(machineBuilder(16));
     const Addr page = machine.alloc(kPageBytes, hops);
     if (op == RmwOp::Queue || op == RmwOp::Dequeue) {
-        const auto base =
-            static_cast<Word>(machine.config().cost.queueBaseOffset);
+        const auto base = static_cast<Word>(proto::kQueueBaseOffset);
         machine.poke(page, base);              // QP
         machine.poke(page + kWordBytes, base); // DQP
         if (op == RmwOp::Dequeue) {
@@ -824,8 +823,8 @@ ablationSnoop()
             machine.run();
             Outcome out{machine.now(), 0, 0};
             for (NodeId n = 0; n < kNodes; ++n) {
-                out.hits += machine.nodeAt(n).cache()->stats().hits;
-                out.misses += machine.nodeAt(n).cache()->stats().misses;
+                out.hits += machine.nodeAt(n).cache().stats().hits;
+                out.misses += machine.nodeAt(n).cache().stats().misses;
             }
             return out;
         };

@@ -45,9 +45,13 @@
 #                  every serial phase, and the profiler-on overhead on
 #                  the wheel micro benchmark must stay under 3% (best
 #                  of 5)
+#  13. tsan:       ThreadSanitizer build of the code that runs machines on
+#                  several host threads (bench/sweep.hpp): test_sweep, then
+#                  paper_results table_3_1 table_2_1 ablation_snoop diffed
+#                  against their joined goldens
 #
 # Usage: scripts/ci.sh [tier1|sanitize|tidy|lint|format|trace|determinism|
-#                       protocols|perf-smoke|chaos|recovery|prof|all]
+#                       protocols|perf-smoke|chaos|recovery|prof|tsan|all]
 #                      (default: all)
 
 set -euo pipefail
@@ -62,6 +66,7 @@ STAGE="${1:-all}"
 # and carrying on.
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
+export TSAN_OPTIONS="halt_on_error=1"
 
 run_tier1() {
     echo "=== tier-1: build + ctest ==="
@@ -367,6 +372,27 @@ print("prof overhead gate OK")
 EOF
 }
 
+run_tsan() {
+    echo "=== tsan: ThreadSanitizer over the multi-threaded sweep ==="
+    cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+        -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+    cmake --build build-tsan -j "$JOBS" --target test_sweep paper_results
+    local out
+    out="$(mktemp -d)"
+    trap 'rm -rf "$out"' RETURN
+
+    build-tsan/tests/test_sweep
+    # figure_2_1 is left out: its TSan run grows past 5 GB of RSS.
+    local name
+    for name in table_3_1 table_2_1 ablation_snoop; do
+        cat "golden/$name.txt"
+    done > "$out/expected.txt"
+    build-tsan/bench/paper_results table_3_1 table_2_1 ablation_snoop \
+        > "$out/papers.txt"
+    diff "$out/expected.txt" "$out/papers.txt"
+    echo "no TSan report; sweep output matches golden/"
+}
+
 case "$STAGE" in
     tier1)       run_tier1 ;;
     sanitize)    run_sanitize ;;
@@ -380,13 +406,14 @@ case "$STAGE" in
     chaos)       run_chaos ;;
     recovery)    run_recovery ;;
     prof)        run_prof ;;
+    tsan)        run_tsan ;;
     all)         run_tier1; run_sanitize; run_tidy; run_lint; run_format
                  run_trace; run_determinism; run_protocols; run_perf_smoke
-                 run_chaos; run_recovery; run_prof ;;
+                 run_chaos; run_recovery; run_prof; run_tsan ;;
     *)
         echo "unknown stage '$STAGE'" \
              "(want tier1|sanitize|tidy|lint|format|trace|determinism|" \
-             "protocols|perf-smoke|chaos|recovery|prof|all)" >&2
+             "protocols|perf-smoke|chaos|recovery|prof|tsan|all)" >&2
         exit 2
         ;;
 esac

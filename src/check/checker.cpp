@@ -3,15 +3,14 @@
 namespace plus {
 namespace check {
 
-Checker::Checker(const Options& options)
-    : options_(options), history_(options.traceDepth)
+Checker::Checker(const CheckConfig& config) : history_(kHistoryDepth)
 {
-    if (options_.invariants) {
+    if (config.invariants) {
         invariants_ = std::make_unique<InvariantChecker>(&history_);
     }
-    if (options_.races) {
-        races_ = std::make_unique<RaceDetector>(&history_,
-                                                options_.panicOnRace);
+    if (config.races) {
+        races_ =
+            std::make_unique<RaceDetector>(&history_, config.panicOnRace);
     }
 }
 

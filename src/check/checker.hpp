@@ -18,47 +18,36 @@
 #include "check/event.hpp"
 #include "check/invariant_checker.hpp"
 #include "check/race_detector.hpp"
+#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace plus {
 namespace check {
 
-/** What to check; mirrors common::CheckConfig. */
-struct Options {
-    /** Validate the protocol ordering invariants (panic on violation). */
-    bool invariants = true;
-    /** Run the happens-before race detector over application accesses. */
-    bool races = false;
-    /** Panic at the first race instead of recording it. */
-    bool panicOnRace = false;
-    /** Events of history kept for violation reports. */
-    unsigned traceDepth = 64;
-};
-
 /** Sink wiring the event stream into the enabled sub-checkers. */
 class Checker final : public EventSink
 {
   public:
-    explicit Checker(const Options& options);
+    /** Events of history kept for violation reports. */
+    static constexpr std::size_t kHistoryDepth = 64;
+
+    explicit Checker(const CheckConfig& config);
 
     /** Install the copy-list resolver (from the machine's directory). */
     void setCopyListResolver(InvariantChecker::CopyListResolver resolver);
 
-    const Options& options() const { return options_; }
-
     /** Recent events, rendered into violation panics. */
     const EventRing& history() const { return history_; }
 
-    /** Null unless Options::invariants. */
+    /** Null unless CheckConfig::invariants. */
     InvariantChecker* invariants() { return invariants_.get(); }
 
-    /** Null unless Options::races. */
+    /** Null unless CheckConfig::races. */
     RaceDetector* raceDetector() { return races_.get(); }
 
     void consume(const Event& event) override;
 
   private:
-    Options options_;
     EventRing history_;
     std::unique_ptr<InvariantChecker> invariants_;
     std::unique_ptr<RaceDetector> races_;

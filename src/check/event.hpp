@@ -284,7 +284,7 @@ class EventStream
 /**
  * Bounded ring of recent events; overwrites the oldest when full.
  *
- * The checker's history (CheckConfig::traceDepth) and the tracer's ring
+ * The checker's history (Checker::kHistoryDepth) and the tracer's ring
  * (TelemetryConfig::ringCapacity) are two instances. They stay separate
  * because the history also keeps kinds Perfetto never exports (proc
  * reads and writes, pending inserts, read serves): one shared buffer

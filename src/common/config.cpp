@@ -86,18 +86,12 @@ MachineConfig::validate()
     if (cost.delayedOpEntries == 0) {
         PLUS_FATAL("delayedOpEntries must be positive");
     }
-    if (cost.queueBaseOffset >= kPageWords) {
-        PLUS_FATAL("queueBaseOffset must be within a page");
-    }
     if (cost.cacheLineWords == 0 || cost.cacheWays == 0 ||
         cost.cacheBytes == 0) {
         PLUS_FATAL("cache geometry must be positive");
     }
     if (network.bytesPerCycle <= 0.0) {
         PLUS_FATAL("network bandwidth must be positive");
-    }
-    if (threadStackBytes < 16 * 1024) {
-        PLUS_FATAL("thread stacks of less than 16 KiB are unsafe");
     }
 
     const FaultConfig& fault = network.fault;
@@ -154,49 +148,16 @@ MachineConfig::validate()
                    "in a watchdog hang; arm network.fault.recover and a "
                    "finite budget, or keep a finite budget for diagnosis");
     }
-    for (std::size_t p = 0; p < fault.fencedPageReplicas.size(); ++p) {
-        const std::vector<NodeId>& holders = fault.fencedPageReplicas[p];
-        if (holders.empty()) {
-            PLUS_FATAL("fencedPageReplicas[", p, "] declares a fenced "
-                       "page with no replica holders");
-        }
-        bool survivor = false;
-        for (NodeId holder : holders) {
-            if (holder >= nodes) {
-                PLUS_FATAL("fencedPageReplicas[", p, "] names node ",
-                           holder, " beyond machine size ", nodes);
-            }
-            if (!crashed[holder]) {
-                survivor = true;
-            }
-        }
-        if (!survivor) {
-            PLUS_FATAL("crash schedule kills every replica holder of "
-                       "fenced page ", p, " (declared via "
-                       "fencedPageReplicas); a fence on it could never "
-                       "complete — keep at least one holder alive or "
-                       "replicate the page more widely");
-        }
-    }
     if (watchdog.enabled && watchdog.windowCycles == 0) {
         PLUS_FATAL("watchdog window must be positive");
     }
 
-    if (protocol == CoherenceProtocol::WriteInvalidate) {
-        if (fault.recover) {
-            PLUS_FATAL("write-invalidate does not support fail-stop "
-                       "recovery: re-mastering would promote a replica "
-                       "that may hold invalidated words, losing data; "
-                       "run crash-recovery schedules under write-update "
-                       "or drop network.fault.recover");
-        }
-        if (!fault.fencedPageReplicas.empty()) {
-            PLUS_FATAL("fencedPageReplicas assumes update-chain fence "
-                       "semantics (every declared holder sees the fenced "
-                       "writes); under write-invalidate replicas hold "
-                       "invalidated words instead — clear "
-                       "fencedPageReplicas or use write-update");
-        }
+    if (protocol == CoherenceProtocol::WriteInvalidate && fault.recover) {
+        PLUS_FATAL("write-invalidate does not support fail-stop "
+                   "recovery: re-mastering would promote a replica "
+                   "that may hold invalidated words, losing data; "
+                   "run crash-recovery schedules under write-update "
+                   "or drop network.fault.recover");
     }
 
     if (network.meshWidth != 0) {

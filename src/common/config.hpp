@@ -88,18 +88,12 @@ struct FaultConfig {
     /** Scripted link/router kills and revives, applied at their cycle. */
     std::vector<FaultScriptEntry> script;
 
-    /** Retransmit timeout before backoff; 0 = derive from latency model. */
-    Cycles retransmitTimeout = 0;
-
     /**
      * Per-frame retransmit budget; exceeding it panics with the link
      * diagnosis (permanent partition). 0 = retry forever and leave the
      * hang to the forward-progress watchdog.
      */
     unsigned maxRetransmits = 32;
-
-    /** Cap on timeout doublings (backoff = timeout << min(n, cap)). */
-    unsigned backoffCap = 6;
 
     /**
      * Arm fail-stop crash recovery (core::RecoveryManager). When true,
@@ -114,15 +108,6 @@ struct FaultConfig {
      * panic diagnoses the partition.
      */
     bool recover = false;
-
-    /**
-     * Replica holders of pages the workload will fence on, declared by
-     * the workload at configuration time so MachineConfig::validate()
-     * can reject crash schedules that would kill every holder of such a
-     * page (the fence could then never complete). One inner vector per
-     * fenced page, listing the nodes that hold copies of it.
-     */
-    std::vector<std::vector<NodeId>> fencedPageReplicas;
 };
 
 /** Interconnection-network parameters. */
@@ -155,19 +140,6 @@ struct NetworkConfig {
      * adds to head latency only once under zero load.
      */
     double bytesPerCycle = 0.8;
-
-    /** Per-message header size in bytes (routing, type, originator, tag). */
-    unsigned headerBytes = 8;
-
-    /**
-     * Per-router input-buffer capacity in packets; 0 = unbounded (the
-     * seed behavior). When finite, a hop whose outgoing link has more
-     * than this many serialization quanta queued stalls in place and
-     * retries — the Section 2.5 "flooded with update requests" effect
-     * becomes visible backpressure (net.backpressureStalls) instead of
-     * an unbounded queue.
-     */
-    unsigned routerBufferPackets = 0;
 
     /** Fault injection + reliable delivery (mesh and ideal networks). */
     FaultConfig fault;
@@ -234,9 +206,6 @@ const char* toString(ProcessorMode mode);
  * numbers published in the paper (Sections 3.1 and 5).
  */
 struct CostModel {
-    /** Nanoseconds per cycle in the 1990 implementation (informational). */
-    double nsPerCycle = 40.0;
-
     // --- Processor-side costs -------------------------------------------
 
     /** Issue of a delayed operation ("approximately 25 cycles"). */
@@ -270,8 +239,6 @@ struct CostModel {
     unsigned cacheBytes = 32 * 1024;
     /** Set associativity of the modelled cache. */
     unsigned cacheWays = 2;
-    /** Model the processor cache at all (off = every local read is a hit). */
-    bool modelCache = true;
     /**
      * Node-bus snoop policy for words the coherence manager writes:
      * false = write-update (the paper's design, keeps lines valid),
@@ -320,31 +287,6 @@ struct CostModel {
      * operations, as in DASH", Section 2.3).
      */
     bool implicitFenceOnSync = false;
-
-    /**
-     * First word offset of the circular-queue region used by the queue /
-     * dequeue operations; offsets wrap within [queueBaseOffset,
-     * kPageWords). Words below the base hold the tail/head offset words.
-     */
-    Addr queueBaseOffset = 2;
-
-    // --- NACK retry policy (robustness hardening) -----------------------
-
-    /**
-     * Maximum re-translation retries per nacked request before the
-     * coherence manager panics with the event trace (a silent livelock
-     * becomes a diagnosable failure). 0 = unbounded (the seed behavior).
-     */
-    unsigned nackRetryLimit = 64;
-
-    /**
-     * Extra delay added to the second and later retries of the same
-     * request: nackBackoffBase << min(retry - 2, nackBackoffCap). The
-     * first retry keeps the seed's timing so fault-free runs stay
-     * byte-identical (migration legitimately nacks once).
-     */
-    Cycles nackBackoffBase = 64;
-    unsigned nackBackoffCap = 6;
 };
 
 /**
@@ -360,8 +302,6 @@ struct CheckConfig {
     bool races = false;
     /** Panic at the first detected race instead of recording it. */
     bool panicOnRace = false;
-    /** Events of history to keep for violation reports. */
-    unsigned traceDepth = 64;
 };
 
 /**
@@ -419,9 +359,6 @@ struct MachineConfig {
 
     /** Seed for all workload randomness. */
     std::uint64_t seed = 1;
-
-    /** Fiber stack size for simulated threads, in bytes. */
-    std::size_t threadStackBytes = 256 * 1024;
 
     /**
      * Validate and fill in derived fields (mesh dimensions). Throws

@@ -111,12 +111,7 @@ Machine::Machine(MachineConfig config)
     }
 
     if (config_.check.invariants || config_.check.races) {
-        check::Options opts;
-        opts.invariants = config_.check.invariants;
-        opts.races = config_.check.races;
-        opts.panicOnRace = config_.check.panicOnRace;
-        opts.traceDepth = config_.check.traceDepth;
-        checker_ = std::make_unique<check::Checker>(opts);
+        checker_ = std::make_unique<check::Checker>(config_.check);
         checker_->setCopyListResolver(
             [this](Vpn vpn) -> const mem::CopyList* {
                 return directory_.contains(vpn) ? &directory_.copyList(vpn)
@@ -238,7 +233,7 @@ Machine::diagnosticDump(bool with_history)
        << " thread(s) unfinished";
     const net::NetworkStats& net = network_->stats();
     os << "\nnet: " << net.packets << " delivered, " << net.dropped
-       << " dropped, " << net.backpressureStalls << " backpressure stalls";
+       << " dropped";
     if (const net::FaultInjector* inj = network_->faultInjector()) {
         const net::FaultStats& f = inj->stats();
         os << "\nfaults: " << f.dropped << " dropped, " << f.corrupted
@@ -287,9 +282,7 @@ Machine::registerMetrics()
     };
     const auto eachCache = [this](const auto& visit) {
         for (const auto& n : nodes_) {
-            if (const node::Cache* cache = n->cache()) {
-                visit(cache->stats());
-            }
+            visit(n->cache().stats());
         }
     };
     const auto eachFault = [this](const auto& visit) {
@@ -370,7 +363,7 @@ Machine::registerMetrics()
                                  &recovery_->latencyHistogram());
     }
 
-    // NACK re-translation retries (see CostModel::nackRetryLimit).
+    // NACK re-translation retries (see CoherenceManager::noteNackRetry).
     metrics_.addCounters(proto::kCmNackStatRows, eachCm);
     metrics_.addGauge("proto.nack_retries.max", [this] {
         std::uint64_t high = 0;
@@ -655,9 +648,7 @@ Machine::deleteCopy(Addr addr, NodeId node)
     nodes_[predecessor.node]->tables().setNextCopy(predecessor.frame,
                                                    successor);
     shootdown(vpn);
-    if (node::Cache* cache = nodes_[node]->cache()) {
-        cache->flush();
-    }
+    nodes_[node]->cache().flush();
     nodes_[predecessor.node]->cm().osFlushRemoteFrame(victim);
     PLUS_LOG(LogComponent::Machine, "delete copy of vpn ", vpn, " on n",
              node);
@@ -762,9 +753,7 @@ Machine::syncPageCopy(PhysPage from, PhysPage to)
     for (Addr w = 0; w < kPageWords; ++w) {
         dst.write(to.frame, w, src.read(from.frame, w));
     }
-    if (node::Cache* cache = nodes_[to.node]->cache()) {
-        cache->flush();
-    }
+    nodes_[to.node]->cache().flush();
 }
 
 void

@@ -29,8 +29,7 @@ Addr
 allocQueuePage(Machine& machine, NodeId home)
 {
     const Addr page = machine.alloc(kPageBytes, home);
-    const Word base =
-        static_cast<Word>(machine.config().cost.queueBaseOffset);
+    const auto base = static_cast<Word>(proto::kQueueBaseOffset);
     machine.poke(qpAddr(page), base);
     machine.poke(dqpAddr(page), base);
     return page;

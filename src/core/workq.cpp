@@ -20,8 +20,7 @@ WorkQueue::create(Machine& machine, const std::vector<NodeId>& lane_nodes,
     machine.metrics().addCounters(
         kWorkQueueStatRows,
         [stats = wq.stats_](const auto& visit) { visit(*stats); });
-    wq.queueBase_ = machine.config().cost.queueBaseOffset;
-    const Word base = static_cast<Word>(wq.queueBase_);
+    const auto base = static_cast<Word>(proto::kQueueBaseOffset);
 
     for (NodeId node : lane_nodes) {
         const Addr page = machine.alloc(kPageBytes, node);
@@ -99,7 +98,7 @@ WorkQueue::capacityPerLane() const
 {
     // Full/empty detection is per-slot (the top bit), so every slot of
     // the ring is usable even when the tail wraps onto the head.
-    return static_cast<unsigned>(kPageWords - queueBase_);
+    return static_cast<unsigned>(kPageWords - proto::kQueueBaseOffset);
 }
 
 bool

@@ -106,7 +106,6 @@ class WorkQueue
      *  then by mesh distance. */
     std::vector<std::vector<unsigned>> stealOrder_;
     std::vector<unsigned> cheap_;
-    Addr queueBase_ = 0;
 };
 
 } // namespace core

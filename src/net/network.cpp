@@ -12,6 +12,13 @@
 namespace plus {
 namespace net {
 
+namespace {
+
+/** Per-message header size in bytes (routing, type, originator, tag). */
+constexpr unsigned kHeaderBytes = 8;
+
+} // namespace
+
 Network::Network(sim::Engine& engine, const Topology& topology,
                  const NetworkConfig& config)
     : engine_(engine), topology_(topology), config_(config),
@@ -31,7 +38,7 @@ Network::setDeliveryHandler(NodeId node, DeliveryHandler handler)
 Cycles
 Network::serializationCycles(unsigned payload_bytes) const
 {
-    const double bytes = config_.headerBytes + payload_bytes;
+    const double bytes = kHeaderBytes + payload_bytes;
     return static_cast<Cycles>(std::ceil(bytes / config_.bytesPerCycle));
 }
 
@@ -239,20 +246,6 @@ MeshNetwork::hop(Transit* transit)
     const Cycles now = engine_.now();
     const Cycles serialization =
         serializationCycles(transit->packet.payloadBytes);
-
-    // Finite router input buffers: when the outgoing link's backlog
-    // exceeds the buffer, the head stalls in place and retries after
-    // one serialization quantum instead of reserving the link — the
-    // Section 2.5 "flooded with update requests" effect as real
-    // backpressure. Off (0) preserves the unbounded seed behavior.
-    if (config_.routerBufferPackets != 0 && link.freeAt > now &&
-        link.freeAt - now >
-            config_.routerBufferPackets * serialization) {
-        stats_.backpressureStalls += 1;
-        transit->queueing += serialization;
-        engine_.schedule(serialization, [this, transit] { hop(transit); });
-        return;
-    }
 
     const Cycles start = std::max(now, link.freeAt);
     const Cycles wait = start - now;

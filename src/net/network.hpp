@@ -106,8 +106,6 @@ struct NetworkStats {
     std::uint64_t totalHops = 0;
     /** Packets discarded by the fault layer (any DropReason). */
     std::uint64_t dropped = 0;
-    /** Hop retries forced by a full router input buffer. */
-    std::uint64_t backpressureStalls = 0;
 };
 
 /** NetworkStats exported as net.* counters, in snapshot order. */
@@ -116,7 +114,6 @@ inline constexpr StatRow<NetworkStats> kNetworkStatRows[] = {
     {"net.payloadBytes", &NetworkStats::payloadBytes},
     {"net.totalHops", &NetworkStats::totalHops},
     {"net.dropped", &NetworkStats::dropped},
-    {"net.backpressureStalls", &NetworkStats::backpressureStalls},
 };
 
 /** Per-node packet sink. */

@@ -11,6 +11,13 @@
 namespace plus {
 namespace net {
 
+namespace {
+
+/** Cap on timeout doublings: backoff = rto << min(attempts, cap). */
+constexpr unsigned kBackoffCap = 6;
+
+} // namespace
+
 LinkLayer::LinkLayer(Network& network, sim::Engine& engine,
                      FaultInjector& injector, const FaultConfig& config)
     : net_(network), engine_(engine), injector_(injector), config_(config),
@@ -20,21 +27,17 @@ LinkLayer::LinkLayer(Network& network, sim::Engine& engine,
       recv_(network.topology().nodes()),
       sealed_(network.topology().nodes(), 0)
 {
-    if (config_.retransmitTimeout != 0) {
-        timeout_ = config_.retransmitTimeout;
-    } else {
-        // Derive a timeout that comfortably exceeds a contended round
-        // trip across the diameter of the machine.
-        const Topology& topo = net_.topology();
-        unsigned diameter = 0;
-        for (NodeId a = 0; a < topo.nodes(); ++a) {
-            for (NodeId b = a + 1; b < topo.nodes(); ++b) {
-                diameter = std::max(diameter, topo.distance(a, b));
-            }
+    // Derive a timeout that comfortably exceeds a contended round trip
+    // across the diameter of the machine.
+    const Topology& topo = net_.topology();
+    unsigned diameter = 0;
+    for (NodeId a = 0; a < topo.nodes(); ++a) {
+        for (NodeId b = a + 1; b < topo.nodes(); ++b) {
+            diameter = std::max(diameter, topo.distance(a, b));
         }
-        timeout_ = 16 * net_.zeroLoadLatency(diameter) +
-                   4 * net_.serializationCycles(64);
     }
+    timeout_ = 16 * net_.zeroLoadLatency(diameter) +
+               4 * net_.serializationCycles(64);
 }
 
 Packet
@@ -261,7 +264,7 @@ LinkLayer::armTimer(NodeId src, NodeId dst, std::uint32_t seq,
                     Unacked& entry)
 {
     const Cycles backoff =
-        rto(src) << std::min<unsigned>(entry.attempts, config_.backoffCap);
+        rto(src) << std::min<unsigned>(entry.attempts, kBackoffCap);
     // Pinned to the sender's lane, not the caller's: frames can be sent
     // from machine context (page-copy engine, crash-recovery replays),
     // and the lane keys the events the timeout schedules, so it is part

@@ -10,10 +10,10 @@
  *  - Sender side: each (src,dst) channel numbers data frames with a
  *    monotonically increasing sequence, keeps a clone of every
  *    unacknowledged frame, and retransmits on timeout with exponential
- *    backoff (rto << min(attempts, backoffCap)). The timeout adapts to
- *    the measured round trip (Jacobson srtt + 4 * rttvar, floored at
- *    the configured/derived base), and ack progress on a channel
- *    resets the surviving frames' timers — under congestion the
+ *    backoff (rto << min(attempts, 6)). The timeout adapts to the
+ *    measured round trip (Jacobson srtt + 4 * rttvar, floored at a
+ *    base derived from the mesh diameter), and ack progress on a
+ *    channel resets the surviving frames' timers — under congestion the
  *    round trip can exceed any static timeout by orders of magnitude,
  *    and without both measures nearly every frame would retransmit
  *    spuriously. A finite retransmit budget turns a permanent
@@ -97,9 +97,6 @@ class LinkLayer
 
     /** Aggregate counters. */
     const LinkStats& stats() const { return stats_; }
-
-    /** The base retransmit timeout in use (config or latency-derived). */
-    Cycles retransmitTimeout() const { return timeout_; }
 
     /**
      * Install the sink for peer-death signals. With FaultConfig::recover

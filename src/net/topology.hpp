@@ -8,6 +8,7 @@
 #ifndef PLUS_NET_TOPOLOGY_HPP_
 #define PLUS_NET_TOPOLOGY_HPP_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/panic.hpp"
@@ -114,6 +115,26 @@ class Topology
             path.push_back(at);
         }
         return path;
+    }
+
+    /**
+     * Every node but @p node, nearest first by mesh distance; nodes at
+     * equal distance keep ascending id order.
+     */
+    std::vector<NodeId>
+    nearestPeers(NodeId node) const
+    {
+        std::vector<NodeId> peers;
+        for (NodeId other = 0; other < nodes_; ++other) {
+            if (other != node) {
+                peers.push_back(other);
+            }
+        }
+        std::stable_sort(peers.begin(), peers.end(),
+                         [&](NodeId a, NodeId b) {
+                             return distance(node, a) < distance(node, b);
+                         });
+        return peers;
     }
 
   private:

@@ -8,16 +8,13 @@ namespace node {
 
 Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
            net::Network& network, std::uint64_t ref_threshold)
-    : id_(id), memory_(config.framesPerNode)
+    : id_(id), memory_(config.framesPerNode),
+      cache_(config.cost, config.cost.snoopInvalidate
+                              ? SnoopPolicy::Invalidate
+                              : SnoopPolicy::Update)
 {
     if (ref_threshold > 0) {
         refCounters_ = std::make_unique<mem::RefCounters>(ref_threshold);
-    }
-    if (config.cost.modelCache) {
-        cache_ = std::make_unique<Cache>(config.cost,
-                                         config.cost.snoopInvalidate
-                                             ? SnoopPolicy::Invalidate
-                                             : SnoopPolicy::Update);
     }
 
     proto::CoherenceManager::Deps cm_deps;
@@ -31,11 +28,9 @@ Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
 
     // Node-bus snooping keeps the processor cache coherent with writes
     // performed by the coherence manager.
-    if (cache_) {
-        cm_->setSnoopHook([this](FrameId frame, Addr off, Word) {
-            cache_->snoop(frame, off);
-        });
-    }
+    cm_->setSnoopHook([this](FrameId frame, Addr off, Word) {
+        cache_.snoop(frame, off);
+    });
 
     network.setDeliveryHandler(id, [this](net::Packet packet) {
         cm_->onPacket(std::move(packet));
@@ -44,10 +39,9 @@ Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
     Processor::Deps proc_deps;
     proc_deps.engine = &engine;
     proc_deps.cm = cm_.get();
-    proc_deps.cache = cache_.get();
-    processor_ = std::make_unique<Processor>(id, config.cost, config.mode,
-                                             config.threadStackBytes,
-                                             proc_deps);
+    proc_deps.cache = &cache_;
+    processor_ =
+        std::make_unique<Processor>(id, config.cost, config.mode, proc_deps);
 }
 
 } // namespace node

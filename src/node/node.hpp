@@ -49,7 +49,7 @@ class Node
     mem::CoherenceTables& tables() { return tables_; }
     mem::PageTable& pageTable() { return pageTable_; }
     mem::RefCounters* refCounters() { return refCounters_.get(); }
-    Cache* cache() { return cache_.get(); }
+    Cache& cache() { return cache_; }
     proto::CoherenceManager& cm() { return *cm_; }
     Processor& processor() { return *processor_; }
 
@@ -62,7 +62,7 @@ class Node
     mem::CoherenceTables tables_;
     mem::PageTable pageTable_;
     std::unique_ptr<mem::RefCounters> refCounters_;
-    std::unique_ptr<Cache> cache_;
+    Cache cache_;
     std::unique_ptr<proto::CoherenceManager> cm_;
     std::unique_ptr<Processor> processor_;
 };

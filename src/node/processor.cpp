@@ -26,6 +26,9 @@ struct WaitState {
     proto::DelayedOpHandle handle = 0;
 };
 
+/** Fiber stack size of each simulated thread, in bytes. */
+constexpr std::size_t kThreadStackBytes = 256 * 1024;
+
 } // namespace
 
 const char*
@@ -58,11 +61,11 @@ ProcessorStats::totalStall() const
 }
 
 Processor::Processor(NodeId self, const CostModel& cost, ProcessorMode mode,
-                     std::size_t stack_bytes, Deps deps)
-    : self_(self), cost_(cost), mode_(mode), stackBytes_(stack_bytes),
-      deps_(deps)
+                     Deps deps)
+    : self_(self), cost_(cost), mode_(mode), deps_(deps)
 {
-    PLUS_ASSERT(deps_.engine && deps_.cm, "processor missing dependencies");
+    PLUS_ASSERT(deps_.engine && deps_.cm && deps_.cache,
+                "processor missing dependencies");
 }
 
 Processor::~Processor() = default;
@@ -76,8 +79,8 @@ Processor::addThread(ThreadId id, std::function<void()> body)
     }
     Thread thread;
     thread.id = id;
-    thread.fiber = std::make_unique<sim::Fiber>(std::move(body),
-                                                stackBytes_);
+    thread.fiber =
+        std::make_unique<sim::Fiber>(std::move(body), kThreadStackBytes);
     threads_.push_back(std::move(thread));
     return static_cast<unsigned>(threads_.size() - 1);
 }
@@ -128,6 +131,12 @@ void
 Processor::charge(Cycles cycles, Cycles ProcessorStats::* bucket)
 {
     stats_.*bucket += cycles;
+    sleep(cycles);
+}
+
+void
+Processor::sleep(Cycles cycles)
+{
     if (cycles == 0) {
         return;
     }
@@ -270,12 +279,7 @@ Processor::translateCharged(Vpn vpn)
         stats_.pageFaults += 1;
         const Cycles c = cost_.osPageFillCycles;
         stats_.stall[static_cast<unsigned>(StallKind::PageFault)] += c;
-        const unsigned t = current_;
-        deps_.engine->schedule(c, [this, t] {
-            PLUS_ASSERT(current_ == t, "processor lost its thread");
-            resumeThread(t);
-        });
-        sim::Fiber::yield();
+        sleep(c);
     }
     return tr;
 }
@@ -289,14 +293,7 @@ Processor::faultPageLost(Addr vaddr)
     stats_.pageLostFaults += 1;
     const Cycles c = cost_.osPageFillCycles;
     stats_.stall[static_cast<unsigned>(StallKind::PageFault)] += c;
-    if (c > 0) {
-        const unsigned t = current_;
-        deps_.engine->schedule(c, [this, t] {
-            PLUS_ASSERT(current_ == t, "processor lost its thread");
-            resumeThread(t);
-        });
-        sim::Fiber::yield();
-    }
+    sleep(c);
     if (events_) {
         emitAccess(check::EventKind::ProcPageLost, threads_[current_].id,
                    vaddr);
@@ -342,13 +339,10 @@ Processor::read(Addr vaddr)
     const bool local = tr.page.node == self_;
 
     if (local) {
-        Cycles c = cost_.cacheHit;
-        if (deps_.cache) {
-            c = deps_.cache->accessRead(tr.page.frame, off)
-                    ? cost_.cacheHit
-                    : cost_.cacheMissFill;
-        }
-        charge(c, &ProcessorStats::memBusy);
+        charge(deps_.cache->accessRead(tr.page.frame, off)
+                   ? cost_.cacheHit
+                   : cost_.cacheMissFill,
+               &ProcessorStats::memBusy);
     } else {
         charge(cost_.procRemoteReadIssue, &ProcessorStats::memBusy);
     }
@@ -392,9 +386,7 @@ Processor::write(Addr vaddr, Word value)
     const PhysAddr phys{tr.page, off};
 
     if (tr.page.node == self_) {
-        if (deps_.cache) {
-            deps_.cache->accessWrite(tr.page.frame, off);
-        }
+        deps_.cache->accessWrite(tr.page.frame, off);
         charge(cost_.cacheWriteThrough, &ProcessorStats::memBusy);
     } else {
         charge(cost_.procIssueWrite, &ProcessorStats::memBusy);

@@ -133,11 +133,11 @@ class Processor
     struct Deps {
         sim::Engine* engine = nullptr;
         proto::CoherenceManager* cm = nullptr;
-        Cache* cache = nullptr; ///< may be null when cache modelling is off
+        Cache* cache = nullptr;
     };
 
     Processor(NodeId self, const CostModel& cost, ProcessorMode mode,
-              std::size_t stack_bytes, Deps deps);
+              Deps deps);
     ~Processor();
 
     Processor(const Processor&) = delete;
@@ -258,6 +258,12 @@ class Processor
     void charge(Cycles cycles, Cycles ProcessorStats::* bucket);
 
     /**
+     * Advance the running thread's time by @p cycles: it keeps the
+     * processor and resumes after that many cycles (0 returns at once).
+     */
+    void sleep(Cycles cycles);
+
+    /**
      * Block the running thread until wake() is called for it; the
      * processor's waiting time is attributed to @p kind.
      */
@@ -299,7 +305,6 @@ class Processor
     NodeId self_;
     CostModel cost_;
     ProcessorMode mode_;
-    std::size_t stackBytes_;
     Deps deps_;
     Translator translate_;
     std::function<void()> allFinished_;

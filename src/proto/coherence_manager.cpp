@@ -19,6 +19,19 @@ namespace {
 /** Words per background page-copy batch. */
 constexpr Addr kPageCopyBatchWords = 32;
 
+/**
+ * Re-translation retries per nacked request before the manager panics
+ * with the event trace: a silent livelock becomes a diagnosable failure.
+ */
+constexpr unsigned kNackRetryLimit = 64;
+
+/**
+ * Extra delay of the second and later retries of one request:
+ * kNackBackoffBase << min(retry - 2, kNackBackoffCap).
+ */
+constexpr Cycles kNackBackoffBase = 64;
+constexpr unsigned kNackBackoffCap = 6;
+
 /** Downcast an owned protocol message to its concrete type. */
 template <typename T>
 std::unique_ptr<T>
@@ -464,8 +477,7 @@ CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
     PageView view{[this, frame](Addr off) {
         return deps_.memory->read(frame, off);
     }};
-    const RmwResult result = executeRmw(view, op, word_offset, operand,
-                                        cost_.queueBaseOffset);
+    const RmwResult result = executeRmw(view, op, word_offset, operand);
 
     // The master executes atomically, returns the old contents to the
     // originator, and propagates the effects down the copy-list.
@@ -806,18 +818,17 @@ CoherenceManager::noteNackRetry(NackedKind kind, std::uint32_t tag)
     count += 1;
     stats_.nackRetryHighWater =
         std::max<std::uint64_t>(stats_.nackRetryHighWater, count);
-    if (cost_.nackRetryLimit != 0 && count > cost_.nackRetryLimit) {
+    if (count > kNackRetryLimit) {
         PLUS_PANIC("node ", self_, ": nacked ",
                    kind == NackedKind::Read    ? "read"
                    : kind == NackedKind::Write ? "write"
                                                : "rmw",
-                   " (tag ", tag, ") exhausted ", cost_.nackRetryLimit,
+                   " (tag ", tag, ") exhausted ", kNackRetryLimit,
                    " re-translation retries — livelock");
     }
     // The first retry keeps the seed's exact timing; later ones back
     // off exponentially so a livelocking retry storm decays.
-    return count > 1 ? cost_.nackBackoffBase
-                           << std::min(count - 2, cost_.nackBackoffCap)
+    return count > 1 ? kNackBackoffBase << std::min(count - 2, kNackBackoffCap)
                      : 0;
 }
 

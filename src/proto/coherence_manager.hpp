@@ -119,7 +119,7 @@ inline constexpr StatRow<CmStats> kCmStatRows[] = {
     {"cm.busyCycles", &CmStats::busyCycles},
 };
 
-/** retries again, exported after recovery.* (see nackRetryLimit). */
+/** retries again, exported after recovery.* (see noteNackRetry). */
 inline constexpr StatRow<CmStats> kCmNackStatRows[] = {
     {"proto.nack_retries", &CmStats::retries},
 };
@@ -454,7 +454,7 @@ class CoherenceManager
 
     /**
      * Count one more retry of the request and return the extra backoff
-     * delay; panics past CostModel::nackRetryLimit. The first retry is
+     * delay; panics past 64 retries of one request. The first retry is
      * free of backoff so fault-free runs (where migration nacks a
      * request at most transiently) keep their exact seed timing.
      */

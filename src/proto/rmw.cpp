@@ -30,19 +30,18 @@ isComplexOp(RmwOp op)
 
 namespace {
 
-/** Advance a queue offset circularly within [queue_base, kPageWords). */
+/** Next queue offset, wrapping from kPageWords to kQueueBaseOffset. */
 Addr
-nextQueueOffset(Addr offset, Addr queue_base)
+nextQueueOffset(Addr offset)
 {
     const Addr next = offset + 1;
-    return next >= kPageWords ? queue_base : next;
+    return next >= kPageWords ? kQueueBaseOffset : next;
 }
 
 } // namespace
 
 RmwResult
-executeRmw(const PageView& page, RmwOp op, Addr word_offset, Word operand,
-           Addr queue_base)
+executeRmw(const PageView& page, RmwOp op, Addr word_offset, Word operand)
 {
     PLUS_ASSERT(word_offset < kPageWords, "rmw offset outside page");
     RmwResult result;
@@ -84,8 +83,7 @@ executeRmw(const PageView& page, RmwOp op, Addr word_offset, Word operand,
             result.writes.push_back(
                 {tail, (operand & kPayloadMask) | kTopBit});
             result.writes.push_back(
-                {word_offset,
-                 static_cast<Word>(nextQueueOffset(tail, queue_base))});
+                {word_offset, static_cast<Word>(nextQueueOffset(tail))});
         }
         break;
       }
@@ -99,8 +97,7 @@ executeRmw(const PageView& page, RmwOp op, Addr word_offset, Word operand,
             // Full slot: clear the full bit and advance the head offset.
             result.writes.push_back({head, slot & kPayloadMask});
             result.writes.push_back(
-                {word_offset,
-                 static_cast<Word>(nextQueueOffset(head, queue_base))});
+                {word_offset, static_cast<Word>(nextQueueOffset(head))});
         }
         break;
       }

@@ -9,7 +9,7 @@
  *  - Bit 31 (kTopBit) is the full/lock flag; payloads are 31-bit.
  *  - queue/dequeue address a word holding a *word offset within the same
  *    page* of the queue tail/head; offsets advance circularly within
- *    [queueBaseOffset, kPageWords).
+ *    [kQueueBaseOffset, kPageWords).
  *  - min-xchng compares 31-bit payloads as unsigned integers.
  */
 
@@ -39,6 +39,13 @@ enum class RmwOp : std::uint8_t {
 
 const char* toString(RmwOp op);
 
+/**
+ * First word offset of the circular queue region of a queue page:
+ * queue/dequeue offsets wrap from kPageWords back to this value. The
+ * words below it hold the tail (QP) and head (DQP) offsets.
+ */
+constexpr Addr kQueueBaseOffset = 2;
+
 /** True for the operations the paper costs at 52 cycles instead of 39. */
 bool isComplexOp(RmwOp op);
 
@@ -65,11 +72,9 @@ struct RmwResult {
  * @param page        Read access to the addressed page's current contents.
  * @param word_offset Offset of the addressed word within the page.
  * @param operand     The operation's data word.
- * @param queue_base  First offset of the circular queue region (offsets
- *                    wrap from kPageWords back to this value).
  */
 RmwResult executeRmw(const PageView& page, RmwOp op, Addr word_offset,
-                     Word operand, Addr queue_base);
+                     Word operand);
 
 } // namespace proto
 } // namespace plus

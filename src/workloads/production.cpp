@@ -141,17 +141,7 @@ replicateImage(Machine& machine, const ProductionImage& img,
     }
     const net::Topology& topo = machine.network().topology();
     for (NodeId n = 0; n < img.nodes; ++n) {
-        std::vector<NodeId> peers;
-        for (NodeId m2 = 0; m2 < img.nodes; ++m2) {
-            if (m2 != n) {
-                peers.push_back(m2);
-            }
-        }
-        std::stable_sort(peers.begin(), peers.end(),
-                         [&](NodeId a, NodeId b) {
-                             return topo.distance(n, a) <
-                                    topo.distance(n, b);
-                         });
+        const std::vector<NodeId> peers = topo.nearestPeers(n);
         const unsigned extra = std::min<unsigned>(
             replication - 1, static_cast<unsigned>(peers.size()));
         for (unsigned i = 0; i < extra; ++i) {

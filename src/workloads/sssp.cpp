@@ -131,17 +131,7 @@ replicateImage(Machine& machine, const SsspImage& img, const Graph& graph,
     }
     const net::Topology& topo = machine.network().topology();
     for (NodeId n = 0; n < img.nodes; ++n) {
-        std::vector<NodeId> peers;
-        for (NodeId m = 0; m < img.nodes; ++m) {
-            if (m != n) {
-                peers.push_back(m);
-            }
-        }
-        std::stable_sort(peers.begin(), peers.end(),
-                         [&](NodeId a, NodeId b) {
-                             return topo.distance(n, a) <
-                                    topo.distance(n, b);
-                         });
+        const std::vector<NodeId> peers = topo.nearestPeers(n);
         const unsigned extra = std::min<unsigned>(
             replication - 1, static_cast<unsigned>(peers.size()));
 

@@ -192,13 +192,13 @@ TEST(CheckSeeded, CopyListSkipIsDetected)
 // Invariant checker: unit-level event sequences
 // --------------------------------------------------------------------------
 
-check::Options
+CheckConfig
 invariantsOnly()
 {
-    check::Options opts;
-    opts.invariants = true;
-    opts.races = false;
-    return opts;
+    CheckConfig config;
+    config.invariants = true;
+    config.races = false;
+    return config;
 }
 
 using check::EventKind;

@@ -111,11 +111,6 @@ TEST(Config, RejectsBadSettings)
         cfg.nodes = 4;
         EXPECT_THROW(cfg.validate(), FatalError);
     }
-    {
-        MachineConfig cfg;
-        cfg.cost.queueBaseOffset = kPageWords;
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
 }
 
 TEST(Config, PaperDefaults)

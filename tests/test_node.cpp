@@ -42,23 +42,7 @@ TEST(Node, SnoopFiresWhenManagerWritesLocalMemory)
         ctx.fence();
     });
     m.run();
-    EXPECT_GE(m.nodeAt(1).cache()->stats().snoopUpdates, 1u);
-}
-
-TEST(Node, CacheIsOptional)
-{
-    MachineConfig cfg = cfgFor(2);
-    cfg.cost.modelCache = false;
-    Machine m(cfg);
-    EXPECT_EQ(m.nodeAt(0).cache(), nullptr);
-    const Addr page = m.alloc(kPageBytes, 0);
-    Word got = 0;
-    m.spawn(0, [&](Context& ctx) {
-        ctx.write(page, 3);
-        got = ctx.read(page);
-    });
-    m.run();
-    EXPECT_EQ(got, 3u);
+    EXPECT_GE(m.nodeAt(1).cache().stats().snoopUpdates, 1u);
 }
 
 TEST(Node, ComponentsAreWiredPerNode)

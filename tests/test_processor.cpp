@@ -81,23 +81,6 @@ TEST(Processor, CacheHitsCheapenRepeatedLocalReads)
     EXPECT_EQ(second, CostModel{}.cacheHit);
 }
 
-TEST(Processor, DisablingCacheModelMakesLocalReadsUniform)
-{
-    MachineConfig cfg = cfgFor(1);
-    cfg.cost.modelCache = false;
-    Machine m(cfg);
-    const Addr page = m.alloc(kPageBytes, 0);
-    Cycles first = 0;
-    m.spawn(0, [&](Context& ctx) {
-        ctx.read(page);
-        const Cycles t0 = ctx.machine().now();
-        ctx.read(page + 4 * 64);
-        first = ctx.machine().now() - t0;
-    });
-    m.run();
-    EXPECT_EQ(first, CostModel{}.cacheHit);
-}
-
 TEST(Processor, PageFaultChargedOnce)
 {
     Machine m(cfgFor(2));

@@ -41,14 +41,11 @@ class FakePage
     std::map<Addr, Word> words_;
 };
 
-constexpr Addr kQueueBase = 2;
-
 TEST(Rmw, XchngReturnsOldWritesNew)
 {
     FakePage page;
     page[5] = 10;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Xchng, 5, 99, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::Xchng, 5, 99);
     EXPECT_EQ(r.oldValue, 10u);
     ASSERT_EQ(r.writes.size(), 1u);
     EXPECT_EQ(r.writes[0].wordOffset, 5u);
@@ -59,12 +56,10 @@ TEST(Rmw, CondXchngWritesOnlyWhenTopBitSet)
 {
     FakePage page;
     page[5] = 10; // top bit clear
-    EXPECT_TRUE(executeRmw(page.view(), RmwOp::CondXchng, 5, 99,
-                           kQueueBase)
+    EXPECT_TRUE(executeRmw(page.view(), RmwOp::CondXchng, 5, 99)
                     .writes.empty());
     page[5] = 10 | kTopBit;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::CondXchng, 5, 99, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::CondXchng, 5, 99);
     EXPECT_EQ(r.oldValue, 10 | kTopBit);
     ASSERT_EQ(r.writes.size(), 1u);
     EXPECT_EQ(r.writes[0].value, 99u);
@@ -75,7 +70,7 @@ TEST(Rmw, FetchAddWrapsTwosComplement)
     FakePage page;
     page[0] = 5;
     const RmwResult r = executeRmw(page.view(), RmwOp::FetchAdd, 0,
-                                   static_cast<Word>(-7), kQueueBase);
+                                   static_cast<Word>(-7));
     EXPECT_EQ(r.oldValue, 5u);
     EXPECT_EQ(r.writes[0].value, static_cast<Word>(-2));
 }
@@ -84,8 +79,7 @@ TEST(Rmw, FetchSetSetsTopBitOnly)
 {
     FakePage page;
     page[0] = 123;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::FetchSet, 0, 0, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::FetchSet, 0, 0);
     EXPECT_EQ(r.oldValue, 123u);
     EXPECT_EQ(r.writes[0].value, 123u | kTopBit);
 }
@@ -94,11 +88,9 @@ TEST(Rmw, MinXchngStoresOnlySmaller)
 {
     FakePage page;
     page[0] = 100;
-    EXPECT_TRUE(executeRmw(page.view(), RmwOp::MinXchng, 0, 100,
-                           kQueueBase)
+    EXPECT_TRUE(executeRmw(page.view(), RmwOp::MinXchng, 0, 100)
                     .writes.empty()); // equal is not smaller
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::MinXchng, 0, 99, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::MinXchng, 0, 99);
     EXPECT_EQ(r.writes[0].value, 99u);
 }
 
@@ -106,8 +98,7 @@ TEST(Rmw, DelayedReadHasNoWrites)
 {
     FakePage page;
     page[9] = 77;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::DelayedRead, 9, 0, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::DelayedRead, 9, 0);
     EXPECT_EQ(r.oldValue, 77u);
     EXPECT_TRUE(r.writes.empty());
 }
@@ -115,24 +106,22 @@ TEST(Rmw, DelayedReadHasNoWrites)
 TEST(Rmw, QueueDepositsAndAdvancesTail)
 {
     FakePage page;
-    page[0] = kQueueBase; // QP: tail at slot 2
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Queue, 0, 41, kQueueBase);
+    page[0] = kQueueBaseOffset; // QP: tail at slot 2
+    const RmwResult r = executeRmw(page.view(), RmwOp::Queue, 0, 41);
     EXPECT_EQ(r.oldValue, 0u); // slot was empty
     ASSERT_EQ(r.writes.size(), 2u);
-    EXPECT_EQ(r.writes[0].wordOffset, kQueueBase);
+    EXPECT_EQ(r.writes[0].wordOffset, kQueueBaseOffset);
     EXPECT_EQ(r.writes[0].value, 41u | kTopBit);
     EXPECT_EQ(r.writes[1].wordOffset, 0u); // the QP word itself
-    EXPECT_EQ(r.writes[1].value, kQueueBase + 1);
+    EXPECT_EQ(r.writes[1].value, kQueueBaseOffset + 1);
 }
 
 TEST(Rmw, QueueFullReturnsTopBitAndWritesNothing)
 {
     FakePage page;
-    page[0] = kQueueBase;
-    page[kQueueBase] = 5 | kTopBit; // slot already full
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Queue, 0, 41, kQueueBase);
+    page[0] = kQueueBaseOffset;
+    page[kQueueBaseOffset] = 5 | kTopBit; // slot already full
+    const RmwResult r = executeRmw(page.view(), RmwOp::Queue, 0, 41);
     EXPECT_EQ(r.oldValue, 5 | kTopBit);
     EXPECT_TRUE(r.writes.empty());
 }
@@ -140,23 +129,21 @@ TEST(Rmw, QueueFullReturnsTopBitAndWritesNothing)
 TEST(Rmw, DequeueTakesAndAdvancesHead)
 {
     FakePage page;
-    page[1] = kQueueBase; // DQP
-    page[kQueueBase] = 41 | kTopBit;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Dequeue, 1, 0, kQueueBase);
+    page[1] = kQueueBaseOffset; // DQP
+    page[kQueueBaseOffset] = 41 | kTopBit;
+    const RmwResult r = executeRmw(page.view(), RmwOp::Dequeue, 1, 0);
     EXPECT_EQ(r.oldValue, 41 | kTopBit);
     ASSERT_EQ(r.writes.size(), 2u);
     EXPECT_EQ(r.writes[0].value, 41u); // full bit cleared
     EXPECT_EQ(r.writes[1].wordOffset, 1u);
-    EXPECT_EQ(r.writes[1].value, kQueueBase + 1);
+    EXPECT_EQ(r.writes[1].value, kQueueBaseOffset + 1);
 }
 
 TEST(Rmw, DequeueEmptyWritesNothing)
 {
     FakePage page;
-    page[1] = kQueueBase;
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Dequeue, 1, 0, kQueueBase);
+    page[1] = kQueueBaseOffset;
+    const RmwResult r = executeRmw(page.view(), RmwOp::Dequeue, 1, 0);
     EXPECT_EQ(r.oldValue, 0u); // top bit clear = empty
     EXPECT_TRUE(r.writes.empty());
 }
@@ -165,10 +152,9 @@ TEST(Rmw, QueueOffsetWrapsAtPageEnd)
 {
     FakePage page;
     page[0] = kPageWords - 1; // tail at the last word
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Queue, 0, 1, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::Queue, 0, 1);
     ASSERT_EQ(r.writes.size(), 2u);
-    EXPECT_EQ(r.writes[1].value, kQueueBase); // wrapped
+    EXPECT_EQ(r.writes[1].value, kQueueBaseOffset); // wrapped
 }
 
 TEST(Rmw, QueueRoundTripThroughFullPage)
@@ -176,24 +162,21 @@ TEST(Rmw, QueueRoundTripThroughFullPage)
     // Property: pushing then popping N items through the circular queue
     // preserves order and leaves the queue empty.
     FakePage page;
-    page[0] = kQueueBase;
-    page[1] = kQueueBase;
+    page[0] = kQueueBaseOffset;
+    page[1] = kQueueBaseOffset;
     const unsigned n = 100;
     for (Word i = 0; i < n; ++i) {
-        const RmwResult r =
-            executeRmw(page.view(), RmwOp::Queue, 0, i, kQueueBase);
+        const RmwResult r = executeRmw(page.view(), RmwOp::Queue, 0, i);
         ASSERT_FALSE(r.oldValue & kTopBit);
         page.apply(r);
     }
     for (Word i = 0; i < n; ++i) {
-        const RmwResult r =
-            executeRmw(page.view(), RmwOp::Dequeue, 1, 0, kQueueBase);
+        const RmwResult r = executeRmw(page.view(), RmwOp::Dequeue, 1, 0);
         ASSERT_TRUE(r.oldValue & kTopBit);
         EXPECT_EQ(r.oldValue & kPayloadMask, i);
         page.apply(r);
     }
-    const RmwResult r =
-        executeRmw(page.view(), RmwOp::Dequeue, 1, 0, kQueueBase);
+    const RmwResult r = executeRmw(page.view(), RmwOp::Dequeue, 1, 0);
     EXPECT_FALSE(r.oldValue & kTopBit);
 }
 

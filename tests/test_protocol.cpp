@@ -79,15 +79,6 @@ TEST(ProtocolConfig, ValidateRejectsBadCombinations)
         cfg.network.fault.recover = true;
         EXPECT_THROW(cfg.validate(), FatalError);
     }
-    {
-        // Fenced-page replica declarations assume update-chain fences.
-        MachineConfig cfg;
-        cfg.nodes = 2;
-        cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        cfg.network.fault.enabled = true;
-        cfg.network.fault.fencedPageReplicas.push_back({0, 1});
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -220,13 +211,13 @@ TEST(ProtocolInvalidate, ImageMatchesWriteUpdateOnSharedWorkload)
 // Per-protocol invariant sets
 // --------------------------------------------------------------------------
 
-check::Options
+CheckConfig
 invariantsOnly()
 {
-    check::Options opts;
-    opts.invariants = true;
-    opts.races = false;
-    return opts;
+    CheckConfig config;
+    config.invariants = true;
+    config.races = false;
+    return config;
 }
 
 /** A word event of @p kind for (node, vpn 3, word). */

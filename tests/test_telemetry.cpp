@@ -338,7 +338,7 @@ const std::vector<std::string> kMachineCounters = {
     "proc.stall.page-fault", "proc.stall.idle", "cache.hits",
     "cache.misses", "cache.evictions", "cache.snoopUpdates",
     "cache.snoopInvalidates", "net.packets", "net.payloadBytes",
-    "net.totalHops", "net.dropped", "net.backpressureStalls",
+    "net.totalHops", "net.dropped",
     "net.fault.dropped", "net.fault.corrupted", "net.fault.duplicated",
     "net.fault.delayed", "net.link.retransmits", "net.link.acksSent",
     "net.link.dupSuppressed", "net.link.crcDrops", "net.link.peerDeaths",

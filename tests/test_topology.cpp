@@ -112,6 +112,18 @@ TEST(Topology, SingleNodeMesh)
     EXPECT_EQ(topo.distance(0, 0), 0u);
 }
 
+TEST(Topology, NearestPeersSortByDistanceThenId)
+{
+    // 3x3 mesh: from the centre the four neighbours come first, then
+    // the corners, each group in ascending id order.
+    Topology topo(9, 3, 3);
+    EXPECT_EQ(topo.nearestPeers(4),
+              (std::vector<NodeId>{1, 3, 5, 7, 0, 2, 6, 8}));
+    EXPECT_EQ(topo.nearestPeers(0),
+              (std::vector<NodeId>{1, 3, 2, 4, 6, 5, 7, 8}));
+    EXPECT_TRUE(Topology(1, 1, 1).nearestPeers(0).empty());
+}
+
 } // namespace
 } // namespace net
 } // namespace plus
