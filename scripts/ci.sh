@@ -27,7 +27,9 @@
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
 #                  JSON output schema validated
-#   9. perf-smoke: engine_throughput --quick, fail if the wheel's
+#   9. perf-smoke: micro_sim BM_FiberSwitch, fail if the best of 3
+#                  fiber resume+yield round trips is over 200 ns; then
+#                  engine_throughput --quick, fail if the wheel's
 #                  throughput regressed >25% vs the committed
 #                  BENCH_engine.json or the speedup target is missed
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
@@ -227,12 +229,32 @@ EOF
 }
 
 run_perf_smoke() {
-    echo "=== perf-smoke: engine throughput vs committed baseline ==="
+    echo "=== perf-smoke: fiber switch + engine throughput gates ==="
     cmake -B build -S . >/dev/null
-    cmake --build build -j "$JOBS" --target engine_throughput
+    cmake --build build -j "$JOBS" --target engine_throughput micro_sim
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
+
+    # Fiber switch gate: every simulated cost is one resume+yield round
+    # trip. The hand-written stack switch takes about 70 ns on a 4-vCPU
+    # Xeon; a switch that makes a system call again (swapcontext's
+    # signal-mask save took 600-700 ns there) fails. Best of 3.
+    echo "--- fiber switch: resume+yield round trip"
+    build/bench/micro_sim --benchmark_filter=BM_FiberSwitch \
+        --benchmark_format=json --benchmark_repetitions=3 \
+        > "$out/fiber.json"
+    python3 - "$out/fiber.json" <<'EOF'
+import json, sys
+runs = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b["run_type"] == "iteration"]
+assert runs and all(b["time_unit"] == "ns" for b in runs), runs
+best = min(b["real_time"] for b in runs)
+print(f"fiber round trip: {best:.1f} ns (best of {len(runs)})")
+assert best <= 200.0, \
+    f"fiber resume+yield round trip {best:.1f} ns > 200 ns"
+print("fiber switch gate OK")
+EOF
 
     # The wheel micro is load-sensitive on shared CI hosts (the
     # committed baseline was recorded on an idle machine), so the

@@ -5,14 +5,15 @@
  * The PLUS simulator, like the authors' original, is driven by application
  * code: each simulated thread runs real C++ on its own stack and yields to
  * the event loop whenever it performs an operation with simulated cost.
- * Fibers are built on POSIX ucontext; the simulation is single-OS-threaded,
- * so no locking is needed.
+ * A switch is a hand-written stack switch (one small assembly routine per
+ * supported architecture, in fiber.cpp) that saves the callee-saved
+ * registers and the floating-point control state on the old stack and
+ * pops them off the new one: no system call, no signal-mask save. Each
+ * simulation runs on one OS thread, so no locking is needed.
  */
 
 #ifndef PLUS_SIM_FIBER_HPP_
 #define PLUS_SIM_FIBER_HPP_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -54,7 +55,7 @@ class Fiber
      *
      * An exception escaping the fiber body is captured on the fiber stack
      * and rethrown here, on the resumer's stack, after the fiber is marked
-     * finished — unwinding across a context switch is undefined behaviour.
+     * finished — the unwinder cannot cross a stack switch.
      */
     void resume();
 
@@ -71,7 +72,7 @@ class Fiber
     static Fiber* current();
 
   private:
-    static void trampoline(unsigned hi, unsigned lo);
+    static void trampoline(Fiber* self);
     void run();
     void switchIn();
     void cancel();
@@ -79,8 +80,10 @@ class Fiber
     std::function<void()> body_;
     std::unique_ptr<char[]> stack_;
     std::size_t stackBytes_;
-    ucontext_t context_;
-    ucontext_t returnContext_;
+    /** Saved stack pointer of the fiber while it is switched out. */
+    void* sp_ = nullptr;
+    /** Saved stack pointer of the resumer while the fiber runs. */
+    void* returnSp_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
     bool cancelling_ = false;
