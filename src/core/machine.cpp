@@ -97,7 +97,6 @@ Machine::Machine(MachineConfig config)
       topology_(1, 1, 1) // replaced below once the config is validated
 {
     config_.validate();
-    engine_.configure(config_.nodes);
     topology_ = net::Topology(config_.nodes, config_.meshWidth(),
                               config_.meshHeight());
     network_ = net::makeNetwork(engine_, topology_, config_.network);
@@ -154,8 +153,8 @@ Machine::Machine(MachineConfig config)
         });
         n.cm().setPageCopyDoneHandler([this](std::uint32_t copy_id) {
             // Completion mutates the directory and every node's tables:
-            // machine-lane work, deferred by machineLaneDelay_.
-            engine_.scheduleMachine(machineLaneDelay_, [this, copy_id] {
+            // an event of its own, deferred by machineLaneDelay_.
+            engine_.schedule(machineLaneDelay_, [this, copy_id] {
                 onPageCopyDone(copy_id);
             });
         });
@@ -178,9 +177,9 @@ Machine::Machine(MachineConfig config)
     }
     if (net::FaultInjector* inj = network_->faultInjector()) {
         inj->setCrashHandler([this](NodeId node) {
-            // Machine context (the script entry's lane): the checker
-            // learns of the crash first so recovery's epoch seal always
-            // follows it in the event stream.
+            // Inside the script entry's event: the checker learns of
+            // the crash first so recovery's epoch seal always follows it
+            // in the event stream.
             emit({.kind = check::EventKind::NodeCrashed, .node = node});
             if (recovery_) {
                 recovery_->onNodeCrashed(node);
@@ -573,11 +572,8 @@ Machine::replicate(Addr addr, NodeId target)
     copiesInFlight_.emplace(copy_id, PendingCopy{vpn, target,
                                                  kInvalidNode});
     ++pendingCopies_;
-    // The copy engine's events belong to the anchor node's lane.
-    engine_.withNodeContext(anchor.node, [&] {
-        nodes_[anchor.node]->cm().startPageCopy(anchor.frame, new_copy,
-                                                copy_id, vpn);
-    });
+    nodes_[anchor.node]->cm().startPageCopy(anchor.frame, new_copy, copy_id,
+                                            vpn);
     PLUS_LOG(LogComponent::Machine, "replicate vpn ", vpn, " -> n", target,
              " from n", anchor.node, " (copy ", copy_id, ")");
 }
@@ -858,10 +854,7 @@ Machine::run(Cycles max_cycles)
         injector->scheduleScript(); // idempotent; cycles now count from here
     }
     for (NodeId id = 0; id < nodes_.size(); ++id) {
-        // Thread-dispatch events get node-deterministic keys and lanes.
-        engine_.withNodeContext(id, [&] {
-            nodes_[id]->processor().start();
-        });
+        nodes_[id]->processor().start();
     }
     if (watchdog_ && unfinishedThreads_ > 0) {
         watchdog_->arm();
@@ -939,10 +932,10 @@ Machine::enableCompetitiveReplication(std::uint64_t threshold,
             // Competitive policy: enough remote references accumulated to
             // pay for a local copy — create one, unless the page is
             // already replicated here, at its copy budget, or mid-copy.
-            // The decision fires on a node lane; the replication itself
-            // is a machine-lane directory mutation, so it is deferred by
+            // The decision fires inside a reference; the replication
+            // mutates the directory, so it is deferred by
             // machineLaneDelay_ and the guards re-evaluate when it runs.
-            engine_.scheduleMachine(machineLaneDelay_, [this, id, vpn] {
+            engine_.schedule(machineLaneDelay_, [this, id, vpn] {
                 if (!directory_.contains(vpn)) {
                     return;
                 }

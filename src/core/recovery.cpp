@@ -44,14 +44,14 @@ void
 RecoveryManager::onPeerDeath(NodeId dead)
 {
     PLUS_ASSERT(dead < nodes_.size(), "peer death of unknown node ", dead);
-    // Node-lane caller: cross into the machine lane for the recovery
-    // itself. Several channels toward the dead node can exhaust and
+    // Called from inside a link timeout: run the recovery as an event of
+    // its own. Several channels toward the dead node can exhaust and
     // report here; recover() runs exactly once regardless.
     if (nodes_[dead].recovered) {
         return;
     }
-    machine_.engine_.scheduleMachine(machine_.machineLaneDelay_,
-                                     [this, dead] { recover(dead); });
+    machine_.engine_.schedule(machine_.machineLaneDelay_,
+                              [this, dead] { recover(dead); });
 }
 
 void

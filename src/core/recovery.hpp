@@ -12,8 +12,7 @@
  *  2. Survivors *detect* the death when a reliable-link retransmit
  *     budget toward it exhausts (net::LinkLayer reports a peer death
  *     instead of panicking when recovery is armed).
- *  3. A deterministic, in-simulation recovery epoch runs in the machine
- *     lane:
+ *  3. A deterministic, in-simulation recovery epoch runs as one event:
  *       - every page with a copy on the dead node has its copy-list
  *         repaired; if the master died, the first surviving replica in
  *         list order is promoted (it dominates every later copy,
@@ -37,7 +36,7 @@
  *         fatal protocol violation.
  *
  * The whole procedure is ordinary simulation state manipulated in one
- * deterministic machine-lane event, so a fixed crash schedule yields
+ * deterministic event, so a fixed crash schedule yields
  * byte-identical post-recovery memory images on every engine backend.
  */
 
@@ -89,15 +88,15 @@ class RecoveryManager
     RecoveryManager& operator=(const RecoveryManager&) = delete;
 
     /**
-     * A node fail-stop crashed (machine context, at the crash cycle).
-     * Halts the node; recovery itself waits for detection.
+     * A node fail-stop crashed (inside the script entry's event, at the
+     * crash cycle). Halts the node; recovery itself waits for detection.
      */
     void onNodeCrashed(NodeId node);
 
     /**
      * A survivor's link layer detected @p dead (retransmit budget
-     * exhausted). May fire from any node lane and more than once per
-     * dead node; recovery is scheduled into the machine lane and runs
+     * exhausted). May fire from any link timeout and more than once per
+     * dead node; recovery is scheduled as an event of its own and runs
      * exactly once.
      */
     void onPeerDeath(NodeId dead);

@@ -12,29 +12,10 @@ namespace net {
 
 FaultInjector::FaultInjector(sim::Engine& engine, const Topology& topology,
                              const FaultConfig& config)
-    : engine_(engine), config_(config),
+    : engine_(engine), config_(config), rng_(config.seed),
       deadNodes_(topology.nodes(), 0),
       crashedNodes_(topology.nodes(), 0)
 {
-    // One stream per lane (nodes plus machine context), each seeded
-    // from the config seed and its lane index so streams are mutually
-    // independent but fully reproducible.
-    rngs_.reserve(topology.nodes() + 1);
-    for (std::size_t lane = 0; lane <= topology.nodes(); ++lane) {
-        rngs_.emplace_back(config.seed +
-                           0x9e3779b97f4a7c15ull * (lane + 1));
-    }
-}
-
-Xoshiro256&
-FaultInjector::laneRng()
-{
-    // An unconfigured engine (unit tests driving the injector directly)
-    // reports machine context with nodes() == 0; clamp into our streams.
-    const std::uint16_t lane = engine_.currentLane();
-    const std::size_t ix =
-        lane == sim::kMachineLane ? engine_.nodes() : lane;
-    return rngs_[std::min(ix, rngs_.size() - 1)];
 }
 
 Fate
@@ -55,7 +36,7 @@ FaultInjector::fateFor(const Packet& packet)
     }
     // One roll, banded across the four fault probabilities, so a fate
     // schedule depends only on the frame sequence, not the rate split.
-    const double roll = laneRng().uniform();
+    const double roll = rng_.uniform();
     double band = config_.dropRate;
     if (roll < band) {
         s.dropped += 1;
@@ -82,7 +63,7 @@ FaultInjector::fateFor(const Packet& packet)
 Cycles
 FaultInjector::delayFor()
 {
-    return laneRng().range(1, config_.maxDelayCycles);
+    return rng_.range(1, config_.maxDelayCycles);
 }
 
 void

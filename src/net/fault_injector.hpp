@@ -118,14 +118,13 @@ class FaultInjector
     /**
      * Fail-stop crash of @p node: the router is killed and the node is
      * marked permanently crashed (setNodeAlive(node, true) on a crashed
-     * node is rejected). Fires the crash handler, if installed, from the
-     * same context as the script entry (machine lane). Idempotent.
+     * node is rejected). Fires the crash handler, if installed, inside
+     * the script entry's event. Idempotent.
      */
     void crashNode(NodeId node);
 
     /**
-     * Invoked from machine context when a CrashNode schedule entry
-     * fires; core::Machine wires this to the recovery manager so the
+     * Invoked when a CrashNode schedule entry fires; core::Machine wires this to the recovery manager so the
      * crash is acted on at its scheduled cycle, deterministically,
      * rather than only when a retransmit budget notices the silence.
      */
@@ -165,23 +164,18 @@ class FaultInjector
 
     void apply(const FaultScriptEntry& entry);
 
-    /** The executing lane's RNG stream (last stream = machine). */
-    Xoshiro256& laneRng();
-
     sim::Engine& engine_;
     FaultConfig config_;
     /**
-     * One independent xoshiro256** stream per lane, seeded from
-     * FaultConfig::seed and the lane index. A frame's fate is rolled on
-     * the lane that transmits it, so a fault schedule replays exactly
-     * on either engine backend. The recorded fault outputs depend on
-     * this split.
+     * One xoshiro256** stream seeded from FaultConfig::seed. Fates are
+     * rolled in frame-transmit order, which is event order, so a fault
+     * schedule replays exactly on either engine backend.
      */
-    std::vector<Xoshiro256> rngs_;
+    Xoshiro256 rng_;
     FaultStats stats_;
     /**
-     * Liveness is written from machine context only (scripted entries
-     * and test hooks) and read at every hop.
+     * Liveness is written by scripted entries and test hooks only, and
+     * read at every hop.
      */
     std::vector<char> deadNodes_;
     /** Permanently failed nodes: written under crashNode only, never

@@ -135,13 +135,11 @@ IdealNetwork::inject(Packet packet)
     const Cycles latency =
         zeroLoadLatency(topology_.distance(packet.src, packet.dst));
     const Cycles injected_at = engine_.now();
-    const NodeId dst = packet.dst;
     // sim::Event takes move-only captures, so the packet rides inline
     // in the event record — no allocation per send. hops is recomputed
     // at delivery to keep the capture within the inline budget.
-    // Delivery executes on the destination's lane.
-    engine_.scheduleForNode(dst, latency, [this, p = std::move(packet),
-                                           injected_at]() mutable {
+    engine_.schedule(latency, [this, p = std::move(packet),
+                               injected_at]() mutable {
         const unsigned hops = topology_.distance(p.src, p.dst);
         deliver(std::move(p), hops, injected_at, 0);
     });
@@ -265,10 +263,9 @@ MeshNetwork::hop(Transit* transit)
     transit->hops += 1;
     transit->at = next;
     // Cut-through: the head moves on after the router latency; the tail
-    // occupies the link for the serialization time behind it. The next
-    // hop executes on @p next's lane.
-    engine_.scheduleForNode(next, wait + config_.perHopCycles,
-                            [this, transit] { hop(transit); });
+    // occupies the link for the serialization time behind it.
+    engine_.schedule(wait + config_.perHopCycles,
+                     [this, transit] { hop(transit); });
 }
 
 Cycles

@@ -196,8 +196,7 @@ void
 LinkLayer::handleAck(const Packet& ack)
 {
     stats_.acksReceived += 1;
-    // The data channel runs ack.dst -> ack.src (acks travel backwards),
-    // so this executes on the data source's own lane.
+    // The data channel runs ack.dst -> ack.src (acks travel backwards).
     auto it = sender_[ack.dst].find(ack.src);
     if (it == sender_[ack.dst].end()) {
         return;
@@ -265,12 +264,8 @@ LinkLayer::armTimer(NodeId src, NodeId dst, std::uint32_t seq,
 {
     const Cycles backoff =
         rto(src) << std::min<unsigned>(entry.attempts, kBackoffCap);
-    // Pinned to the sender's lane, not the caller's: frames can be sent
-    // from machine context (page-copy engine, crash-recovery replays),
-    // and the lane keys the events the timeout schedules, so it is part
-    // of the event order the recorded outputs depend on.
-    entry.timer = engine_.scheduleForNode(
-        src, backoff, [this, src, dst, seq] { onTimeout(src, dst, seq); });
+    entry.timer = engine_.schedule(
+        backoff, [this, src, dst, seq] { onTimeout(src, dst, seq); });
 }
 
 void

@@ -288,7 +288,7 @@ class CoherenceManager
     };
 
     /**
-     * Machine-lane entry point run by core::RecoveryManager once @p dead
+     * Entry point run by core::RecoveryManager once @p dead
      * is detected down and the directory is repaired. Walks the records
      * the manager already keeps for each in-flight operation (read
      * waiters, pending writes, delayed-op slots): aborts every one that

@@ -17,72 +17,8 @@ Engine::~Engine()
     Log::instance().setClock(nullptr);
 }
 
-void
-Engine::configure(unsigned nodes)
-{
-    PLUS_ASSERT(pending_ == 0 && executed_ == 0,
-                "configure() must precede any scheduling");
-    PLUS_ASSERT(nodes < kMachineLane, "too many node lanes: ", nodes);
-    nodes_ = nodes;
-    initStep_.assign(nodes_, 0);
-    execStep_.assign(nodes_, 0);
-}
-
-std::uint64_t
-Engine::makeKey2()
-{
-    SchedCtx& c = ctx_;
-    if (c.node == kMachineLane) {
-        PLUS_ASSERT(machineSeq_ != 0xffffffffU,
-                    "machine-context key space exhausted");
-        return (std::uint64_t{kMachineLane} << 48U) |
-               (std::uint64_t{machineSeq_++} << 16U);
-    }
-    if (c.init) {
-        // withNodeContext() seeding: a persistent per-node counter in
-        // the step field; child 0xffff keeps the space disjoint from
-        // executed-event children.
-        return (std::uint64_t{c.node} << 48U) |
-               (std::uint64_t{initStep_[c.node]++} << 16U) | 0xffffU;
-    }
-    PLUS_ASSERT(c.child != 0xffffU,
-                "event scheduled too many children for its key space");
-    return (std::uint64_t{c.node} << 48U) |
-           (std::uint64_t{c.step} << 16U) | c.child++;
-}
-
 EventId
-Engine::scheduleForNode(NodeId node, Cycles delay, Event fn)
-{
-    if (nodes_ == 0) {
-        // Unconfigured engine (unit tests driving one subsystem
-        // directly): a single machine lane serialises everything.
-        return scheduleImpl(now_ + delay, std::move(fn), false,
-                            kMachineLane);
-    }
-    PLUS_ASSERT(node < nodes_, "scheduleForNode(", node,
-                ") outside configured lanes (", nodes_, ")");
-    return scheduleImpl(now_ + delay, std::move(fn), false,
-                        static_cast<std::uint16_t>(node));
-}
-
-void
-Engine::scheduleMachine(Cycles delay, Event fn)
-{
-    scheduleImpl(now_ + delay, std::move(fn), false, kMachineLane);
-}
-
-EventId
-Engine::scheduleDaemon(Cycles delay, Event fn)
-{
-    PLUS_ASSERT(ctx_.node == kMachineLane,
-                "daemon events are machine-lane only");
-    return scheduleImpl(now_ + delay, std::move(fn), true, kMachineLane);
-}
-
-EventId
-Engine::scheduleImpl(Cycles when, Event fn, bool daemon,
-                     std::uint16_t lane)
+Engine::scheduleImpl(Cycles when, Event fn, bool daemon)
 {
     PLUS_ASSERT(fn, "scheduling a null event");
     PLUS_ASSERT(when >= now_, "scheduling into the past: ", when, " < ",
@@ -91,9 +27,7 @@ Engine::scheduleImpl(Cycles when, Event fn, bool daemon,
     EventRecord& rec = slab_[idx];
     rec.fn = std::move(fn);
     rec.when = when;
-    rec.schedWhen = now_;
-    rec.key2 = makeKey2();
-    rec.lane = lane;
+    rec.seq = nextSeq_++;
     rec.daemon = daemon;
     const EventId id =
         (static_cast<EventId>(rec.gen) << 32U) | static_cast<EventId>(idx);
@@ -159,17 +93,6 @@ Engine::nextFromHeap(Cycles limit)
     return kNilRecord;
 }
 
-void
-Engine::enterEventContext(const EventRecord& rec)
-{
-    ctx_.node = rec.lane;
-    ctx_.child = 0;
-    ctx_.init = false;
-    if (rec.lane != kMachineLane) {
-        ctx_.step = ++execStep_[rec.lane];
-    }
-}
-
 bool
 Engine::dispatchNext(Cycles limit)
 {
@@ -185,7 +108,6 @@ Engine::dispatchNext(Cycles limit)
     if (rec.daemon) {
         --daemonPending_;
     }
-    enterEventContext(rec);
     // Free before invoking: the callback may reschedule into this very
     // slot, and cancel() of the now-fired id must report false.
     slab_.free(idx);
@@ -193,8 +115,6 @@ Engine::dispatchNext(Cycles limit)
     now_ = when;
     ++executed_;
     fn();
-    ctx_.node = kMachineLane;
-    ctx_.init = false;
     return true;
 }
 

@@ -3,10 +3,10 @@
  * Discrete-event simulation engine.
  *
  * The whole PLUS machine is simulated by an event loop. Components
- * schedule closures at future cycles; ties are broken by a canonical
- * *partition-independent* key derived from the scheduling context
- * (see sim::EventKey), so runs are fully deterministic and every
- * backend realises the same total order.
+ * schedule closures at future cycles; events due the same cycle run in
+ * the order their schedule calls were made (see sim::EventKey), so runs
+ * are fully deterministic and both backends realise the same total
+ * order.
  *
  * Internally events live in a slab of reusable records (no per-event
  * heap allocation: the callable is a `sim::Event` with inline capture
@@ -16,14 +16,6 @@
  * `EngineImpl::Heap` (`--engine=heap` in the benches), a determinism
  * oracle that must execute the exact same event order — CI diffs the
  * two byte-for-byte (docs/PERF.md).
- *
- * Scheduling contexts and lanes: every event carries a *lane* — the
- * node it executes at, or kMachineLane for machine-level work. The
- * lane decides the scheduling context its callback runs under, which
- * keys the callback's own schedules. Plain schedule() inherits the
- * current lane; scheduleForNode()/scheduleMachine() override it, and
- * withNodeContext() brackets machine-side code that seeds events into
- * a node's lane (processor start, page-copy kickoff).
  */
 
 #ifndef PLUS_SIM_ENGINE_HPP_
@@ -95,27 +87,18 @@ class Engine
     /** Current simulated time in cycles. */
     Cycles now() const { return now_; }
 
-    /**
-     * Declare the node-lane space. Must be called before any
-     * withNodeContext()/scheduleForNode() use; the Machine calls it
-     * right after constructing the engine.
-     */
-    void configure(unsigned nodes);
-
-    unsigned nodes() const { return nodes_; }
-
     /** Schedule @p fn to run @p delay cycles from now. */
     EventId
     schedule(Cycles delay, Event fn)
     {
-        return scheduleImpl(now_ + delay, std::move(fn), false, ctx_.node);
+        return scheduleImpl(now_ + delay, std::move(fn), false);
     }
 
     /** Schedule @p fn at absolute cycle @p when (must be >= now). */
     EventId
     scheduleAt(Cycles when, Event fn)
     {
-        return scheduleImpl(when, std::move(fn), false, ctx_.node);
+        return scheduleImpl(when, std::move(fn), false);
     }
 
     /**
@@ -125,40 +108,12 @@ class Engine
      * events are pending, without executing them or advancing now().
      * For periodic observers (the forward-progress watchdog) that must
      * never stretch a run to their own next deadline. Excluded from
-     * pendingEvents(); cancel() works normally. Machine lane only.
+     * pendingEvents(); cancel() works normally.
      */
-    EventId scheduleDaemon(Cycles delay, Event fn);
-
-    /**
-     * Schedule @p fn into node @p node's lane. The key still comes
-     * from the *current* context; only the execution lane is
-     * overridden.
-     */
-    EventId scheduleForNode(NodeId node, Cycles delay, Event fn);
-
-    /** Schedule @p fn into the machine lane (e.g. from node context). */
-    void scheduleMachine(Cycles delay, Event fn);
-
-    /**
-     * Run machine-side code in node @p node's scheduling context, so
-     * the events it seeds (processor dispatch, page-copy service) get
-     * node-deterministic keys and land in the node's lane.
-     */
-    template <typename F>
-    auto
-    withNodeContext(NodeId node, F&& f)
+    EventId
+    scheduleDaemon(Cycles delay, Event fn)
     {
-        PLUS_ASSERT(node < nodes_, "node context ", node,
-                    " outside configured lanes (", nodes_, ")");
-        const SchedCtx saved = ctx_;
-        ctx_.node = static_cast<std::uint16_t>(node);
-        ctx_.init = true;
-        struct Restore {
-            SchedCtx& c;
-            const SchedCtx& saved;
-            ~Restore() { c = saved; }
-        } restore{ctx_, saved};
-        return std::forward<F>(f)();
+        return scheduleImpl(now_ + delay, std::move(fn), true);
     }
 
     /**
@@ -199,18 +154,7 @@ class Engine
     /** Engine health counters for telemetry. */
     EngineStats stats() const;
 
-    /** Executing lane: a node id, or kMachineLane in machine context. */
-    std::uint16_t currentLane() const { return ctx_.node; }
-
   private:
-    /** Context events are scheduled from; the source of EventKeys. */
-    struct SchedCtx {
-        std::uint16_t node = kMachineLane; ///< ambient lane
-        std::uint32_t step = 0;            ///< executing event's step
-        std::uint16_t child = 0;           ///< next child index
-        bool init = false;                 ///< inside withNodeContext()
-    };
-
     struct HeapEntry {
         EventKey key;
         std::uint32_t idx;
@@ -225,12 +169,7 @@ class Engine
         }
     };
 
-    EventId scheduleImpl(Cycles when, Event fn, bool daemon,
-                         std::uint16_t lane);
-    /** Canonical key tiebreak from the current scheduling context. */
-    std::uint64_t makeKey2();
-    /** Set the dispatch context for a record about to execute. */
-    void enterEventContext(const EventRecord& rec);
+    EventId scheduleImpl(Cycles when, Event fn, bool daemon);
     bool dispatchNext(Cycles limit);
     std::uint32_t nextFromHeap(Cycles limit);
 
@@ -240,11 +179,7 @@ class Engine
         heap_;
     EngineImpl impl_;
     Cycles now_ = 0;
-    unsigned nodes_ = 0;
-    SchedCtx ctx_;
-    std::uint32_t machineSeq_ = 0;
-    std::vector<std::uint32_t> initStep_;
-    std::vector<std::uint32_t> execStep_;
+    std::uint64_t nextSeq_ = 0; ///< EventKey::seq of the next schedule
     std::uint64_t executed_ = 0;
     std::uint64_t scheduledTotal_ = 0;
     std::uint64_t cancelledTotal_ = 0;

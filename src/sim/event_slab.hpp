@@ -9,7 +9,8 @@
  * generation counter per slot lets `Engine::cancel()` reject stale
  * `EventId`s without any tombstone bookkeeping. Under AddressSanitizer
  * the callable storage of freed records is poisoned so use-after-free
- * of a dead event trips the sanitizer stage of CI.
+ * of a dead event trips the sanitizer stage of CI. Each record also
+ * carries its (when, seq) dispatch key, sim::EventKey.
  */
 
 #ifndef PLUS_SIM_EVENT_SLAB_HPP_
@@ -48,27 +49,15 @@ namespace sim {
 inline constexpr std::uint32_t kNilRecord = 0xffffffffU;
 
 /**
- * Execution lane of an event: the node whose context it runs in, or
- * kMachineLane for machine-level events (config scripts, watchdog,
- * page-management ops). The lane decides the scheduling context an
- * event executes under, which in turn keys its children.
- */
-inline constexpr std::uint16_t kMachineLane = 0xffff;
-
-/**
- * Canonical, partition-independent dispatch key. Events execute in
- * ascending (when, schedWhen, key2) order in *every* backend; the key
- * is derived purely from the scheduling context (which node/machine
- * scheduled it, that context's execution step, and a per-context child
- * counter), never from global insertion order, so the wheel and the
- * heap oracle realise the same total order. The recorded goldens
- * depend on this order. `key2` packs `schedNode:16 | step:32 |
- * child:16`.
+ * Dispatch key. Events execute in ascending (when, seq) order on both
+ * backends: `seq` is one engine-wide counter stamped at schedule time,
+ * so events due the same cycle run in the order their schedule calls
+ * were made. Leaving one event out never reorders the others. The
+ * recorded goldens depend on this order.
  */
 struct EventKey {
     Cycles when = 0;       ///< due cycle
-    Cycles schedWhen = 0;  ///< cycle the schedule() call happened
-    std::uint64_t key2 = 0;
+    std::uint64_t seq = 0; ///< schedule-call order
 
     friend constexpr bool
     operator<(const EventKey& a, const EventKey& b)
@@ -76,10 +65,7 @@ struct EventKey {
         if (a.when != b.when) {
             return a.when < b.when;
         }
-        if (a.schedWhen != b.schedWhen) {
-            return a.schedWhen < b.schedWhen;
-        }
-        return a.key2 < b.key2;
+        return a.seq < b.seq;
     }
 };
 
@@ -94,16 +80,14 @@ struct EventRecord {
 
     Event fn;                           ///< poisoned while the slot is free
     Cycles when = 0;                    ///< absolute due cycle
-    Cycles schedWhen = 0;               ///< cycle it was scheduled at
-    std::uint64_t key2 = 0;             ///< context tiebreak (see EventKey)
+    std::uint64_t seq = 0;              ///< schedule-call order (EventKey)
     std::uint32_t gen = 1;              ///< bumped on free; never 0
     std::uint32_t next = kNilRecord;    ///< slot list / free list link
     std::uint32_t prev = kNilRecord;    ///< slot list back link
     std::uint16_t home = kHomeFree;     ///< wheel slot index or kHome*
-    std::uint16_t lane = kMachineLane;  ///< executing node or kMachineLane
     bool daemon = false;                ///< does not keep run() alive
 
-    EventKey key() const { return EventKey{when, schedWhen, key2}; }
+    EventKey key() const { return EventKey{when, seq}; }
 };
 
 /** Chunked, address-stable pool of EventRecords with a free list. */

@@ -15,16 +15,6 @@ constexpr auto kPreLater = [](const auto& a, const auto& b) {
     return b.key < a.key;
 };
 
-/** Key tiebreak within one level-0 slot (equal `when` by invariant). */
-bool
-tieLess(const EventRecord& a, const EventRecord& b)
-{
-    if (a.schedWhen != b.schedWhen) {
-        return a.schedWhen < b.schedWhen;
-    }
-    return a.key2 < b.key2;
-}
-
 } // namespace
 
 TimingWheel::TimingWheel(EventSlab& slab) : slab_(slab)
@@ -85,47 +75,23 @@ TimingWheel::fileAt(std::uint32_t idx, Cycles when)
     const unsigned home = level * kSlots + slot;
 
     rec.home = static_cast<std::uint16_t>(home);
-    if (tails_[home] == kNilRecord) {
-        rec.next = kNilRecord;
-        rec.prev = kNilRecord;
+    // Higher levels are unordered staging: the cascade refiles each list
+    // in order. A level-0 slot holds exactly one timestamp, and every
+    // event due then arrives in seq order (new schedules carry the
+    // largest seq; a cascade refiles its whole group in order), so the
+    // append keeps the slot sorted for head-first dispatch.
+    rec.next = kNilRecord;
+    rec.prev = tails_[home];
+    if (rec.prev == kNilRecord) {
         heads_[home] = idx;
-        tails_[home] = idx;
         pending_[level] |= Cycles{1} << slot;
         levelMask_ |= 1U << level;
-        return;
-    }
-    if (level > 0) {
-        // Higher levels are unordered staging: the cascade refiles the
-        // whole list and level 0 re-sorts it, so O(1) append is fine.
-        rec.next = kNilRecord;
-        rec.prev = tails_[home];
-        slab_[tails_[home]].next = idx;
-        tails_[home] = idx;
-        return;
-    }
-    // Level-0 slots hold exactly one timestamp and are dispatched
-    // head-first, so keep the list sorted by the EventKey tiebreak.
-    // Scan from the tail: machine-context keys arrive in ascending
-    // order (O(1)), node-context ties only scan their own cycle.
-    std::uint32_t at = tails_[home];
-    while (at != kNilRecord && tieLess(rec, slab_[at])) {
-        at = slab_[at].prev;
-    }
-    if (at == kNilRecord) {
-        rec.prev = kNilRecord;
-        rec.next = heads_[home];
-        slab_[heads_[home]].prev = idx;
-        heads_[home] = idx;
-        return;
-    }
-    rec.prev = at;
-    rec.next = slab_[at].next;
-    slab_[at].next = idx;
-    if (rec.next == kNilRecord) {
-        tails_[home] = idx;
     } else {
-        slab_[rec.next].prev = idx;
+        PLUS_ASSERT(level > 0 || slab_[rec.prev].seq < rec.seq,
+                    "level-0 slot filed out of seq order at cycle ", when);
+        slab_[rec.prev].next = idx;
     }
+    tails_[home] = idx;
 }
 
 void

@@ -10,12 +10,11 @@
  * and insertion, cancellation and dispatch are all O(1). When the
  * cursor reaches a higher-level slot its whole list cascades down in
  * order; see docs/PERF.md for the determinism argument. All events
- * with equal `when` always share one level-0 slot; that slot's list is
- * kept sorted by the canonical EventKey tiebreak (schedWhen, key2), so
- * dispatch realises the same partition-independent total order as the
- * heap oracle. Machine-context schedules carry monotonically
- * increasing keys, so the tail-scan insertion is O(1) for them;
- * node-context ties scan only their own cycle's list.
+ * with equal `when` always share one slot, filed in schedule-call
+ * order; since EventKey::seq grows with every schedule, each level-0
+ * slot list is already in (when, seq) order and insertion is an O(1)
+ * append, so dispatch realises the same total order as the heap
+ * oracle.
  *
  * One wrinkle keeps `runUntil()` honest: probing for "is the next
  * event past the limit" may legitimately advance the cursor beyond

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -179,33 +180,84 @@ TEST(Engine, PendingExcludesCancelled)
     EXPECT_EQ(engine.pendingEvents(), 1u);
 }
 
+TEST(Engine, TiesFromDifferentEventsRunInScheduleCallOrder)
+{
+    // Two events stand for work on node 3 and node 1 in the same cycle,
+    // node 3's first. Each sends a message due the same later cycle. The
+    // messages run in the order they were sent, whatever the node ids.
+    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
+        Engine engine(impl);
+        std::vector<int> order;
+        for (const int node : {3, 1}) {
+            engine.schedule(5, [&engine, &order, node] {
+                engine.schedule(7, [&order, node] { order.push_back(node); });
+            });
+        }
+        engine.run();
+        EXPECT_EQ(order, (std::vector<int>{3, 1}))
+            << "impl wheel=" << (impl == EngineImpl::Wheel);
+        EXPECT_EQ(engine.now(), 12u);
+    }
+}
+
 TEST(Engine, RandomScheduleCancelIsDeterministic)
 {
     // Property: two engines fed the same pseudo-random schedule/cancel
-    // stream execute the same events at the same times.
-    auto run = [] {
-        sim::Engine engine;
+    // stream execute the same events in the same order; and leaving one
+    // event (with the children it would schedule) out of the stream
+    // keeps the relative order of all the others, on both backends.
+    // Delays, children and cancel targets derive from each event's own
+    // tag, never from a shared stream, so the left-out event changes
+    // nothing else.
+    auto mix = [](std::uint64_t x) {
+        x = (x ^ (x >> 30U)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27U)) * 0x94d049bb133111ebull;
+        return x ^ (x >> 31U);
+    };
+    constexpr int kEvents = 200;
+    constexpr int kChild = 1000; // a child's tag is its parent's + kChild
+    auto run = [&mix](EngineImpl impl, int skip) {
+        Engine engine(impl);
         std::vector<std::pair<Cycles, int>> log;
-        std::uint64_t state = 12345;
-        auto next = [&state] {
-            state = state * 6364136223846793005ull + 1442695040888963407ull;
-            return state >> 33;
+        std::function<void(int, Cycles)> spawn = [&](int tag, Cycles delay) {
+            engine.schedule(delay, [&, tag] {
+                log.push_back({engine.now(), tag});
+                const std::uint64_t h = mix(tag + 7);
+                if (tag < 2 * kChild && h % 3 == 0) {
+                    spawn(tag + kChild, h % 20);
+                }
+            });
         };
-        std::vector<EventId> ids;
-        for (int i = 0; i < 200; ++i) {
-            const Cycles delay = next() % 50;
-            ids.push_back(engine.schedule(
-                delay, [&log, &engine, i] {
-                    log.push_back({engine.now(), i});
-                }));
-            if (next() % 4 == 0 && !ids.empty()) {
-                engine.cancel(ids[next() % ids.size()]);
+        std::vector<EventId> ids(kEvents, kInvalidEvent);
+        for (int i = 0; i < kEvents; ++i) {
+            const std::uint64_t h = mix(i);
+            if (i != skip) {
+                spawn(i, h % 50);
+                ids[i] = engine.schedule(h % 50, [&log, &engine, i] {
+                    log.push_back({engine.now(), -i});
+                });
+            }
+            if (h % 4 == 0) {
+                engine.cancel(ids[(h >> 8U) % (i + 1)]);
             }
         }
         engine.run();
         return log;
     };
-    EXPECT_EQ(run(), run());
+    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
+        const auto full = run(impl, -1);
+        EXPECT_EQ(full, run(impl, -1));
+        for (const int skip : {0, 17, 118, kEvents - 1}) {
+            auto expected = full;
+            std::erase_if(expected, [skip](const auto& entry) {
+                const int tag = entry.second;
+                return tag == -skip || tag % kChild == skip;
+            });
+            EXPECT_EQ(run(impl, skip), expected)
+                << "skip " << skip << " wheel="
+                << (impl == EngineImpl::Wheel);
+        }
+    }
 }
 
 TEST(Engine, CancelOfFiredIdReturnsFalse)
