@@ -100,7 +100,6 @@ Machine::Machine(MachineConfig config)
     topology_ = net::Topology(config_.nodes, config_.meshWidth(),
                               config_.meshHeight());
     network_ = net::makeNetwork(engine_, topology_, config_.network);
-    machineLaneDelay_ = network_->minCrossNodeLatency();
     if (config_.network.fault.enabled) {
         // Script arming is deferred to the first run(): setup work
         // (allocation, replication, settle) would otherwise consume
@@ -153,8 +152,8 @@ Machine::Machine(MachineConfig config)
         });
         n.cm().setPageCopyDoneHandler([this](std::uint32_t copy_id) {
             // Completion mutates the directory and every node's tables:
-            // an event of its own, deferred by machineLaneDelay_.
-            engine_.schedule(machineLaneDelay_, [this, copy_id] {
+            // an event of its own, later in this cycle.
+            engine_.schedule(0, [this, copy_id] {
                 onPageCopyDone(copy_id);
             });
         });
@@ -933,9 +932,9 @@ Machine::enableCompetitiveReplication(std::uint64_t threshold,
             // pay for a local copy — create one, unless the page is
             // already replicated here, at its copy budget, or mid-copy.
             // The decision fires inside a reference; the replication
-            // mutates the directory, so it is deferred by
-            // machineLaneDelay_ and the guards re-evaluate when it runs.
-            engine_.schedule(machineLaneDelay_, [this, id, vpn] {
+            // mutates the directory, so it runs as an event of its own
+            // later in this cycle and the guards re-evaluate then.
+            engine_.schedule(0, [this, id, vpn] {
                 if (!directory_.contains(vpn)) {
                     return;
                 }

@@ -321,13 +321,6 @@ class Machine
     sim::Engine engine_;
     net::Topology topology_;
     std::unique_ptr<net::Network> network_;
-    /**
-     * Delay machine-lane work scheduled from node context waits (page-
-     * copy completion, competitive replication, recovery hand-offs):
-     * the network's minimum cross-node latency. Kept because the cycle
-     * such work lands on, and so every recorded output, depends on it.
-     */
-    Cycles machineLaneDelay_ = 0;
     std::vector<std::unique_ptr<node::Node>> nodes_;
 
     mem::PageDirectory directory_;

@@ -50,8 +50,7 @@ RecoveryManager::onPeerDeath(NodeId dead)
     if (nodes_[dead].recovered) {
         return;
     }
-    machine_.engine_.schedule(machine_.machineLaneDelay_,
-                              [this, dead] { recover(dead); });
+    machine_.engine_.schedule(0, [this, dead] { recover(dead); });
 }
 
 void

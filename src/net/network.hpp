@@ -187,13 +187,6 @@ class Network
         return config_.fixedCycles + config_.perHopCycles * hops;
     }
 
-    /**
-     * The smallest delay with which this model ever schedules an event
-     * onto a *different* node's lane. core::Machine delays machine-lane
-     * work triggered from node context by this much.
-     */
-    virtual Cycles minCrossNodeLatency() const = 0;
-
     /** Cycles a packet of the given payload occupies one link. */
     Cycles serializationCycles(unsigned payload_bytes) const;
 
@@ -237,12 +230,6 @@ class IdealNetwork : public Network
   public:
     using Network::Network;
 
-    /** Delivery is the only cross-node schedule: one-hop zero load. */
-    Cycles minCrossNodeLatency() const override
-    {
-        return zeroLoadLatency(1);
-    }
-
   protected:
     void inject(Packet packet) override;
 };
@@ -259,12 +246,6 @@ class MeshNetwork : public Network
 
     /** Busy cycles accumulated on the most utilized link. */
     Cycles maxLinkBusyCycles() const;
-
-    /** Hops advance via scheduleForNode with delay >= perHopCycles. */
-    Cycles minCrossNodeLatency() const override
-    {
-        return config_.perHopCycles;
-    }
 
   protected:
     void inject(Packet packet) override;
