@@ -11,7 +11,10 @@
  *    network-hop delays, coherence-manager service windows, armed-then-
  *    cancelled timeouts) against three schedulers: the pre-rewrite
  *    priority-queue engine (copied below as BaselinePq), the timing-
- *    wheel engine, and the wheel engine's heap reference backend.
+ *    wheel engine, and the wheel engine's heap reference backend. The
+ *    three run interleaved, 40 short repetitions each, and each reports
+ *    its best, so host load hits all of them alike and `speedup` (wheel
+ *    over baseline) is a ratio measured in one process.
  *
  *  - The sim_harness 16-node macro workload on the real machine, run
  *    once per backend, reporting host events/sec and simulated
@@ -19,7 +22,8 @@
  *
  * --out writes the numbers as JSON (the committed BENCH_engine.json is
  * produced this way). The ci.sh perf-smoke stage reruns with --quick
- * and fails on a large regression. See docs/PERF.md.
+ * and gates on `speedup`, which does not depend on the host's speed.
+ * See docs/PERF.md.
  *
  * --micro-only stops after the scheduler micro benchmark.
  *
@@ -336,13 +340,24 @@ main(int argc, char** argv)
     // Warm-up pass so first-touch page faults don't bill the baseline.
     MicroBench<BaselinePq>(micro_events / 8).eventsPerSec();
 
-    const double baseline =
-        MicroBench<BaselinePq>(micro_events).eventsPerSec();
-    const double wheel =
-        MicroBench<sim::Engine>(micro_events).eventsPerSec();
-    // The heap reference backend still benefits from Event + the slab;
-    // the gap between it and the wheel isolates the data structure.
-    const double heap = MicroBench<HeapEngine>(micro_events).eventsPerSec();
+    // Interleaved best of kReps short runs per scheduler: a slow spell
+    // on the host costs every scheduler a repetition, not one scheduler
+    // its number. The heap reference backend still benefits from Event +
+    // the slab; the gap between it and the wheel isolates the data
+    // structure.
+    constexpr int kReps = 40;
+    const std::uint64_t rep_events = micro_events / 8;
+    double baseline = 0.0;
+    double wheel = 0.0;
+    double heap = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        baseline = std::max(
+            baseline, MicroBench<BaselinePq>(rep_events).eventsPerSec());
+        wheel = std::max(
+            wheel, MicroBench<sim::Engine>(rep_events).eventsPerSec());
+        heap = std::max(
+            heap, MicroBench<HeapEngine>(rep_events).eventsPerSec());
+    }
 
     MacroResult macro_wheel;
     MacroResult macro_heap;

@@ -29,9 +29,10 @@
 #                  JSON output schema validated
 #   9. perf-smoke: micro_sim BM_FiberSwitch, fail if the best of 3
 #                  fiber resume+yield round trips is over 200 ns; then
-#                  engine_throughput --quick, fail if the wheel's
-#                  throughput regressed >25% vs the committed
-#                  BENCH_engine.json or the speedup target is missed
+#                  engine_throughput --quick --micro-only, fail if the
+#                  wheel runs the micro mix less than 3.0x as fast as
+#                  the priority-queue baseline measured in the same
+#                  process, on each of 3 attempts
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
 #                  corrupt 0.5%, mixed + transient link kill) — every
 #                  run must reproduce the fault-free memory image, and
@@ -256,35 +257,37 @@ assert best <= 200.0, \
 print("fiber switch gate OK")
 EOF
 
-    # The wheel micro is load-sensitive on shared CI hosts (the
-    # committed baseline was recorded on an idle machine), so the
-    # gate takes the best of up to three attempts rather than
-    # failing on one slow sample.
-    local attempt wheel_ok=0
+    # The wheel gate is a ratio measured in one process, so it does not
+    # depend on the host's speed: engine_throughput interleaves 40 short
+    # runs each of the wheel and of the priority-queue engine it replaced
+    # and keeps each side's best, so host load slows both alike. On a
+    # shared 4-vCPU Xeon the wheel ran the micro mix 3.1-3.8x as fast as
+    # the baseline, idle or loaded, with a rare outlier down to 2.7x; a
+    # build whose wheel was made 25% slower measured 2.5-2.8x. So the
+    # floor is 3.0x, and a miss gets two more attempts before the stage
+    # fails.
+    echo "--- engine: wheel over priority-queue baseline"
+    local attempt
     for attempt in 1 2 3; do
-        build/bench/engine_throughput --quick --out="$out/bench.json"
-        if python3 - "$out/bench.json" BENCH_engine.json <<'EOF'
+        build/bench/engine_throughput --quick --micro-only \
+            --out="$out/bench.json" > /dev/null
+        if python3 - "$out/bench.json" <<'EOF'
 import json, sys
 now = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-wheel, base = now["wheelEventsPerSec"], committed["wheelEventsPerSec"]
-print(f"wheel: {wheel:.3g} ev/s now vs {base:.3g} ev/s committed")
-assert wheel >= 0.75 * base, \
-    f"wheel throughput regressed >25%: {wheel:.3g} < 0.75 * {base:.3g}"
-assert now["speedup"] >= 2.0, \
-    f"wheel no longer >=2x the priority-queue baseline: {now['speedup']:.2f}x"
-print(f"perf OK: {now['speedup']:.2f}x vs baseline pq")
+speedup = now["speedup"]
+print(f"wheel {now['wheelEventsPerSec']:.3g} ev/s, baseline "
+      f"{now['baselineEventsPerSec']:.3g} ev/s: {speedup:.2f}x")
+assert speedup >= 3.0, \
+    f"wheel under 3.0x the priority-queue baseline: {speedup:.2f}x"
+print("wheel gate OK")
 EOF
         then
-            wheel_ok=1
-            break
+            return 0
         fi
-        echo "perf-smoke: wheel gate missed on attempt $attempt, retrying"
+        echo "perf-smoke: wheel gate missed on attempt $attempt"
     done
-    if [ "$wheel_ok" -ne 1 ]; then
-        echo "perf-smoke: wheel gate failed on all attempts" >&2
-        return 1
-    fi
+    echo "perf-smoke: wheel gate failed on all attempts" >&2
+    return 1
 }
 
 run_chaos() {

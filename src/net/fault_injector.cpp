@@ -1,7 +1,5 @@
 #include "net/fault_injector.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "net/network.hpp"

@@ -146,100 +146,8 @@ initialFrame(void* self, void (*entry)(plus::sim::Fiber*))
 
 } // namespace
 
-#elif defined(__aarch64__)
-
-// AAPCS64: x19-x29, the link register x30, the low halves of v8-v15
-// (d8-d15) and FPCR are preserved across calls. Frame, from the saved
-// stack pointer up: x19-x28, x29, x30, d8-d15, FPCR, padding (176 bytes,
-// keeping sp 16-byte aligned).
-asm(R"(
-    .text
-    .globl plus_sim_fiber_switch
-    .hidden plus_sim_fiber_switch
-    .type plus_sim_fiber_switch, %function
-    .p2align 2
-plus_sim_fiber_switch:
-    .cfi_startproc
-    sub sp, sp, #176
-    .cfi_adjust_cfa_offset 176
-    stp x19, x20, [sp, #0]
-    stp x21, x22, [sp, #16]
-    stp x23, x24, [sp, #32]
-    stp x25, x26, [sp, #48]
-    stp x27, x28, [sp, #64]
-    stp x29, x30, [sp, #80]
-    stp d8, d9, [sp, #96]
-    stp d10, d11, [sp, #112]
-    stp d12, d13, [sp, #128]
-    stp d14, d15, [sp, #144]
-    mrs x9, fpcr
-    str x9, [sp, #160]
-    mov x9, sp
-    str x9, [x0]
-    mov sp, x1
-    ldr x9, [sp, #160]
-    msr fpcr, x9
-    ldp d14, d15, [sp, #144]
-    ldp d12, d13, [sp, #128]
-    ldp d10, d11, [sp, #112]
-    ldp d8, d9, [sp, #96]
-    ldp x29, x30, [sp, #80]
-    ldp x27, x28, [sp, #64]
-    ldp x25, x26, [sp, #48]
-    ldp x23, x24, [sp, #32]
-    ldp x21, x22, [sp, #16]
-    ldp x19, x20, [sp, #0]
-    add sp, sp, #176
-    .cfi_adjust_cfa_offset -176
-    ret
-    .cfi_endproc
-    .size plus_sim_fiber_switch, .-plus_sim_fiber_switch
-
-    .globl plus_sim_fiber_entry
-    .hidden plus_sim_fiber_entry
-    .type plus_sim_fiber_entry, %function
-    .p2align 2
-plus_sim_fiber_entry:
-    .cfi_startproc
-    .cfi_undefined x30
-    mov x0, x19
-    blr x20
-    brk #0
-    .cfi_endproc
-    .size plus_sim_fiber_entry, .-plus_sim_fiber_entry
-)");
-
-namespace {
-
-/** What plus_sim_fiber_switch pops when it first enters a fiber. */
-struct InitialFrame {
-    std::uint64_t x19, x20, x21_x28[8];
-    std::uint64_t x29, x30;
-    std::uint64_t d8_d15[8];
-    std::uint64_t fpcr;
-    std::uint64_t pad;
-};
-static_assert(sizeof(InitialFrame) == 176);
-
-/**
- * Build the frame that starts a fiber in @p entry(@p self) with the
- * caller's FPCR. The frame sits right below the 16-byte-aligned top.
- */
-InitialFrame
-initialFrame(void* self, void (*entry)(plus::sim::Fiber*))
-{
-    InitialFrame frame{};
-    asm volatile("mrs %0, fpcr" : "=r"(frame.fpcr));
-    frame.x19 = reinterpret_cast<std::uint64_t>(self);
-    frame.x20 = reinterpret_cast<std::uint64_t>(entry);
-    frame.x30 = reinterpret_cast<std::uint64_t>(&plus_sim_fiber_entry);
-    return frame;
-}
-
-} // namespace
-
 #else
-#error "sim::Fiber has a stack switch for x86-64 and aarch64 only"
+#error "sim::Fiber has a stack switch for x86-64 only; docs/PERF.md (Fiber switch) lists what a port must save"
 #endif
 
 namespace plus {
