@@ -29,8 +29,10 @@
  *
  * --prof-overhead runs only the profiler-overhead measurement the
  * ci.sh prof stage gates on: the wheel micro benchmark with the
- * profiler disabled and enabled, interleaved in-process (best of 5
- * each) so host noise hits both sides alike, reported as JSON.
+ * profiler disabled and enabled in 40 adjacent short pairs, so host
+ * noise hits both sides of a pair alike; `overheadPct` is one minus the
+ * median of the pairs' enabled/disabled throughput ratios, reported as
+ * JSON with each side's best.
  */
 
 #include <algorithm>
@@ -115,6 +117,9 @@ class BaselinePq
     std::uint64_t nextSeq_ = 0;
     sim::EventId nextId_ = 1;
 };
+
+/** Short repetitions per side of an interleaved micro comparison. */
+constexpr int kMicroReps = 40;
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -296,26 +301,37 @@ main(int argc, char** argv)
     }
 
     const std::uint64_t micro_events = quick ? 400'000 : 4'000'000;
+    const std::uint64_t rep_events = micro_events / 8;
     const unsigned macro_iters = quick ? 16 : 64;
 
     if (prof_overhead) {
-        // Interleave disabled/enabled measurements in one process so
-        // frequency scaling and host contention bias both sides the
-        // same way; best-of-5 discards the slow outliers.
-        MicroBench<sim::Engine>(micro_events / 8).eventsPerSec();
+        // The host's speed drifts in phases lasting several repetitions,
+        // so each side's best comes from whichever side was lucky in the
+        // fastest phase. Instead, each adjacent off/on pair shares its
+        // phase, and the overhead is the median of the pairs' ratios;
+        // the order within a pair alternates.
+        auto measure = [rep_events](bool on) {
+            prof::enable(on);
+            return MicroBench<sim::Engine>(rep_events).eventsPerSec();
+        };
+        measure(false);
         double best_off = 0.0;
         double best_on = 0.0;
-        for (int rep = 0; rep < 5; ++rep) {
-            prof::enable(false);
-            best_off = std::max(
-                best_off,
-                MicroBench<sim::Engine>(micro_events).eventsPerSec());
-            prof::enable(true);
-            best_on = std::max(
-                best_on,
-                MicroBench<sim::Engine>(micro_events).eventsPerSec());
+        std::vector<double> ratios;
+        for (int rep = 0; rep < kMicroReps; ++rep) {
+            const bool on_first = rep % 2 != 0;
+            const double first = measure(on_first);
+            const double second = measure(!on_first);
+            const double off = on_first ? second : first;
+            const double on = on_first ? first : second;
+            best_off = std::max(best_off, off);
+            best_on = std::max(best_on, on);
+            ratios.push_back(on / off);
         }
         prof::enable(false);
+        std::sort(ratios.begin(), ratios.end());
+        const double median_ratio =
+            (ratios[kMicroReps / 2 - 1] + ratios[kMicroReps / 2]) / 2.0;
         std::ofstream ofs;
         if (!out.empty()) {
             ofs.open(out);
@@ -329,8 +345,9 @@ main(int argc, char** argv)
            << "  \"bench\": \"engine_throughput_prof_overhead\",\n"
            << "  \"offEventsPerSec\": " << best_off << ",\n"
            << "  \"onEventsPerSec\": " << best_on << ",\n"
-           << "  \"overheadPct\": "
-           << 100.0 * (1.0 - best_on / best_off) << "\n}\n";
+           << "  \"pairs\": " << kMicroReps << ",\n"
+           << "  \"overheadPct\": " << 100.0 * (1.0 - median_ratio)
+           << "\n}\n";
         return 0;
     }
 
@@ -338,19 +355,17 @@ main(int argc, char** argv)
                 "simulator performance (no paper table; see docs/PERF.md)");
 
     // Warm-up pass so first-touch page faults don't bill the baseline.
-    MicroBench<BaselinePq>(micro_events / 8).eventsPerSec();
+    MicroBench<BaselinePq>(rep_events).eventsPerSec();
 
-    // Interleaved best of kReps short runs per scheduler: a slow spell
-    // on the host costs every scheduler a repetition, not one scheduler
-    // its number. The heap reference backend still benefits from Event +
-    // the slab; the gap between it and the wheel isolates the data
-    // structure.
-    constexpr int kReps = 40;
-    const std::uint64_t rep_events = micro_events / 8;
+    // Interleaved best of kMicroReps short runs per scheduler: a slow
+    // spell on the host costs every scheduler a repetition, not one
+    // scheduler its number. The heap reference backend still benefits
+    // from Event + the slab; the gap between it and the wheel isolates
+    // the data structure.
     double baseline = 0.0;
     double wheel = 0.0;
     double heap = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
+    for (int rep = 0; rep < kMicroReps; ++rep) {
         baseline = std::max(
             baseline, MicroBench<BaselinePq>(rep_events).eventsPerSec());
         wheel = std::max(

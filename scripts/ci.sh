@@ -378,14 +378,18 @@ print(f"profile OK: phases {sorted(phases)}")
 EOF
 
     # Overhead gate: the serial wheel micro benchmark with profiling
-    # enabled must stay within 3% of the disabled run. The bench
-    # interleaves the two configurations in-process (best of 5 each) so
-    # host noise — frequency scaling, a shared CI box — biases both
-    # sides the same way instead of masquerading as overhead.
-    echo "--- overhead gate (profiler off vs on, in-process best of 5)"
-    build/bench/engine_throughput --prof-overhead \
-        --out="$out/overhead.json"
-    python3 - "$out/overhead.json" <<'EOF'
+    # enabled must stay within 3% of the disabled run. The bench runs 40
+    # adjacent disabled/enabled pairs of short repetitions in one process
+    # and reports the median of the pairs' throughput ratios: the host's
+    # speed drifts in phases, which a pair shares but a best-of-each
+    # comparison does not. A miss gets two more attempts before the
+    # stage fails.
+    echo "--- overhead gate (profiler off vs on, median of 40 pairs)"
+    local attempt
+    for attempt in 1 2 3; do
+        build/bench/engine_throughput --prof-overhead \
+            --out="$out/overhead.json"
+        if python3 - "$out/overhead.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 print(f"wheel micro: {d['offEventsPerSec']:.3g} ev/s off, "
@@ -395,6 +399,13 @@ assert d["overheadPct"] <= 3.0, \
     f"profiler-on overhead exceeds 3%: {d['overheadPct']:.2f}%"
 print("prof overhead gate OK")
 EOF
+        then
+            return 0
+        fi
+        echo "prof: overhead gate missed on attempt $attempt"
+    done
+    echo "prof: overhead gate failed on all attempts" >&2
+    return 1
 }
 
 run_tsan() {

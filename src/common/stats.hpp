@@ -11,8 +11,11 @@
 #define PLUS_COMMON_STATS_HPP_
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "common/panic.hpp"
@@ -20,24 +23,31 @@
 namespace plus {
 
 /**
- * Streaming distribution: tracks count, sum, min, max exactly, and keeps
- * every sample for exact percentiles (sample counts in this simulator are
- * modest; exactness beats approximation for reproducibility).
+ * Exact distribution stored as a count per distinct value: count, sum,
+ * min, max and every nearest-rank percentile are the same doubles a
+ * sample-keeping histogram reports, in memory that grows with the
+ * number of distinct values instead of the number of samples.
+ *
+ * Small non-negative integers, which covers every cycle latency, count
+ * into a dense array that grows to the largest value seen below
+ * kDenseCap; every other value (negative, fractional, or at and above
+ * the cap) goes to a sorted value -> count map. sum() accumulates in
+ * record order.
  */
 class Histogram
 {
   public:
+    /** Integers in [0, kDenseCap) are counted in the dense array. */
+    static constexpr std::size_t kDenseCap = 4096;
+
     void
     record(double value)
     {
-        samples_.push_back(value);
+        add(value, 1);
         sum_ += value;
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-        sorted_ = false;
     }
 
-    std::uint64_t count() const { return samples_.size(); }
+    std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double min() const { return count() ? min_ : 0.0; }
     double max() const { return count() ? max_ : 0.0; }
@@ -48,13 +58,20 @@ class Histogram
     percentile(double p) const
     {
         PLUS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
-        if (samples_.empty()) {
+        if (count_ == 0) {
             return 0.0;
         }
-        sortIfNeeded();
-        const auto n = samples_.size();
-        auto rank = static_cast<std::size_t>(p / 100.0 * (n - 1) + 0.5);
-        return samples_[std::min(rank, n - 1)];
+        const auto rank = std::min(
+            static_cast<std::uint64_t>(p / 100.0 * (count_ - 1) + 0.5),
+            count_ - 1);
+        double found = 0.0;
+        std::uint64_t seen = 0;
+        walk([&](double value, std::uint64_t n) {
+            seen += n;
+            found = value;
+            return rank < seen;
+        });
+        return found;
     }
 
     double median() const { return percentile(50.0); }
@@ -62,34 +79,87 @@ class Histogram
     void
     clear()
     {
-        samples_.clear();
+        dense_.clear();
+        sparse_.clear();
+        count_ = 0;
         sum_ = 0.0;
         min_ = std::numeric_limits<double>::infinity();
         max_ = -std::numeric_limits<double>::infinity();
-        sorted_ = false;
     }
 
-    /** Merge another histogram's samples into this one. */
+    /**
+     * Merge another histogram's samples into this one. Its samples are
+     * added to sum() in ascending value order.
+     */
     void
     merge(const Histogram& other)
     {
-        for (double v : other.samples_) {
-            record(v);
-        }
+        other.walk([this](double value, std::uint64_t n) {
+            add(value, n);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                sum_ += value;
+            }
+            return false;
+        });
     }
 
   private:
-    void
-    sortIfNeeded() const
+    static bool
+    isDense(double value)
     {
-        if (!sorted_) {
-            std::sort(samples_.begin(), samples_.end());
-            sorted_ = true;
+        return !std::signbit(value) &&
+               value < static_cast<double>(kDenseCap) &&
+               value == std::floor(value);
+    }
+
+    /** Count @p n samples of @p value; sum() is the caller's. */
+    void
+    add(double value, std::uint64_t n)
+    {
+        if (isDense(value)) {
+            const auto i = static_cast<std::size_t>(value);
+            if (i >= dense_.size()) {
+                dense_.resize(i + 1);
+            }
+            dense_[i] += n;
+        } else {
+            sparse_[value] += n;
+        }
+        count_ += n;
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
+    }
+
+    /**
+     * Call fn(value, count) for each distinct value in ascending order,
+     * the dense and sparse stores interleaved, until fn returns true.
+     */
+    template <typename Fn>
+    void
+    walk(Fn fn) const
+    {
+        auto it = sparse_.begin();
+        for (std::size_t i = 0; i < dense_.size(); ++i) {
+            for (; it != sparse_.end() && it->first < static_cast<double>(i);
+                 ++it) {
+                if (fn(it->first, it->second)) {
+                    return;
+                }
+            }
+            if (dense_[i] != 0 && fn(static_cast<double>(i), dense_[i])) {
+                return;
+            }
+        }
+        for (; it != sparse_.end(); ++it) {
+            if (fn(it->first, it->second)) {
+                return;
+            }
         }
     }
 
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = false;
+    std::vector<std::uint64_t> dense_;      ///< count of value i at [i]
+    std::map<double, std::uint64_t> sparse_; ///< every other value
+    std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();

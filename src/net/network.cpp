@@ -149,28 +149,41 @@ MeshNetwork::MeshNetwork(sim::Engine& engine, const Topology& topology,
                          const NetworkConfig& config)
     : Network(engine, topology, config)
 {
-    // Populate every directed adjacent link up front: the map is never
-    // mutated again, so hop-time lookups are finds.
-    for (NodeId from = 0; from < topology.nodes(); ++from) {
-        for (NodeId to = 0; to < topology.nodes(); ++to) {
-            if (from != to && topology.distance(from, to) == 1) {
-                links_.emplace(static_cast<std::uint64_t>(from) *
-                                   topology.nodes() + to,
-                               Link{});
+    const unsigned nodes = topology.nodes();
+    // Every link is the first hop of the route to its far end, so the
+    // routing loop names every link's neighbour too.
+    links_.resize(static_cast<std::size_t>(nodes) * kPorts);
+    nextLink_.resize(static_cast<std::size_t>(nodes) * nodes);
+    for (NodeId at = 0; at < nodes; ++at) {
+        for (NodeId dst = 0; dst < nodes; ++dst) {
+            if (at != dst) {
+                const NodeId next = topology.nextHop(at, dst);
+                const std::uint32_t link = linkBetween(at, next);
+                links_[link].to = next;
+                nextLink_[static_cast<std::size_t>(at) * nodes + dst] = link;
             }
         }
     }
 }
 
-MeshNetwork::Link&
-MeshNetwork::linkBetween(NodeId from, NodeId to)
+std::uint32_t
+MeshNetwork::linkBetween(NodeId from, NodeId to) const
 {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(from) * topology_.nodes() + to;
-    const auto it = links_.find(key);
-    PLUS_ASSERT(it != links_.end(), "link between non-adjacent nodes ",
-                from, " and ", to);
-    return it->second;
+    const Coord a = topology_.coordOf(from);
+    const Coord b = topology_.coordOf(to);
+    unsigned port = kPorts;
+    if (a.y == b.y && b.x == a.x + 1) {
+        port = 0;
+    } else if (a.y == b.y && a.x == b.x + 1) {
+        port = 1;
+    } else if (a.x == b.x && b.y == a.y + 1) {
+        port = 2;
+    } else if (a.x == b.x && a.y == b.y + 1) {
+        port = 3;
+    }
+    PLUS_ASSERT(port < kPorts, "link between non-adjacent nodes ", from,
+                " and ", to);
+    return from * kPorts + port;
 }
 
 MeshNetwork::Transit*
@@ -222,7 +235,10 @@ MeshNetwork::hop(Transit* transit)
         return;
     }
 
-    const NodeId next = topology_.nextHop(transit->at, dst);
+    Link& link = links_[nextLink_[static_cast<std::size_t>(transit->at) *
+                                      topology_.nodes() +
+                                  dst]];
+    const NodeId next = link.to;
 
     // Faults: a packet already in flight dies at a killed link or a
     // dead router, like the real fabric; the reliable layer's timers
@@ -240,7 +256,6 @@ MeshNetwork::hop(Transit* transit)
         return;
     }
 
-    Link& link = linkBetween(transit->at, next);
     const Cycles now = engine_.now();
     const Cycles serialization =
         serializationCycles(transit->packet.payloadBytes);
@@ -272,9 +287,7 @@ Cycles
 MeshNetwork::maxLinkBusyCycles() const
 {
     Cycles best = 0;
-    // pluslint: allow(R1) -- max over all values; order-independent.
-    for (const auto& [key, link] : links_) {
-        (void)key;
+    for (const Link& link : links_) {
         best = std::max(best, link.busyCycles);
     }
     return best;

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "check/event.hpp"
@@ -251,10 +250,14 @@ class MeshNetwork : public Network
     void inject(Packet packet) override;
 
   private:
-    /** Directed link between adjacent routers. */
+    /** Router ports with a mesh neighbour: +x, -x, +y, -y. */
+    static constexpr unsigned kPorts = 4;
+
+    /** Directed link from a router to its neighbour on one port. */
     struct Link {
         Cycles freeAt = 0;
         Cycles busyCycles = 0;
+        NodeId to = kInvalidNode; ///< kInvalidNode: no neighbour there
     };
 
     /** State threaded through the hop-by-hop events. */
@@ -266,7 +269,8 @@ class MeshNetwork : public Network
         NodeId at = kInvalidNode;
     };
 
-    Link& linkBetween(NodeId from, NodeId to);
+    /** Index into links_ of the link from @p from to adjacent @p to. */
+    std::uint32_t linkBetween(NodeId from, NodeId to) const;
     void hop(Transit* transit);
 
     /**
@@ -276,11 +280,14 @@ class MeshNetwork : public Network
     Transit* acquireTransit();
     void releaseTransit(Transit* transit);
 
+    /** Index node * kPorts + port. */
+    std::vector<Link> links_;
     /**
-     * key = from * nodes + to, adjacent pairs only. Fully populated at
-     * construction so hop-time lookups are finds.
+     * Index at * nodes + dst: the links_ index of the dimension-order
+     * next hop from at toward dst, filled at construction from
+     * Topology::nextHop.
      */
-    std::unordered_map<std::uint64_t, Link> links_;
+    std::vector<std::uint32_t> nextLink_;
     /** Owning transit pool; recycled through transitFree_. */
     std::vector<std::unique_ptr<Transit>> transitPool_;
     std::vector<Transit*> transitFree_;

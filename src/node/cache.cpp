@@ -1,7 +1,5 @@
 #include "node/cache.hpp"
 
-#include "common/panic.hpp"
-
 namespace plus {
 namespace node {
 
@@ -14,56 +12,60 @@ Cache::Cache(const CostModel& cost, SnoopPolicy policy)
         cost.cacheBytes / (lineWords_ * static_cast<unsigned>(kWordBytes));
     PLUS_ASSERT(total_lines >= ways_, "cache smaller than one set");
     sets_ = total_lines / ways_;
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    tags_.assign(static_cast<std::size_t>(sets_) * ways_, kNoLine);
+    stamps_.assign(tags_.size(), 0);
 }
 
-Cache::Line*
-Cache::find(std::uint64_t line)
+std::size_t
+Cache::find(std::uint32_t line) const
 {
-    const unsigned set = static_cast<unsigned>(line % sets_);
-    Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            return &base[w];
+    const std::size_t base = static_cast<std::size_t>(line % sets_) * ways_;
+    for (std::size_t w = base; w < base + ways_; ++w) {
+        if (tags_[w] == line) {
+            return w;
         }
     }
-    return nullptr;
+    return kMiss;
 }
 
 void
-Cache::insert(std::uint64_t line)
+Cache::insert(FrameId frame, std::uint32_t line)
 {
-    const unsigned set = static_cast<unsigned>(line % sets_);
-    Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
-    Line* victim = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+    const std::size_t base = static_cast<std::size_t>(line % sets_) * ways_;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + ways_; ++w) {
+        if (tags_[w] == kNoLine) {
+            victim = w;
             break;
         }
-        if (base[w].lruStamp < victim->lruStamp) {
-            victim = &base[w];
+        if (stamps_[w] < stamps_[victim]) {
+            victim = w;
         }
     }
-    if (victim->valid) {
+    if (tags_[victim] != kNoLine) {
         ++stats_.evictions;
+        --residents_[tags_[victim] / linesPerPage_];
     }
-    victim->valid = true;
-    victim->tag = line;
-    victim->lruStamp = ++clock_;
+    tags_[victim] = line;
+    stamps_[victim] = ++clock_;
+    if (frame >= residents_.size()) {
+        residents_.resize(static_cast<std::size_t>(frame) + 1);
+    }
+    ++residents_[frame];
 }
 
 bool
 Cache::accessRead(FrameId frame, Addr word_offset)
 {
-    const std::uint64_t line = lineNumber(frame, word_offset);
-    if (Line* hit = find(line)) {
-        hit->lruStamp = ++clock_;
+    const std::uint32_t line = lineNumber(frame, word_offset);
+    const std::size_t hit = find(line);
+    if (hit != kMiss) {
+        stamps_[hit] = ++clock_;
         ++stats_.hits;
         return true;
     }
     ++stats_.misses;
-    insert(line);
+    insert(frame, line);
     return false;
 }
 
@@ -71,9 +73,9 @@ bool
 Cache::accessWrite(FrameId frame, Addr word_offset)
 {
     // Write-through, no write-allocate: presence unchanged on a miss.
-    const std::uint64_t line = lineNumber(frame, word_offset);
-    if (Line* hit = find(line)) {
-        hit->lruStamp = ++clock_;
+    const std::size_t hit = find(lineNumber(frame, word_offset));
+    if (hit != kMiss) {
+        stamps_[hit] = ++clock_;
         return true;
     }
     return false;
@@ -82,15 +84,18 @@ Cache::accessWrite(FrameId frame, Addr word_offset)
 void
 Cache::snoop(FrameId frame, Addr word_offset)
 {
-    const std::uint64_t line = lineNumber(frame, word_offset);
-    Line* hit = find(line);
-    if (!hit) {
+    if (residentLines(frame) == 0) {
+        return;
+    }
+    const std::size_t hit = find(lineNumber(frame, word_offset));
+    if (hit == kMiss) {
         return;
     }
     if (policy_ == SnoopPolicy::Update) {
         ++stats_.snoopUpdates;
     } else {
-        hit->valid = false;
+        tags_[hit] = kNoLine;
+        --residents_[frame];
         ++stats_.snoopInvalidates;
     }
 }
@@ -98,9 +103,8 @@ Cache::snoop(FrameId frame, Addr word_offset)
 void
 Cache::flush()
 {
-    for (Line& line : lines_) {
-        line.valid = false;
-    }
+    tags_.assign(tags_.size(), kNoLine);
+    residents_.clear();
 }
 
 } // namespace node

@@ -17,10 +17,12 @@
 #ifndef PLUS_NODE_CACHE_HPP_
 #define PLUS_NODE_CACHE_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/panic.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -79,30 +81,44 @@ class Cache
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
-  private:
-    struct Line {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
-
-    /** Global line number of (frame, word offset). */
-    std::uint64_t
-    lineNumber(FrameId frame, Addr word_offset) const
+    /** Lines of @p frame currently resident. */
+    unsigned
+    residentLines(FrameId frame) const
     {
-        return static_cast<std::uint64_t>(frame) * linesPerPage_ +
-               word_offset / lineWords_;
+        return frame < residents_.size() ? residents_[frame] : 0;
     }
 
-    Line* find(std::uint64_t line);
-    void insert(std::uint64_t line);
+  private:
+    /** Tag of an empty way. */
+    static constexpr std::uint32_t kNoLine = 0xffffffffu;
+    /** find()'s result when the line is not resident. */
+    static constexpr std::size_t kMiss = ~std::size_t{0};
+
+    /** Global line number of (frame, word offset); also the tag. */
+    std::uint32_t
+    lineNumber(FrameId frame, Addr word_offset) const
+    {
+        const std::uint64_t line =
+            static_cast<std::uint64_t>(frame) * linesPerPage_ +
+            word_offset / lineWords_;
+        PLUS_ASSERT(line < kNoLine, "frame ", frame, " beyond the cache tags");
+        return static_cast<std::uint32_t>(line);
+    }
+
+    /** Way index of @p line in tags_/stamps_, or kMiss. */
+    std::size_t find(std::uint32_t line) const;
+    void insert(FrameId frame, std::uint32_t line);
 
     unsigned lineWords_;
     unsigned linesPerPage_;
     unsigned sets_;
     unsigned ways_;
     SnoopPolicy policy_;
-    std::vector<Line> lines_; ///< sets_ * ways_, set-major
+    // One entry per way, sets_ * ways_, set-major: 12 bytes per line.
+    std::vector<std::uint32_t> tags_;  ///< line number, or kNoLine
+    std::vector<std::uint64_t> stamps_; ///< LRU stamp of the last touch
+    /** Resident lines per frame, so a snoop of an uncached frame is free. */
+    std::vector<std::uint32_t> residents_;
     std::uint64_t clock_ = 0;
     Stats stats_;
 };

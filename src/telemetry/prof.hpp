@@ -89,10 +89,6 @@ tick()
 {
 #if defined(__x86_64__) || defined(__i386__)
     return __builtin_ia32_rdtsc();
-#elif defined(__aarch64__)
-    std::uint64_t v;
-    asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-    return v;
 #else
     return static_cast<std::uint64_t>(
         std::chrono::steady_clock::now().time_since_epoch().count());

@@ -121,6 +121,51 @@ TEST(Cache, FlushDropsEverything)
     EXPECT_FALSE(cache.accessRead(1, 0));
 }
 
+TEST(Cache, ResidentCountFollowsFillsAndEvictions)
+{
+    Cache cache(smallCache(), SnoopPolicy::Invalidate);
+    cache.accessRead(0, 0); // frame 0, line 0 -> set 0
+    EXPECT_EQ(cache.residentLines(0), 1u);
+    // Frame 1's lines 0 and 8 also map to set 0 (a page is a multiple
+    // of 8 lines) and push frame 0's only line out of both ways.
+    cache.accessRead(1, 0);
+    cache.accessRead(1, 32);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.residentLines(0), 0u);
+    EXPECT_EQ(cache.residentLines(1), 2u);
+    cache.snoop(0, 0); // no line of frame 0 left: a no-op
+    EXPECT_EQ(cache.stats().snoopInvalidates, 0u);
+    EXPECT_TRUE(cache.accessRead(1, 0));
+}
+
+TEST(Cache, InvalidatingSnoopDecrementsResidentCount)
+{
+    Cache cache(smallCache(), SnoopPolicy::Invalidate);
+    cache.accessRead(0, 0);
+    cache.accessRead(0, 4);
+    EXPECT_EQ(cache.residentLines(0), 2u);
+    cache.snoop(0, 1);
+    EXPECT_EQ(cache.residentLines(0), 1u);
+    cache.snoop(0, 1); // already gone
+    EXPECT_EQ(cache.residentLines(0), 1u);
+    EXPECT_EQ(cache.stats().snoopInvalidates, 1u);
+    EXPECT_TRUE(cache.accessRead(0, 4));
+}
+
+TEST(Cache, FlushZeroesResidentCounts)
+{
+    Cache cache(smallCache());
+    cache.accessRead(0, 0);
+    cache.accessRead(2, 0);
+    cache.flush();
+    EXPECT_EQ(cache.residentLines(0), 0u);
+    EXPECT_EQ(cache.residentLines(2), 0u);
+    cache.snoop(0, 0);
+    EXPECT_EQ(cache.stats().snoopUpdates, 0u);
+    EXPECT_FALSE(cache.accessRead(2, 0));
+    EXPECT_EQ(cache.residentLines(2), 1u);
+}
+
 TEST(Cache, PaperGeometry)
 {
     // 32 Kbyte, 4-word lines, 2 ways: 2048 lines, 1024 sets.

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/panic.hpp"
@@ -316,6 +320,158 @@ TEST(Histogram, ClearResetsExtremaForReuse)
     EXPECT_EQ(h.min(), 5.0);
     EXPECT_EQ(h.max(), 5.0);
     EXPECT_DOUBLE_EQ(h.sum(), 5.0);
+}
+
+/**
+ * The sample-keeping histogram Histogram replaced, kept as the reference
+ * model: every sample in a vector, sorted on demand.
+ */
+class SampleHistogram
+{
+  public:
+    void
+    record(double value)
+    {
+        samples_.push_back(value);
+        sum_ += value;
+        min_ = std::min(min_, value);
+        max_ = std::max(max_, value);
+        sorted_ = false;
+    }
+
+    std::uint64_t count() const { return samples_.size(); }
+    double sum() const { return sum_; }
+    double min() const { return count() ? min_ : 0.0; }
+    double max() const { return count() ? max_ : 0.0; }
+    double mean() const { return count() ? sum_ / count() : 0.0; }
+
+    double
+    percentile(double p) const
+    {
+        if (samples_.empty()) {
+            return 0.0;
+        }
+        if (!sorted_) {
+            std::sort(samples_.begin(), samples_.end());
+            sorted_ = true;
+        }
+        const auto n = samples_.size();
+        auto rank = static_cast<std::size_t>(p / 100.0 * (n - 1) + 0.5);
+        return samples_[std::min(rank, n - 1)];
+    }
+
+    void
+    clear()
+    {
+        samples_.clear();
+        sum_ = 0.0;
+        min_ = std::numeric_limits<double>::infinity();
+        max_ = -std::numeric_limits<double>::infinity();
+        sorted_ = false;
+    }
+
+    /** Adds @p other's samples in its vector's order (sorted, once it
+     *  has answered a percentile). */
+    void
+    merge(const SampleHistogram& other)
+    {
+        for (double v : other.samples_) {
+            record(v);
+        }
+    }
+
+  private:
+    mutable std::vector<double> samples_;
+    mutable bool sorted_ = false;
+    double sum_ = 0.0;
+    double min_ = std::numeric_limits<double>::infinity();
+    double max_ = -std::numeric_limits<double>::infinity();
+};
+
+/** Every reported double of @p h equals the reference model's. */
+void
+expectSameAsReference(const Histogram& h, const SampleHistogram& ref)
+{
+    EXPECT_EQ(h.count(), ref.count());
+    EXPECT_EQ(h.sum(), ref.sum());
+    EXPECT_EQ(h.min(), ref.min());
+    EXPECT_EQ(h.max(), ref.max());
+    EXPECT_EQ(h.mean(), ref.mean());
+    for (double p : {0.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+        EXPECT_EQ(h.percentile(p), ref.percentile(p)) << "p" << p;
+    }
+}
+
+/**
+ * One seeded sample: mostly cycle-like integers below the dense cap,
+ * with 0, the cap itself, values above it, negatives and non-integers
+ * mixed in.
+ */
+double
+mixedSample(Xoshiro256& rng)
+{
+    const double cap = static_cast<double>(Histogram::kDenseCap);
+    switch (rng.below(8)) {
+      case 0: return 0.0;
+      case 1: return cap + static_cast<double>(rng.below(3)) - 1.0;
+      case 2: return cap + static_cast<double>(rng.below(100000));
+      case 3: return static_cast<double>(rng.below(40)) + 0.5;
+      case 4: return 1e9 + 0.25;
+      case 5: return -static_cast<double>(rng.below(50)) - 0.125;
+      default: return static_cast<double>(rng.below(600));
+    }
+}
+
+TEST(Histogram, MatchesSampleKeepingReference)
+{
+    for (std::uint64_t seed : {1ull, 2ull, 77213ull}) {
+        Xoshiro256 rng(seed);
+        Histogram h;
+        SampleHistogram ref;
+        expectSameAsReference(h, ref);
+        for (int i = 0; i < 5000; ++i) {
+            const double v = mixedSample(rng);
+            h.record(v);
+            ref.record(v);
+            if (i % 997 == 0) {
+                expectSameAsReference(h, ref);
+            }
+        }
+        expectSameAsReference(h, ref);
+    }
+}
+
+TEST(Histogram, MergeAndClearMatchSampleKeepingReference)
+{
+    Xoshiro256 rng(5);
+    Histogram a;
+    Histogram b;
+    SampleHistogram ref_a;
+    SampleHistogram ref_b;
+    for (int i = 0; i < 3000; ++i) {
+        const double v = mixedSample(rng);
+        (i % 3 == 0 ? b : a).record(v);
+        (i % 3 == 0 ? ref_b : ref_a).record(v);
+    }
+    // merge() adds the other's samples in ascending order; the
+    // reference does so once its samples are sorted.
+    expectSameAsReference(b, ref_b);
+    a.merge(b);
+    ref_a.merge(ref_b);
+    expectSameAsReference(a, ref_a);
+    expectSameAsReference(b, ref_b);
+
+    a.clear();
+    ref_a.clear();
+    expectSameAsReference(a, ref_a);
+    for (int i = 0; i < 500; ++i) {
+        const double v = mixedSample(rng);
+        a.record(v);
+        ref_a.record(v);
+    }
+    expectSameAsReference(a, ref_a);
+    a.merge(Histogram{});
+    expectSameAsReference(a, ref_a);
 }
 
 // --- TablePrinter ---------------------------------------------------------------
