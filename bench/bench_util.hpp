@@ -5,7 +5,6 @@
  * tables print, and the command-line plumbing every bench accepts:
  *
  *   --nodes=N            machine size (benches with a size knob)
- *   --engine=NAME        wheel | heap (default: wheel)
  *   --protocol=NAME      update | invalidate (default: update;
  *                        docs/PROTOCOLS.md)
  *   --trace-out=<file>   Perfetto JSON trace
@@ -31,7 +30,6 @@ namespace bench {
 /** The harness options common to every bench, parsed from argv. */
 struct HarnessArgs {
     unsigned nodes = 0;           ///< --nodes=N; 0 = bench default
-    Engine engine = Engine::Wheel; ///< --engine=NAME
     Protocol protocol = Protocol::WriteUpdate; ///< --protocol=NAME
     std::string traceOut;         ///< --trace-out=<file>
     std::string statsOut;         ///< --stats-out=<file>
@@ -63,7 +61,7 @@ harnessArgs()
  * Consume the common harness options from @p argv into the returned
  * (and process-wide, see harnessArgs()) struct; bench-specific flags
  * land in HarnessArgs::rest. Call once at the top of main;
- * machineBuilder() then applies the engine/telemetry choices
+ * machineBuilder() then applies the protocol/telemetry choices
  * automatically. Exits with usage on a malformed common flag.
  */
 inline HarnessArgs&
@@ -81,12 +79,6 @@ parseHarnessArgs(int argc, char** argv)
             prof::enable(true);
         } else if (arg.rfind("--nodes=", 0) == 0) {
             args.nodes = static_cast<unsigned>(std::stoul(arg.substr(8)));
-        } else if (arg.rfind("--engine=", 0) == 0) {
-            if (!engineFromString(arg.substr(9), args.engine)) {
-                std::cerr << "unknown --engine '" << arg.substr(9)
-                          << "' (want wheel|heap)\n";
-                std::exit(2);
-            }
         } else if (arg.rfind("--protocol=", 0) == 0) {
             if (!protocolFromString(arg.substr(11), args.protocol)) {
                 std::cerr << "unknown --protocol '" << arg.substr(11)
@@ -103,7 +95,7 @@ parseHarnessArgs(int argc, char** argv)
 /**
  * The machine builder used by the reproduction experiments: the
  * paper's cost model on @p nodes nodes with deep frame reserves, the
- * command line's engine choice, and telemetry armed when any
+ * command line's protocol choice, and telemetry armed when any
  * output file was requested. Benches chain further knobs and build().
  */
 inline MachineBuilder
@@ -113,7 +105,6 @@ machineBuilder(unsigned nodes, ProcessorMode mode = ProcessorMode::Delayed)
         .nodes(nodes)
         .framesPerNode(4096)
         .mode(mode)
-        .engine(harnessArgs().engine)
         .protocol(harnessArgs().protocol)
         .observer(harnessArgs().telemetry());
 }

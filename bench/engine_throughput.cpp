@@ -9,16 +9,15 @@
  *
  *  - A micro benchmark replaying a harness-shaped event mix (short
  *    network-hop delays, coherence-manager service windows, armed-then-
- *    cancelled timeouts) against three schedulers: the pre-rewrite
- *    priority-queue engine (copied below as BaselinePq), the timing-
- *    wheel engine, and the wheel engine's heap reference backend. The
- *    three run interleaved, 40 short repetitions each, and each reports
- *    its best, so host load hits all of them alike and `speedup` (wheel
- *    over baseline) is a ratio measured in one process.
+ *    cancelled timeouts) against two schedulers: the pre-rewrite
+ *    priority-queue engine (copied below as BaselinePq) and the timing-
+ *    wheel engine. They run as 40 adjacent pairs of short repetitions,
+ *    so host load hits both sides of a pair alike, and `speedup` is the
+ *    median of the pairs' wheel/baseline throughput ratios.
  *
  *  - The sim_harness 16-node macro workload on the real machine, run
- *    once per backend, reporting host events/sec and simulated
- *    cycles/sec end to end.
+ *    once, reporting host events/sec and simulated cycles/sec end to
+ *    end.
  *
  * --out writes the numbers as JSON (the committed BENCH_engine.json is
  * produced this way). The ci.sh perf-smoke stage reruns with --quick
@@ -29,10 +28,9 @@
  *
  * --prof-overhead runs only the profiler-overhead measurement the
  * ci.sh prof stage gates on: the wheel micro benchmark with the
- * profiler disabled and enabled in 40 adjacent short pairs, so host
- * noise hits both sides of a pair alike; `overheadPct` is one minus the
- * median of the pairs' enabled/disabled throughput ratios, reported as
- * JSON with each side's best.
+ * profiler disabled and enabled, paired the same way; `overheadPct` is
+ * one minus the median of the pairs' enabled/disabled throughput
+ * ratios, reported as JSON with each side's best.
  */
 
 #include <algorithm>
@@ -118,8 +116,8 @@ class BaselinePq
     sim::EventId nextId_ = 1;
 };
 
-/** Short repetitions per side of an interleaved micro comparison. */
-constexpr int kMicroReps = 40;
+/** Adjacent pairs of short repetitions in a paired micro comparison. */
+constexpr int kMicroPairs = 40;
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -129,10 +127,43 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** sim::Engine pinned to the heap reference backend. */
-struct HeapEngine : sim::Engine {
-    HeapEngine() : sim::Engine(sim::EngineImpl::Heap) {}
+/** Outcome of pairedRatio(): each side's best and the median ratio. */
+struct Paired {
+    double bestA = 0.0;
+    double bestB = 0.0;
+    double medianRatio = 0.0; ///< median over the pairs of B / A
 };
+
+/**
+ * Compare two throughputs, `measure(false)` (side A) and
+ * `measure(true)` (side B), as kMicroPairs adjacent pairs after one
+ * warm-up run of A. The host's speed drifts in phases lasting several
+ * repetitions, so a best-of-each comparison is decided by whichever
+ * side was lucky in the fastest phase; the two runs of a pair share
+ * their phase instead. The order within a pair alternates.
+ */
+template <typename Measure>
+Paired
+pairedRatio(Measure measure)
+{
+    measure(false);
+    Paired p;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kMicroPairs; ++pair) {
+        const bool b_first = pair % 2 != 0;
+        const double first = measure(b_first);
+        const double second = measure(!b_first);
+        const double a = b_first ? second : first;
+        const double b = b_first ? first : second;
+        p.bestA = std::max(p.bestA, a);
+        p.bestB = std::max(p.bestB, b);
+        ratios.push_back(b / a);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    p.medianRatio =
+        (ratios[kMicroPairs / 2 - 1] + ratios[kMicroPairs / 2]) / 2.0;
+    return p;
+}
 
 /**
  * Steady-state event mix modelled on what the coherence simulation
@@ -183,7 +214,7 @@ struct MicroBench {
     std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;
 };
 
-/** One backend's end-to-end numbers on the macro workload. */
+/** End-to-end numbers on the macro workload. */
 struct MacroResult {
     double eventsPerSec = 0;
     double cyclesPerSec = 0;
@@ -194,9 +225,9 @@ struct MacroResult {
 /** The sim_harness mixed workload (writes through update chains,
  *  remote reads, delayed interlocked ops, fences) on @p nodes nodes. */
 MacroResult
-macroRun(Engine backend, unsigned nodes, unsigned iters)
+macroRun(unsigned nodes, unsigned iters)
 {
-    auto machine_ptr = machineBuilder(nodes).engine(backend).build();
+    auto machine_ptr = machineBuilder(nodes).build();
     core::Machine& machine = *machine_ptr;
 
     constexpr unsigned kCopies = 4;
@@ -249,26 +280,21 @@ macroRun(Engine backend, unsigned nodes, unsigned iters)
 }
 
 void
-writeJson(std::ostream& os, bool quick, unsigned nodes, double baseline,
-          double wheel, double heap, const MacroResult& macro_wheel,
-          const MacroResult& macro_heap)
+writeJson(std::ostream& os, bool quick, unsigned nodes, const Paired& micro,
+          const MacroResult& macro)
 {
     os << "{\n"
        << "  \"bench\": \"engine_throughput\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"nodes\": " << nodes << ",\n"
-       << "  \"baselineEventsPerSec\": " << baseline << ",\n"
-       << "  \"wheelEventsPerSec\": " << wheel << ",\n"
-       << "  \"heapEventsPerSec\": " << heap << ",\n"
-       << "  \"speedup\": " << wheel / baseline << ",\n"
-       << "  \"harnessWheelEventsPerSec\": " << macro_wheel.eventsPerSec
-       << ",\n"
-       << "  \"harnessWheelCyclesPerSec\": " << macro_wheel.cyclesPerSec
-       << ",\n"
-       << "  \"harnessHeapEventsPerSec\": " << macro_heap.eventsPerSec
-       << ",\n"
-       << "  \"harnessEvents\": " << macro_wheel.events << ",\n"
-       << "  \"harnessCycles\": " << macro_wheel.cycles << "\n"
+       << "  \"baselineEventsPerSec\": " << micro.bestA << ",\n"
+       << "  \"wheelEventsPerSec\": " << micro.bestB << ",\n"
+       << "  \"pairs\": " << kMicroPairs << ",\n"
+       << "  \"speedup\": " << micro.medianRatio << ",\n"
+       << "  \"harnessWheelEventsPerSec\": " << macro.eventsPerSec << ",\n"
+       << "  \"harnessWheelCyclesPerSec\": " << macro.cyclesPerSec << ",\n"
+       << "  \"harnessEvents\": " << macro.events << ",\n"
+       << "  \"harnessCycles\": " << macro.cycles << "\n"
        << "}\n";
 }
 
@@ -305,33 +331,11 @@ main(int argc, char** argv)
     const unsigned macro_iters = quick ? 16 : 64;
 
     if (prof_overhead) {
-        // The host's speed drifts in phases lasting several repetitions,
-        // so each side's best comes from whichever side was lucky in the
-        // fastest phase. Instead, each adjacent off/on pair shares its
-        // phase, and the overhead is the median of the pairs' ratios;
-        // the order within a pair alternates.
-        auto measure = [rep_events](bool on) {
+        const Paired p = pairedRatio([rep_events](bool on) {
             prof::enable(on);
             return MicroBench<sim::Engine>(rep_events).eventsPerSec();
-        };
-        measure(false);
-        double best_off = 0.0;
-        double best_on = 0.0;
-        std::vector<double> ratios;
-        for (int rep = 0; rep < kMicroReps; ++rep) {
-            const bool on_first = rep % 2 != 0;
-            const double first = measure(on_first);
-            const double second = measure(!on_first);
-            const double off = on_first ? second : first;
-            const double on = on_first ? first : second;
-            best_off = std::max(best_off, off);
-            best_on = std::max(best_on, on);
-            ratios.push_back(on / off);
-        }
+        });
         prof::enable(false);
-        std::sort(ratios.begin(), ratios.end());
-        const double median_ratio =
-            (ratios[kMicroReps / 2 - 1] + ratios[kMicroReps / 2]) / 2.0;
         std::ofstream ofs;
         if (!out.empty()) {
             ofs.open(out);
@@ -343,10 +347,10 @@ main(int argc, char** argv)
         std::ostream& os = out.empty() ? std::cout : ofs;
         os << "{\n"
            << "  \"bench\": \"engine_throughput_prof_overhead\",\n"
-           << "  \"offEventsPerSec\": " << best_off << ",\n"
-           << "  \"onEventsPerSec\": " << best_on << ",\n"
-           << "  \"pairs\": " << kMicroReps << ",\n"
-           << "  \"overheadPct\": " << 100.0 * (1.0 - median_ratio)
+           << "  \"offEventsPerSec\": " << p.bestA << ",\n"
+           << "  \"onEventsPerSec\": " << p.bestB << ",\n"
+           << "  \"pairs\": " << kMicroPairs << ",\n"
+           << "  \"overheadPct\": " << 100.0 * (1.0 - p.medianRatio)
            << "\n}\n";
         return 0;
     }
@@ -354,45 +358,27 @@ main(int argc, char** argv)
     printHeader("Engine throughput",
                 "simulator performance (no paper table; see docs/PERF.md)");
 
-    // Warm-up pass so first-touch page faults don't bill the baseline.
-    MicroBench<BaselinePq>(rep_events).eventsPerSec();
+    // The warm-up run inside pairedRatio() keeps first-touch page
+    // faults from billing the baseline.
+    const Paired micro = pairedRatio([rep_events](bool wheel) {
+        return wheel ? MicroBench<sim::Engine>(rep_events).eventsPerSec()
+                     : MicroBench<BaselinePq>(rep_events).eventsPerSec();
+    });
 
-    // Interleaved best of kMicroReps short runs per scheduler: a slow
-    // spell on the host costs every scheduler a repetition, not one
-    // scheduler its number. The heap reference backend still benefits
-    // from Event + the slab; the gap between it and the wheel isolates
-    // the data structure.
-    double baseline = 0.0;
-    double wheel = 0.0;
-    double heap = 0.0;
-    for (int rep = 0; rep < kMicroReps; ++rep) {
-        baseline = std::max(
-            baseline, MicroBench<BaselinePq>(rep_events).eventsPerSec());
-        wheel = std::max(
-            wheel, MicroBench<sim::Engine>(rep_events).eventsPerSec());
-        heap = std::max(
-            heap, MicroBench<HeapEngine>(rep_events).eventsPerSec());
-    }
-
-    MacroResult macro_wheel;
-    MacroResult macro_heap;
+    MacroResult macro;
     if (!micro_only) {
-        macro_wheel = macroRun(Engine::Wheel, nodes, macro_iters);
-        macro_heap = macroRun(Engine::Heap, nodes, macro_iters);
+        macro = macroRun(nodes, macro_iters);
     }
 
     TablePrinter table;
     table.setHeader({"scheduler", "micro events/s", "harness events/s",
                      "harness cycles/s"});
-    table.addRow({"baseline pq", TablePrinter::num(baseline), "-", "-"});
-    table.addRow({"engine/heap", TablePrinter::num(heap),
-                  TablePrinter::num(macro_heap.eventsPerSec),
-                  TablePrinter::num(macro_heap.cyclesPerSec)});
-    table.addRow({"engine/wheel", TablePrinter::num(wheel),
-                  TablePrinter::num(macro_wheel.eventsPerSec),
-                  TablePrinter::num(macro_wheel.cyclesPerSec)});
-    finishTable(table, "speedup vs baseline: " +
-                           TablePrinter::num(wheel / baseline, 2) + "x");
+    table.addRow({"baseline pq", TablePrinter::num(micro.bestA), "-", "-"});
+    table.addRow({"engine/wheel", TablePrinter::num(micro.bestB),
+                  TablePrinter::num(macro.eventsPerSec),
+                  TablePrinter::num(macro.cyclesPerSec)});
+    finishTable(table, "speedup vs baseline (median of paired ratios): " +
+                           TablePrinter::num(micro.medianRatio, 2) + "x");
 
     if (!out.empty()) {
         std::ofstream os(out);
@@ -400,11 +386,9 @@ main(int argc, char** argv)
             std::cerr << "cannot open " << out << "\n";
             return 1;
         }
-        writeJson(os, quick, nodes, baseline, wheel, heap, macro_wheel,
-                  macro_heap);
+        writeJson(os, quick, nodes, micro, macro);
     } else {
-        writeJson(std::cout, quick, nodes, baseline, wheel, heap,
-                  macro_wheel, macro_heap);
+        writeJson(std::cout, quick, nodes, micro, macro);
     }
     return exportProf() ? 0 : 1;
 }

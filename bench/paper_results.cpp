@@ -5,9 +5,8 @@
  * extension, each an Experiment of independent points (bench/sweep.hpp)
  * run on one host thread per core.
  *
- *   paper_results [name...] [--engine=NAME] [--protocol=NAME]
- *                 [--trace-out=<file>] [--stats-out=<file>]
- *                 [--prof-out=<file>]
+ *   paper_results [name...] [--protocol=NAME] [--trace-out=<file>]
+ *                 [--stats-out=<file>] [--prof-out=<file>]
  *
  * With no name every experiment runs, in the order of paperResults(),
  * and stdout is golden/<name>.txt of each joined in that order, on any
@@ -1031,7 +1030,7 @@ paperResults()
 usage(const std::string& why)
 {
     std::cerr << "paper_results: " << why
-              << "\nusage: paper_results [name...] [--engine=wheel|heap] "
+              << "\nusage: paper_results [name...] "
                  "[--protocol=update|invalidate] [--trace-out=<file>] "
                  "[--stats-out=<file>] [--prof-out=<file>]\n";
     std::exit(2);

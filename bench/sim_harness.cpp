@@ -50,9 +50,8 @@ main(int argc, char** argv)
             out = arg.substr(6);
         } else {
             std::cerr << "usage: sim_harness [--nodes=N] "
-                         "[--engine=NAME] [--trace-out=<file>] "
-                         "[--stats-out=<file>] [--prof-out=<file>] "
-                         "[--out=<file>]\n";
+                         "[--trace-out=<file>] [--stats-out=<file>] "
+                         "[--prof-out=<file>] [--out=<file>]\n";
             return 2;
         }
     }

@@ -4,18 +4,18 @@
  *
  * Everything an application, bench or example needs is reachable from
  * this one header: the fluent MachineBuilder, the Machine/Context
- * types it produces, and the backend selectors. The builder is a thin,
+ * types it produces, and the protocol selector. The builder is a thin,
  * validated veneer over MachineConfig — every knob maps onto one
  * config field, `tune()` exposes the rest, and `build()` hands the
  * finished config to the `core::Machine(MachineConfig)` constructor
  * (constructing directly from a config gives the identical machine;
- * see tests/test_builder.cpp). Engine and protocol are chosen only
- * here or in MachineConfig; the environment never changes them.
+ * see tests/test_builder.cpp). The protocol is chosen only here or in
+ * MachineConfig; the environment never changes it.
  *
  * @code
  *   auto machine = plus::MachineBuilder()
  *                      .nodes(16)
- *                      .engine(plus::Engine::Heap)
+ *                      .protocol(plus::Protocol::WriteInvalidate)
  *                      .build();
  *   const plus::Addr counter = machine->alloc(plus::kPageBytes, 0);
  *   for (plus::NodeId n = 0; n < machine->nodeCount(); ++n)
@@ -42,15 +42,6 @@ namespace plus {
 /** The simulated machine and the interface threads run against. */
 using Machine = core::Machine;
 using Context = core::Context;
-
-/**
- * Simulation backend: Wheel (the default) or Heap, the priority-queue
- * oracle. Every backend realises the exact same event order —
- * byte-identical output is the determinism contract, enforced by CI
- * (docs/PERF.md) — so this only selects a performance profile.
- * toString()/engineFromString() come with the enum.
- */
-using Engine = SimEngine;
 
 /**
  * Coherence protocol (docs/PROTOCOLS.md): WriteUpdate is the paper's
@@ -90,14 +81,6 @@ class MachineBuilder
     mode(ProcessorMode m)
     {
         config_.mode = m;
-        return *this;
-    }
-
-    /** Event-engine backend (see plus::Engine). */
-    MachineBuilder&
-    engine(Engine e)
-    {
-        config_.engine = e;
         return *this;
     }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """pluslint — determinism-contract static analyzer for the PLUS simulator.
 
-The repo's most valuable invariant is that both engine backends (wheel
-and heap) produce byte-identical observable output. scripts/ci.sh verifies that dynamically; pluslint enforces the
+The repo's most valuable invariant is that two runs of the same
+configuration and seed produce byte-identical observable output. The
+golden tests verify that dynamically; pluslint enforces the
 *sources* of nondeterminism statically, before a bench has to catch them:
 
   R1  unordered-iteration   no iteration over std::unordered_map /

@@ -304,7 +304,6 @@ InvariantChecker::pendingAborted(NodeId node, Tag tag, bool retried)
         entry.chain = 0;
         entry.chainDone = false;
     }
-    ++aborted_;
 }
 
 void

@@ -120,9 +120,6 @@ class InvariantChecker
     /** Chains whose full list walk was verified. */
     std::uint64_t chainsCompleted() const { return chainsCompleted_; }
 
-    /** In-flight operations crash recovery aborted or re-dispatched. */
-    std::uint64_t opsAborted() const { return aborted_; }
-
     /** Entries currently in flight across all nodes (checker view). */
     std::uint64_t writesInFlight() const;
 
@@ -194,7 +191,6 @@ class InvariantChecker
 
     std::uint64_t retired_ = 0;
     std::uint64_t chainsCompleted_ = 0;
-    std::uint64_t aborted_ = 0;
 };
 
 } // namespace check

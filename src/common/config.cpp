@@ -26,29 +26,6 @@ toString(ProcessorMode mode)
 }
 
 const char*
-toString(SimEngine engine)
-{
-    switch (engine) {
-      case SimEngine::Wheel: return "wheel";
-      case SimEngine::Heap: return "heap";
-      default: return "?";
-    }
-}
-
-bool
-engineFromString(std::string_view name, SimEngine& out)
-{
-    if (name == "wheel") {
-        out = SimEngine::Wheel;
-    } else if (name == "heap") {
-        out = SimEngine::Heap;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char*
 toString(CoherenceProtocol protocol)
 {
     switch (protocol) {

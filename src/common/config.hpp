@@ -146,24 +146,6 @@ struct NetworkConfig {
 };
 
 /**
- * Event-engine backend (sim::EngineImpl and plus::Engine are aliases of
- * this one enum). Every backend realises the exact same event order —
- * see docs/PERF.md for the determinism contract.
- */
-enum class SimEngine {
-    /** Serial hierarchical timing wheel (the default backend). */
-    Wheel,
-    /** Serial priority-queue oracle. */
-    Heap,
-};
-
-/** "wheel" | "heap". */
-const char* toString(SimEngine engine);
-
-/** Parse "wheel" | "heap" into @p out; false if @p name matches none. */
-bool engineFromString(std::string_view name, SimEngine& out);
-
-/**
  * Coherence-protocol backend (plus::Protocol is an alias of this one
  * enum). Write-update is the paper's design and the default;
  * write-invalidate is the MSI-style comparison backend. See
@@ -344,9 +326,6 @@ struct MachineConfig {
 
     /** Processor latency-hiding mode. */
     ProcessorMode mode = ProcessorMode::Delayed;
-
-    /** Event-engine backend. */
-    SimEngine engine = SimEngine::Wheel;
 
     /** Coherence-protocol backend. */
     CoherenceProtocol protocol = CoherenceProtocol::WriteUpdate;

@@ -2,9 +2,9 @@
  * @file
  * The determinism contract, as code.
  *
- * Both engine backends (wheel and heap) must produce byte-identical
- * observable output — events, packets, telemetry, checker traces, bench
- * text. `scripts/pluslint.py` enforces the contract
+ * Two runs of the same configuration and seed must produce
+ * byte-identical observable output — events, packets, telemetry,
+ * checker traces, bench text. `scripts/pluslint.py` enforces the contract
  * statically (rules R1–R5, see docs/STATIC_ANALYSIS.md); this header
  * provides the two annotation macros the linter keys on and the
  * `sortedView()` adapter that turns an unordered container into a

@@ -93,7 +93,6 @@ MachineReport::operator-(const MachineReport& baseline) const
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
-      engine_(config_.engine),
       topology_(1, 1, 1) // replaced below once the config is validated
 {
     config_.validate();

@@ -116,7 +116,7 @@ RecoveryManager::recover(NodeId dead)
     // 2. Every survivor's coherence manager aborts in-flight operations
     //    the crash tore and re-dispatches them against the repaired
     //    lists (or completes them as lost). Ascending node order keeps
-    //    the replay schedule canonical across backends.
+    //    the replay schedule canonical.
     for (NodeId n = 0; n < nodes_.size(); ++n) {
         if (nodes_[n].crashed) {
             continue;

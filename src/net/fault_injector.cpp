@@ -114,7 +114,6 @@ FaultInjector::crashNode(NodeId node)
         return; // fail-stop: a node dies at most once
     }
     crashedNodes_[node] = 1;
-    crashedCount_ += 1;
     stats_.nodeCrashes += 1;
     deadNodes_[node] = 1;
     PLUS_LOG(LogComponent::Net, "fault: node ", node,

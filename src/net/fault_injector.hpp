@@ -6,11 +6,11 @@
  * net::LinkLayer): every frame put on the wire asks it for a Fate —
  * deliver, drop, corrupt, duplicate, or delay — rolled from the
  * injector's own seeded xoshiro256** stream, independent of workload
- * randomness, so a fault schedule replays exactly under both engine
- * backends. On top of the probabilistic fates it tracks link and router
- * liveness, mutated by a scripted schedule (FaultScriptEntry) or by
- * tests directly; the mesh consults liveness at every hop so a packet
- * already in flight dies at the killed link, exactly like real hardware.
+ * randomness, so a fault schedule replays exactly. On top of the
+ * probabilistic fates it tracks link and router liveness, mutated by a
+ * scripted schedule (FaultScriptEntry) or by tests directly; the mesh
+ * consults liveness at every hop so a packet already in flight dies at
+ * the killed link, exactly like real hardware.
  *
  * Everything here is reached only when FaultConfig::enabled armed the
  * subsystem; fault-free runs never construct an injector and pay one
@@ -102,9 +102,6 @@ class FaultInjector
     /** True once a CrashNode entry permanently failed @p node. */
     bool nodeCrashed(NodeId node) const { return crashedNodes_[node] != 0; }
 
-    /** Number of nodes the schedule has crashed so far. */
-    std::size_t crashedCount() const { return crashedCount_; }
-
     bool
     linkAlive(NodeId a, NodeId b) const
     {
@@ -181,7 +178,6 @@ class FaultInjector
     /** Permanently failed nodes: written under crashNode only, never
      *  cleared — a crashed node cannot be revived. */
     std::vector<char> crashedNodes_;
-    std::size_t crashedCount_ = 0;
     std::unordered_set<std::uint64_t> deadLinks_;
     std::function<std::optional<Fate>(const Packet&)> override_;
     std::function<void(NodeId)> crashHandler_;

@@ -248,9 +248,6 @@ Processor::resumeThread(unsigned t)
         if (!readyQueue_.empty()) {
             scheduleDispatch();
         }
-        if (finished_ == threads_.size() && allFinished_) {
-            allFinished_();
-        }
     }
 }
 

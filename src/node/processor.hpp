@@ -155,12 +155,6 @@ class Processor
      */
     void setEventStream(check::EventStream* events) { events_ = events; }
 
-    /** Invoked once every resident thread has finished. */
-    void setAllFinishedHandler(std::function<void()> fn)
-    {
-        allFinished_ = std::move(fn);
-    }
-
     /**
      * Add a thread to run on this processor. Blocking and Delayed modes
      * host one thread; ContextSwitch mode hosts any number.
@@ -182,12 +176,6 @@ class Processor
     unsigned halt();
 
     bool halted() const { return halted_; }
-
-    bool allFinished() const { return finished_ == threads_.size(); }
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
 
     /** Id of the thread currently executing (valid inside a body). */
     ThreadId currentThreadId() const;
@@ -307,7 +295,6 @@ class Processor
     ProcessorMode mode_;
     Deps deps_;
     Translator translate_;
-    std::function<void()> allFinished_;
     check::EventStream* events_ = nullptr;
 
     /**

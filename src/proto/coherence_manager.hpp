@@ -248,13 +248,6 @@ class CoherenceManager
      */
     void procWriteFence();
 
-    /** True if a write by this node to the location is still in flight. */
-    bool
-    writePending(Vpn vpn, Addr word_offset) const
-    {
-        return pendingWrites_.pendingOn(vpn, word_offset);
-    }
-
     // --- background page replication ----------------------------------------
 
     /**

@@ -7,7 +7,7 @@
 namespace plus {
 namespace sim {
 
-Engine::Engine(EngineImpl impl) : impl_(impl)
+Engine::Engine()
 {
     Log::instance().setClock([this] { return now(); });
 }
@@ -31,12 +31,7 @@ Engine::scheduleImpl(Cycles when, Event fn, bool daemon)
     rec.daemon = daemon;
     const EventId id =
         (static_cast<EventId>(rec.gen) << 32U) | static_cast<EventId>(idx);
-    if (impl_ == EngineImpl::Heap) {
-        rec.home = EventRecord::kHomeHeap;
-        heap_.push(HeapEntry{rec.key(), idx, rec.gen});
-    } else {
-        wheel_.insert(idx);
-    }
+    wheel_.insert(idx);
     ++pending_;
     if (daemon) {
         ++daemonPending_;
@@ -60,11 +55,7 @@ Engine::cancel(EventId id)
     if (rec.gen != gen || rec.home == EventRecord::kHomeFree) {
         return false; // already fired, already cancelled, or recycled
     }
-    if (impl_ != EngineImpl::Heap) {
-        wheel_.remove(idx);
-    }
-    // Heap backend: the HeapEntry goes stale and is skipped on pop
-    // (the generation bump below invalidates it).
+    wheel_.remove(idx);
     if (rec.daemon) {
         --daemonPending_;
     }
@@ -74,31 +65,10 @@ Engine::cancel(EventId id)
     return true;
 }
 
-std::uint32_t
-Engine::nextFromHeap(Cycles limit)
-{
-    while (!heap_.empty()) {
-        const HeapEntry top = heap_.top();
-        const EventRecord& rec = slab_[top.idx];
-        if (rec.gen != top.gen || rec.home != EventRecord::kHomeHeap) {
-            heap_.pop(); // cancelled; the record was already recycled
-            continue;
-        }
-        if (top.key.when > limit) {
-            return kNilRecord;
-        }
-        heap_.pop();
-        return top.idx;
-    }
-    return kNilRecord;
-}
-
 bool
 Engine::dispatchNext(Cycles limit)
 {
-    const std::uint32_t idx = impl_ == EngineImpl::Heap
-                                  ? nextFromHeap(limit)
-                                  : wheel_.extractNext(limit);
+    const std::uint32_t idx = wheel_.extractNext(limit);
     if (idx == kNilRecord) {
         return false;
     }

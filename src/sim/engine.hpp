@@ -5,28 +5,23 @@
  * The whole PLUS machine is simulated by an event loop. Components
  * schedule closures at future cycles; events due the same cycle run in
  * the order their schedule calls were made (see sim::EventKey), so runs
- * are fully deterministic and both backends realise the same total
+ * are fully deterministic: dispatch order is the total `(when, seq)`
  * order.
  *
  * Internally events live in a slab of reusable records (no per-event
  * heap allocation: the callable is a `sim::Event` with inline capture
  * storage) ordered by a hierarchical timing wheel — O(1) schedule,
  * cancel and dispatch for the short fixed delays that dominate the
- * simulation. The pre-wheel `std::priority_queue` backend is kept as
- * `EngineImpl::Heap` (`--engine=heap` in the benches), a determinism
- * oracle that must execute the exact same event order — CI diffs the
- * two byte-for-byte (docs/PERF.md).
+ * simulation. tests/test_engine.cpp checks the wheel against a
+ * `(when, seq)` priority-queue reference model (docs/PERF.md).
  */
 
 #ifndef PLUS_SIM_ENGINE_HPP_
 #define PLUS_SIM_ENGINE_HPP_
 
 #include <cstdint>
-#include <queue>
 #include <utility>
-#include <vector>
 
-#include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "sim/event.hpp"
@@ -46,8 +41,8 @@ using EventId = std::uint64_t;
 /** Sentinel meaning "no event". */
 inline constexpr EventId kInvalidEvent = 0;
 
-/** Which event-queue backend an Engine runs on (Wheel or Heap). */
-using EngineImpl = SimEngine;
+/** Read only by perfbench/; delete when it may change (ROADMAP item 6). */
+enum class EngineImpl { Wheel, Heap };
 
 /** Counters describing engine health (exported as sim.* metrics). */
 struct EngineStats {
@@ -76,9 +71,7 @@ inline constexpr StatRow<EngineStats, std::size_t> kEngineGaugeRows[] = {
 class Engine
 {
   public:
-    /** The timing-wheel backend. */
-    Engine() : Engine(EngineImpl::Wheel) {}
-    explicit Engine(EngineImpl impl);
+    Engine();
     ~Engine();
 
     Engine(const Engine&) = delete;
@@ -148,36 +141,17 @@ class Engine
     /** Total events executed since construction. */
     std::uint64_t executedEvents() const { return executed_; }
 
-    /** The backend this engine runs on. */
-    EngineImpl impl() const { return impl_; }
+    EngineImpl impl() const { return EngineImpl::Wheel; }
 
     /** Engine health counters for telemetry. */
     EngineStats stats() const;
 
   private:
-    struct HeapEntry {
-        EventKey key;
-        std::uint32_t idx;
-        std::uint32_t gen;
-    };
-
-    struct HeapLater {
-        bool
-        operator()(const HeapEntry& a, const HeapEntry& b) const
-        {
-            return b.key < a.key;
-        }
-    };
-
     EventId scheduleImpl(Cycles when, Event fn, bool daemon);
     bool dispatchNext(Cycles limit);
-    std::uint32_t nextFromHeap(Cycles limit);
 
     EventSlab slab_;
     TimingWheel wheel_{slab_};
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater>
-        heap_;
-    EngineImpl impl_;
     Cycles now_ = 0;
     std::uint64_t nextSeq_ = 0; ///< EventKey::seq of the next schedule
     std::uint64_t executed_ = 0;

@@ -49,10 +49,9 @@ namespace sim {
 inline constexpr std::uint32_t kNilRecord = 0xffffffffU;
 
 /**
- * Dispatch key. Events execute in ascending (when, seq) order on both
- * backends: `seq` is one engine-wide counter stamped at schedule time,
- * so events due the same cycle run in the order their schedule calls
- * were made. Leaving one event out never reorders the others. The
+ * Dispatch key. Events execute in ascending (when, seq) order: `seq`
+ * is one engine-wide counter stamped at schedule time, so events due
+ * the same cycle run in the order their schedule calls were made. Leaving one event out never reorders the others. The
  * recorded goldens depend on this order.
  */
 struct EventKey {
@@ -75,8 +74,6 @@ struct EventRecord {
     static constexpr std::uint16_t kHomeFree = 0xffff;
     /** `home` for a record parked in the pre-cursor heap. */
     static constexpr std::uint16_t kHomePre = 0xfffe;
-    /** `home` for a record owned by the legacy heap backend. */
-    static constexpr std::uint16_t kHomeHeap = 0xfffd;
 
     Event fn;                           ///< poisoned while the slot is free
     Cycles when = 0;                    ///< absolute due cycle

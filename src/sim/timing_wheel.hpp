@@ -13,8 +13,7 @@
  * with equal `when` always share one slot, filed in schedule-call
  * order; since EventKey::seq grows with every schedule, each level-0
  * slot list is already in (when, seq) order and insertion is an O(1)
- * append, so dispatch realises the same total order as the heap
- * oracle.
+ * append, so dispatch realises the total (when, seq) order.
  *
  * One wrinkle keeps `runUntil()` honest: probing for "is the next
  * event past the limit" may legitimately advance the cursor beyond

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # paper_results must reject a bad command line (an unknown flag, an
-# unknown experiment name, --nodes=, a bad --engine) with exit status 2
-# and a message on stderr, before it runs anything.
+# unknown experiment name, --nodes=) with exit status 2 and a message on
+# stderr, before it runs anything.
 #
 # Usage: paper_results_usage.sh <paper_results>
 

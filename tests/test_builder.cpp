@@ -4,7 +4,7 @@
  * machine's configuration, the faults()/watchdog() conveniences must
  * flip the corresponding enable bits, constructing directly from a
  * MachineConfig must produce a byte-identical machine, and the
- * environment must never choose the engine or the protocol.
+ * environment must never choose the protocol.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "core/context.hpp"
 #include "plus/plus.hpp"
-#include "sim/engine.hpp"
 
 namespace plus {
 namespace {
@@ -25,7 +24,6 @@ TEST(Builder, KnobsReachConfig)
                                  .nodes(8)
                                  .framesPerNode(64)
                                  .mode(ProcessorMode::ContextSwitch)
-                                 .engine(Engine::Heap)
                                  .seed(99)
                                  .meshWidth(4)
                                  .invariants(false)
@@ -35,7 +33,6 @@ TEST(Builder, KnobsReachConfig)
     EXPECT_EQ(c.nodes, 8u);
     EXPECT_EQ(c.framesPerNode, 64u);
     EXPECT_EQ(c.mode, ProcessorMode::ContextSwitch);
-    EXPECT_EQ(c.engine, SimEngine::Heap);
     EXPECT_EQ(c.seed, 99u);
     EXPECT_EQ(c.network.meshWidth, 4u);
     EXPECT_FALSE(c.check.invariants);
@@ -74,32 +71,14 @@ TEST(Builder, TuneEscapeHatchSeesFullConfig)
     EXPECT_EQ(b.config().cost.ctxSwitchCycles, Cycles{140});
 }
 
-TEST(Builder, EngineStringRoundTrip)
-{
-    for (Engine e : {Engine::Wheel, Engine::Heap}) {
-        Engine parsed = e == Engine::Wheel ? Engine::Heap : Engine::Wheel;
-        EXPECT_TRUE(engineFromString(toString(e), parsed));
-        EXPECT_EQ(parsed, e);
-    }
-    Engine parsed = Engine::Wheel;
-    EXPECT_FALSE(engineFromString("auto", parsed));
-    EXPECT_FALSE(engineFromString("quantum", parsed));
-    EXPECT_FALSE(engineFromString("parallel", parsed));
-}
-
-/** Engine and protocol come from the config alone, never the environment. */
+/** The protocol comes from the config alone, never the environment. */
 TEST(Builder, EnvironmentNeverChoosesEngineOrProtocol)
 {
-    ::setenv("PLUS_ENGINE", "heap", 1);
     ::setenv("PLUS_PROTOCOL", "invalidate", 1);
     auto m = MachineBuilder().nodes(2).build();
-    const sim::Engine engine;
-    ::unsetenv("PLUS_ENGINE");
     ::unsetenv("PLUS_PROTOCOL");
 
-    EXPECT_EQ(m->engine().impl(), sim::EngineImpl::Wheel);
     EXPECT_EQ(m->config().protocol, CoherenceProtocol::WriteUpdate);
-    EXPECT_EQ(engine.impl(), sim::EngineImpl::Wheel);
 }
 
 TEST(Builder, BuiltMachineMatchesKnobs)

@@ -8,7 +8,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -185,19 +188,16 @@ TEST(Engine, TiesFromDifferentEventsRunInScheduleCallOrder)
     // Two events stand for work on node 3 and node 1 in the same cycle,
     // node 3's first. Each sends a message due the same later cycle. The
     // messages run in the order they were sent, whatever the node ids.
-    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
-        Engine engine(impl);
-        std::vector<int> order;
-        for (const int node : {3, 1}) {
-            engine.schedule(5, [&engine, &order, node] {
-                engine.schedule(7, [&order, node] { order.push_back(node); });
-            });
-        }
-        engine.run();
-        EXPECT_EQ(order, (std::vector<int>{3, 1}))
-            << "impl wheel=" << (impl == EngineImpl::Wheel);
-        EXPECT_EQ(engine.now(), 12u);
+    Engine engine;
+    std::vector<int> order;
+    for (const int node : {3, 1}) {
+        engine.schedule(5, [&engine, &order, node] {
+            engine.schedule(7, [&order, node] { order.push_back(node); });
+        });
     }
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 1}));
+    EXPECT_EQ(engine.now(), 12u);
 }
 
 TEST(Engine, RandomScheduleCancelIsDeterministic)
@@ -205,7 +205,7 @@ TEST(Engine, RandomScheduleCancelIsDeterministic)
     // Property: two engines fed the same pseudo-random schedule/cancel
     // stream execute the same events in the same order; and leaving one
     // event (with the children it would schedule) out of the stream
-    // keeps the relative order of all the others, on both backends.
+    // keeps the relative order of all the others.
     // Delays, children and cancel targets derive from each event's own
     // tag, never from a shared stream, so the left-out event changes
     // nothing else.
@@ -216,8 +216,8 @@ TEST(Engine, RandomScheduleCancelIsDeterministic)
     };
     constexpr int kEvents = 200;
     constexpr int kChild = 1000; // a child's tag is its parent's + kChild
-    auto run = [&mix](EngineImpl impl, int skip) {
-        Engine engine(impl);
+    auto run = [&mix](int skip) {
+        Engine engine;
         std::vector<std::pair<Cycles, int>> log;
         std::function<void(int, Cycles)> spawn = [&](int tag, Cycles delay) {
             engine.schedule(delay, [&, tag] {
@@ -244,19 +244,15 @@ TEST(Engine, RandomScheduleCancelIsDeterministic)
         engine.run();
         return log;
     };
-    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
-        const auto full = run(impl, -1);
-        EXPECT_EQ(full, run(impl, -1));
-        for (const int skip : {0, 17, 118, kEvents - 1}) {
-            auto expected = full;
-            std::erase_if(expected, [skip](const auto& entry) {
-                const int tag = entry.second;
-                return tag == -skip || tag % kChild == skip;
-            });
-            EXPECT_EQ(run(impl, skip), expected)
-                << "skip " << skip << " wheel="
-                << (impl == EngineImpl::Wheel);
-        }
+    const auto full = run(-1);
+    EXPECT_EQ(full, run(-1));
+    for (const int skip : {0, 17, 118, kEvents - 1}) {
+        auto expected = full;
+        std::erase_if(expected, [skip](const auto& entry) {
+            const int tag = entry.second;
+            return tag == -skip || tag % kChild == skip;
+        });
+        EXPECT_EQ(run(skip), expected) << "skip " << skip;
     }
 }
 
@@ -294,26 +290,19 @@ TEST(Engine, RunUntilBoundaryAcrossCascade)
 {
     // Limits landing exactly on wheel-window edges (64, 4096) must
     // still execute events at the limit and hold back the rest.
-    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
-        Engine engine(impl);
-        std::vector<Cycles> fired;
-        for (const Cycles when : {Cycles{63}, Cycles{64}, Cycles{65},
-                                  Cycles{4095}, Cycles{4096},
-                                  Cycles{4097}}) {
-            engine.scheduleAt(when, [&fired, when] {
-                fired.push_back(when);
-            });
-        }
-        engine.runUntil(64);
-        EXPECT_EQ(fired, (std::vector<Cycles>{63, 64})) << "impl wheel="
-            << (impl == EngineImpl::Wheel);
-        engine.runUntil(4096);
-        EXPECT_EQ(fired,
-                  (std::vector<Cycles>{63, 64, 65, 4095, 4096}));
-        engine.run();
-        EXPECT_EQ(fired.size(), 6u);
-        EXPECT_EQ(engine.now(), 4097u);
+    Engine engine;
+    std::vector<Cycles> fired;
+    for (const Cycles when : {Cycles{63}, Cycles{64}, Cycles{65},
+                              Cycles{4095}, Cycles{4096}, Cycles{4097}}) {
+        engine.scheduleAt(when, [&fired, when] { fired.push_back(when); });
     }
+    engine.runUntil(64);
+    EXPECT_EQ(fired, (std::vector<Cycles>{63, 64}));
+    engine.runUntil(4096);
+    EXPECT_EQ(fired, (std::vector<Cycles>{63, 64, 65, 4095, 4096}));
+    engine.run();
+    EXPECT_EQ(fired.size(), 6u);
+    EXPECT_EQ(engine.now(), 4097u);
 }
 
 TEST(Engine, FifoTieBreakAcrossCascade)
@@ -411,7 +400,7 @@ TEST(Engine, MoveOnlyAndLargeCapturesExecute)
 
 TEST(Engine, StatsCountCascadesAndHighWater)
 {
-    Engine engine(EngineImpl::Wheel);
+    Engine engine;
     engine.schedule(70, [] {}); // level 1 -> cascades on dispatch
     engine.schedule(1, [] {});
     EXPECT_EQ(engine.stats().slabHighWater, 2u);
@@ -423,38 +412,226 @@ TEST(Engine, StatsCountCascadesAndHighWater)
     EXPECT_EQ(stats.slabLive, 0u);
 }
 
-TEST(Engine, WheelAndHeapBackendsExecuteIdentically)
+/**
+ * Reference model of the engine's contract: a priority queue keyed
+ * (when, seq), the ids still pending (a cancelled entry stays queued and
+ * is skipped when it surfaces), and the daemon rule — run() and
+ * runUntil() return once only daemon events are pending.
+ */
+class RefEngine
 {
-    // Determinism oracle: the same pseudo-random schedule/cancel stream
-    // (with runUntil checkpoints) produces identical execution logs on
-    // both backends.
-    auto run = [](EngineImpl impl) {
-        Engine engine(impl);
-        std::vector<std::pair<Cycles, int>> log;
-        std::uint64_t state = 98765;
-        auto next = [&state] {
-            state = state * 6364136223846793005ull + 1442695040888963407ull;
-            return state >> 33;
-        };
-        std::vector<EventId> ids;
-        for (int round = 0; round < 8; ++round) {
-            for (int i = 0; i < 100; ++i) {
-                const int tag = round * 100 + i;
-                const Cycles delay = next() % 5000;
-                ids.push_back(engine.schedule(
-                    delay, [&log, &engine, tag] {
-                        log.push_back({engine.now(), tag});
-                    }));
-                if (next() % 4 == 0) {
-                    engine.cancel(ids[next() % ids.size()]);
-                }
-            }
-            engine.runUntil(engine.now() + next() % 2000);
+  public:
+    Cycles now() const { return now_; }
+
+    EventId
+    scheduleAt(Cycles when, std::function<void()> fn)
+    {
+        return push(when, std::move(fn), false);
+    }
+
+    EventId
+    scheduleDaemon(Cycles delay, std::function<void()> fn)
+    {
+        return push(now_ + delay, std::move(fn), true);
+    }
+
+    bool
+    cancel(EventId id)
+    {
+        const auto it = pending_.find(id);
+        if (it == pending_.end()) {
+            return false;
         }
-        engine.run();
-        return log;
+        ordinary_ -= it->second ? 0 : 1;
+        pending_.erase(it);
+        return true;
+    }
+
+    void run() { runUntil(~Cycles{0}); }
+
+    void
+    runUntil(Cycles limit)
+    {
+        while (ordinary_ > 0) {
+            while (!pending_.contains(queue_.top().seq)) {
+                queue_.pop();
+            }
+            if (queue_.top().when > limit) {
+                return;
+            }
+            const Entry next = queue_.top();
+            queue_.pop();
+            cancel(next.seq); // it is no longer pending once it runs
+            now_ = next.when;
+            next.fn();
+        }
+    }
+
+    std::size_t pendingEvents() const { return ordinary_; }
+
+  private:
+    struct Entry {
+        Cycles when;
+        std::uint64_t seq; ///< doubles as the event's id
+        std::function<void()> fn;
     };
-    EXPECT_EQ(run(EngineImpl::Wheel), run(EngineImpl::Heap));
+    struct Later {
+        bool
+        operator()(const Entry& a, const Entry& b) const
+        {
+            return std::tie(b.when, b.seq) < std::tie(a.when, a.seq);
+        }
+    };
+
+    EventId
+    push(Cycles when, std::function<void()> fn, bool daemon)
+    {
+        const std::uint64_t seq = ++lastSeq_;
+        queue_.push(Entry{when, seq, std::move(fn)});
+        pending_.emplace(seq, daemon);
+        ordinary_ += daemon ? 0 : 1;
+        return seq;
+    }
+
+    std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+    std::map<EventId, bool> pending_; ///< pending id -> is a daemon
+    std::size_t ordinary_ = 0;        ///< pending non-daemon events
+    std::uint64_t lastSeq_ = 0;
+    Cycles now_ = 0;
+};
+
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x = (x ^ (x >> 30U)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27U)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31U);
+}
+
+/**
+ * A delay drawn from @p h: same-cycle and near ties, and every wheel
+ * level up to 4 (level 2 starts at 4096 cycles, level 3 at 262,144).
+ */
+Cycles
+pickDelay(std::uint64_t h)
+{
+    const std::uint64_t r = h >> 8U;
+    switch (h % 8) {
+      case 0: return 0;
+      case 1:
+      case 2: return r % 8;
+      case 3: return r % 64;
+      case 4: return 64 + r % 4032;
+      case 5: return 4096 + r % 258048;
+      case 6: return 262144 + r % (Cycles{1} << 24U);
+      default: return r % 600;
+    }
+}
+
+/**
+ * One engine under the differential test. Every event is tagged with
+ * its schedule index; when it fires it logs (cycle, tag) and, as its
+ * tag's hash decides, schedules a nested child, a same-cycle child or a
+ * daemon, or cancels an earlier id (pending, fired or recycled; a
+ * successful cancel logs (cycle, -1 - target)).
+ */
+template <typename E>
+struct Side {
+    static constexpr std::size_t kMaxEvents = 3000;
+
+    explicit Side(std::uint64_t seed) : seed(seed) {}
+
+    void
+    add(Cycles when, bool daemon)
+    {
+        const int tag = static_cast<int>(ids.size());
+        auto fire = [this, tag] { this->fire(tag); };
+        ids.push_back(daemon ? engine.scheduleDaemon(when - engine.now(), fire)
+                             : engine.scheduleAt(when, fire));
+    }
+
+    void
+    cancel(std::size_t target)
+    {
+        if (engine.cancel(ids[target])) {
+            log.push_back({engine.now(), -1 - static_cast<int>(target)});
+        }
+    }
+
+    void
+    fire(int tag)
+    {
+        log.push_back({engine.now(), tag});
+        const std::uint64_t h = mix64(seed * 0x9e3779b97f4a7c15ull + tag);
+        if (ids.size() >= kMaxEvents) {
+            return;
+        }
+        if (h % 3 == 0) {
+            add(engine.now() + pickDelay(h >> 4U), false);
+        }
+        if (h % 5 == 0) {
+            add(engine.now(), false);
+        }
+        if (h % 7 == 0) {
+            cancel((h >> 20U) % ids.size());
+        }
+        if (h % 11 == 0) {
+            add(engine.now() + pickDelay(h >> 12U), true);
+        }
+    }
+
+    E engine;
+    std::uint64_t seed;
+    std::vector<EventId> ids; ///< by tag
+    std::vector<std::pair<Cycles, int>> log;
+};
+
+TEST(Engine, MatchesPriorityQueueReferenceModel)
+{
+    // The wheel and RefEngine take the same pseudo-random stream of
+    // schedules, cancels and runUntil probes, and must agree on what ran
+    // when after every probe. A probe can leave the wheel's cursor ahead
+    // of now(); the events then scheduled between now() and the limit
+    // land in that gap (the wheel's pre-cursor heap).
+    for (const std::uint64_t seed :
+         {1ull, 2ull, 3ull, 42ull, 1990ull, 77213ull, 0xdeadull,
+          123456789ull}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Side<Engine> wheel(seed);
+        Side<RefEngine> ref(seed);
+        std::uint64_t state = seed;
+        auto next = [&state] { return state = mix64(state + 1); };
+        auto both = [&wheel, &ref](const auto& op) {
+            op(wheel);
+            op(ref);
+        };
+        for (int round = 0; round < 24; ++round) {
+            for (std::uint64_t n = 8 + next() % 24; n > 0; --n) {
+                const Cycles when = wheel.engine.now() + pickDelay(next());
+                const bool daemon = next() % 10 == 0;
+                both([&](auto& side) { side.add(when, daemon); });
+            }
+            for (std::uint64_t n = next() % 4; n > 0; --n) {
+                const std::size_t target = next() % wheel.ids.size();
+                both([&](auto& side) { side.cancel(target); });
+            }
+            const Cycles limit = wheel.engine.now() + pickDelay(next());
+            both([&](auto& side) { side.engine.runUntil(limit); });
+            ASSERT_EQ(wheel.log, ref.log) << "round " << round;
+            ASSERT_EQ(wheel.engine.now(), ref.engine.now());
+            ASSERT_EQ(wheel.engine.pendingEvents(),
+                      ref.engine.pendingEvents());
+            for (std::uint64_t n = next() % 4; n > 0; --n) {
+                const Cycles now = wheel.engine.now();
+                const Cycles when = now + next() % (limit - now + 1);
+                both([&](auto& side) { side.add(when, false); });
+            }
+        }
+        both([](auto& side) { side.engine.run(); });
+        ASSERT_EQ(wheel.log, ref.log);
+        ASSERT_EQ(wheel.engine.now(), ref.engine.now());
+        EXPECT_EQ(wheel.engine.pendingEvents(), 0u);
+    }
 }
 
 } // namespace

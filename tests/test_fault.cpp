@@ -4,9 +4,7 @@
  * drop, duplicate, corrupt, delay, link kill — must be invisible to the
  * protocol layer (exactly-once, in-order delivery per (src,dst)), and
  * the failure backstops (retransmit-budget panic, forward-progress
- * watchdog) must convert permanent partitions into diagnoses. The
- * link-layer tests run under both engine backends: fault recovery must
- * not depend on the event queue implementation.
+ * watchdog) must convert permanent partitions into diagnoses.
  */
 
 #include <gtest/gtest.h>
@@ -56,9 +54,7 @@ makePacket(NodeId src, NodeId dst, Word value)
 class Harness
 {
   public:
-    explicit Harness(sim::EngineImpl impl,
-                     FaultConfig fault = FaultConfig{})
-        : engine(impl), topo(4, 2, 2)
+    explicit Harness(FaultConfig fault = FaultConfig{}) : topo(4, 2, 2)
     {
         fault.enabled = true;
         cfg.fault = fault;
@@ -82,13 +78,9 @@ class Harness
     std::vector<Word> deliveredAt[4];
 };
 
-class ReliableLink : public ::testing::TestWithParam<sim::EngineImpl>
+TEST(ReliableLink, DroppedFrameIsRetransmittedAndDeliveredOnce)
 {
-};
-
-TEST_P(ReliableLink, DroppedFrameIsRetransmittedAndDeliveredOnce)
-{
-    Harness h(GetParam());
+    Harness h;
     unsigned dataFrames = 0;
     h.injector().setFateOverride(
         [&](const Packet& p) -> std::optional<Fate> {
@@ -107,9 +99,9 @@ TEST_P(ReliableLink, DroppedFrameIsRetransmittedAndDeliveredOnce)
     EXPECT_EQ(h.network->stats().dropped, 1u);
 }
 
-TEST_P(ReliableLink, DuplicatedFramesAreSuppressed)
+TEST(ReliableLink, DuplicatedFramesAreSuppressed)
 {
-    Harness h(GetParam());
+    Harness h;
     h.injector().setFateOverride(
         [](const Packet& p) -> std::optional<Fate> {
             return p.linkCtl == kLinkData ? Fate::Duplicate
@@ -126,9 +118,9 @@ TEST_P(ReliableLink, DuplicatedFramesAreSuppressed)
     EXPECT_EQ(h.network->stats().packets, 3u);
 }
 
-TEST_P(ReliableLink, CorruptedFrameIsDroppedAndRecovered)
+TEST(ReliableLink, CorruptedFrameIsDroppedAndRecovered)
 {
-    Harness h(GetParam());
+    Harness h;
     unsigned dataFrames = 0;
     h.injector().setFateOverride(
         [&](const Packet& p) -> std::optional<Fate> {
@@ -146,9 +138,9 @@ TEST_P(ReliableLink, CorruptedFrameIsDroppedAndRecovered)
     EXPECT_EQ(h.network->stats().packets, 1u);
 }
 
-TEST_P(ReliableLink, GapIsHeldInReorderBufferUntilRetransmitFills)
+TEST(ReliableLink, GapIsHeldInReorderBufferUntilRetransmitFills)
 {
-    Harness h(GetParam());
+    Harness h;
     unsigned dataFrames = 0;
     // Losing frame 1 makes frame 2 arrive first: it must wait in the
     // reorder buffer so the handler still sees the original order.
@@ -168,9 +160,9 @@ TEST_P(ReliableLink, GapIsHeldInReorderBufferUntilRetransmitFills)
     EXPECT_EQ(h.link().inFlight(), 0u);
 }
 
-TEST_P(ReliableLink, LostAckIsRepairedByDupSuppressReAck)
+TEST(ReliableLink, LostAckIsRepairedByDupSuppressReAck)
 {
-    Harness h(GetParam());
+    Harness h;
     unsigned acks = 0;
     h.injector().setFateOverride(
         [&](const Packet& p) -> std::optional<Fate> {
@@ -189,11 +181,11 @@ TEST_P(ReliableLink, LostAckIsRepairedByDupSuppressReAck)
     EXPECT_EQ(h.link().inFlight(), 0u);
 }
 
-TEST_P(ReliableLink, DelayedFrameStillArrivesExactlyOnce)
+TEST(ReliableLink, DelayedFrameStillArrivesExactlyOnce)
 {
     FaultConfig fault;
     fault.maxDelayCycles = 500;
-    Harness h(GetParam(), fault);
+    Harness h(fault);
     unsigned dataFrames = 0;
     h.injector().setFateOverride(
         [&](const Packet& p) -> std::optional<Fate> {
@@ -211,13 +203,13 @@ TEST_P(ReliableLink, DelayedFrameStillArrivesExactlyOnce)
     EXPECT_EQ(h.link().inFlight(), 0u);
 }
 
-TEST_P(ReliableLink, ScriptedLinkKillRecoversAfterRevive)
+TEST(ReliableLink, ScriptedLinkKillRecoversAfterRevive)
 {
     FaultConfig fault;
     fault.maxRetransmits = 0; // retry forever; revive will repair it
     fault.script.push_back({100, FaultScriptEntry::Kind::LinkDown, 0, 1});
     fault.script.push_back({8000, FaultScriptEntry::Kind::LinkUp, 0, 1});
-    Harness h(GetParam(), fault);
+    Harness h(fault);
     h.engine.schedule(200, [&h] { h.network->send(makePacket(0, 1, 9)); });
     h.engine.run();
 
@@ -227,11 +219,11 @@ TEST_P(ReliableLink, ScriptedLinkKillRecoversAfterRevive)
     EXPECT_GE(h.engine.now(), Cycles{8000});
 }
 
-TEST_P(ReliableLink, RetransmitBudgetExhaustionPanicsWithDiagnostics)
+TEST(ReliableLink, RetransmitBudgetExhaustionPanicsWithDiagnostics)
 {
     FaultConfig fault;
     fault.maxRetransmits = 2;
-    Harness h(GetParam(), fault);
+    Harness h(fault);
     // Restores the process-wide decorator however the test exits.
     struct DecoratorGuard
     {
@@ -263,7 +255,7 @@ TEST_P(ReliableLink, RetransmitBudgetExhaustionPanicsWithDiagnostics)
     EXPECT_EQ(h.link().stats().retransmits, 2u);
 }
 
-TEST_P(ReliableLink, RecoveryArmedStillPanicsOnGenuinePartition)
+TEST(ReliableLink, RecoveryArmedStillPanicsOnGenuinePartition)
 {
     // FaultConfig::recover only converts budget exhaustion against a
     // *crashed* peer into a peer-death signal; a partition toward a
@@ -271,7 +263,7 @@ TEST_P(ReliableLink, RecoveryArmedStillPanicsOnGenuinePartition)
     FaultConfig fault;
     fault.maxRetransmits = 2;
     fault.recover = true;
-    Harness h(GetParam(), fault);
+    Harness h(fault);
     unsigned deaths = 0;
     h.link().setPeerDeathHandler([&deaths](NodeId) { ++deaths; });
     h.injector().setLinkAlive(0, 1, false);
@@ -287,13 +279,13 @@ TEST_P(ReliableLink, RecoveryArmedStillPanicsOnGenuinePartition)
     EXPECT_EQ(h.link().stats().peerDeaths, 0u);
 }
 
-TEST_P(ReliableLink, DeadDestinationNodeDropsUntilRevived)
+TEST(ReliableLink, DeadDestinationNodeDropsUntilRevived)
 {
     FaultConfig fault;
     fault.maxRetransmits = 0;
     fault.script.push_back({1, FaultScriptEntry::Kind::NodeDown, 1});
     fault.script.push_back({6000, FaultScriptEntry::Kind::NodeUp, 1});
-    Harness h(GetParam(), fault);
+    Harness h(fault);
     h.engine.schedule(10, [&h] { h.network->send(makePacket(0, 1, 3)); });
     h.engine.run();
 
@@ -301,13 +293,6 @@ TEST_P(ReliableLink, DeadDestinationNodeDropsUntilRevived)
     EXPECT_GE(h.injector().stats().nodeKills, 1u);
     EXPECT_GE(h.link().stats().retransmits, 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ReliableLink,
-    ::testing::Values(sim::EngineImpl::Wheel, sim::EngineImpl::Heap),
-    [](const ::testing::TestParamInfo<sim::EngineImpl>& info) {
-        return info.param == sim::EngineImpl::Wheel ? "wheel" : "heap";
-    });
 
 } // namespace
 } // namespace net
@@ -326,36 +311,31 @@ faultyConfig()
 
 TEST(Watchdog, PermanentPartitionTripsTheWatchdog)
 {
-    for (const SimEngine impl : {SimEngine::Wheel, SimEngine::Heap}) {
-        MachineConfig cfg = faultyConfig();
-        cfg.engine = impl;
-        // Retry forever: the hang must be diagnosed by the watchdog,
-        // not the link layer's retransmit budget.
-        cfg.network.fault.maxRetransmits = 0;
-        cfg.network.fault.script.push_back(
-            {1, FaultScriptEntry::Kind::LinkDown, 0, 1});
-        cfg.watchdog.enabled = true;
-        cfg.watchdog.windowCycles = 1u << 15;
-        Machine m(cfg);
-        const Addr a = m.alloc(8, 0); // homed on node 0
-        m.spawn(1, [&](Context& ctx) { ctx.read(a); });
-        try {
-            m.run();
-            FAIL() << "expected the watchdog to panic ("
-                   << toString(impl) << ")";
-        } catch (const PanicError& e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
-            EXPECT_NE(what.find("machine diagnostics"), std::string::npos)
-                << what;
-            // Telemetry is off: the checker history is the only event
-            // trail a stall report carries.
-            EXPECT_NE(what.find("checker history"), std::string::npos)
-                << what;
-        }
-        ASSERT_NE(m.watchdog(), nullptr);
-        EXPECT_GE(m.watchdog()->stallWindows(), 1u);
+    MachineConfig cfg = faultyConfig();
+    // Retry forever: the hang must be diagnosed by the watchdog, not the
+    // link layer's retransmit budget.
+    cfg.network.fault.maxRetransmits = 0;
+    cfg.network.fault.script.push_back(
+        {1, FaultScriptEntry::Kind::LinkDown, 0, 1});
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.windowCycles = 1u << 15;
+    Machine m(cfg);
+    const Addr a = m.alloc(8, 0); // homed on node 0
+    m.spawn(1, [&](Context& ctx) { ctx.read(a); });
+    try {
+        m.run();
+        FAIL() << "expected the watchdog to panic";
+    } catch (const PanicError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
+        EXPECT_NE(what.find("machine diagnostics"), std::string::npos)
+            << what;
+        // Telemetry is off: the checker history is the only event trail
+        // a stall report carries.
+        EXPECT_NE(what.find("checker history"), std::string::npos) << what;
     }
+    ASSERT_NE(m.watchdog(), nullptr);
+    EXPECT_GE(m.watchdog()->stallWindows(), 1u);
 }
 
 TEST(Watchdog, QuietWhenWorkloadFinishes)
@@ -385,36 +365,31 @@ TEST(MachineFaults, ChaosSmokeFinalMemoryMatchesFaultFree)
     // timing, so any lost / duplicated / misordered protocol message
     // shows up as a wrong count.
     constexpr int kIncrements = 40;
-    for (const SimEngine impl : {SimEngine::Wheel, SimEngine::Heap}) {
-        MachineConfig cfg = faultyConfig();
-        cfg.engine = impl;
-        cfg.network.fault.seed = 1234;
-        cfg.network.fault.dropRate = 0.02;
-        cfg.network.fault.duplicateRate = 0.02;
-        cfg.network.fault.corruptRate = 0.01;
-        cfg.watchdog.enabled = true;
-        Machine m(cfg);
-        const Addr base = m.alloc(8 * 4, 0);
-        for (NodeId n = 0; n < 4; ++n) {
-            m.spawn(n, [&, n](Context& ctx) {
-                for (int i = 0; i < kIncrements; ++i) {
-                    ctx.fadd(base + 8 * n, 1);
-                }
-                ctx.fence();
-            });
-        }
-        m.run();
-        m.settle();
-        for (NodeId n = 0; n < 4; ++n) {
-            EXPECT_EQ(m.peek(base + 8 * n),
-                      static_cast<Word>(kIncrements))
-                << "node " << n << " under " << toString(impl);
-        }
-        const net::FaultStats& f =
-            m.network().faultInjector()->stats();
-        EXPECT_GT(f.dropped + f.corrupted + f.duplicated, 0u)
-            << "chaos run injected no faults — rates too low?";
+    MachineConfig cfg = faultyConfig();
+    cfg.network.fault.seed = 1234;
+    cfg.network.fault.dropRate = 0.02;
+    cfg.network.fault.duplicateRate = 0.02;
+    cfg.network.fault.corruptRate = 0.01;
+    cfg.watchdog.enabled = true;
+    Machine m(cfg);
+    const Addr base = m.alloc(8 * 4, 0);
+    for (NodeId n = 0; n < 4; ++n) {
+        m.spawn(n, [&, n](Context& ctx) {
+            for (int i = 0; i < kIncrements; ++i) {
+                ctx.fadd(base + 8 * n, 1);
+            }
+            ctx.fence();
+        });
     }
+    m.run();
+    m.settle();
+    for (NodeId n = 0; n < 4; ++n) {
+        EXPECT_EQ(m.peek(base + 8 * n), static_cast<Word>(kIncrements))
+            << "node " << n;
+    }
+    const net::FaultStats& f = m.network().faultInjector()->stats();
+    EXPECT_GT(f.dropped + f.corrupted + f.duplicated, 0u)
+        << "chaos run injected no faults — rates too low?";
 }
 
 TEST(MachineFaults, FaultMetricsAreRegistered)

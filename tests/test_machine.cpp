@@ -396,88 +396,6 @@ TEST(Machine, ReadyPollIsNonBlocking)
     EXPECT_EQ(m.peek(a), 1u);
 }
 
-/**
- * The engine-backend determinism contract on the harness workload
- * (replicated-page update chains, remote reads, delayed interlocked
- * operations, fences): the heap oracle must reproduce the wheel's final
- * cycle count, memory image, statistics report and executed events.
- */
-struct BackendOutcome {
-    Cycles elapsed = 0;
-    std::vector<Word> image;
-    MachineReport report;
-    std::uint64_t executed = 0;
-};
-
-BackendOutcome
-runHarnessOn(SimEngine engine)
-{
-    constexpr unsigned kNodes = 8;
-    constexpr unsigned kCopies = 3;
-    MachineConfig cfg = smallConfig(kNodes);
-    cfg.engine = engine;
-    Machine m(cfg);
-
-    std::vector<Addr> pages(kNodes);
-    for (NodeId n = 0; n < kNodes; ++n) {
-        pages[n] = m.alloc(kPageBytes, n);
-        for (unsigned c = 1; c < kCopies; ++c) {
-            m.replicate(pages[n], (n + c) % kNodes);
-        }
-    }
-    const Addr counter = m.alloc(kPageBytes, 0);
-    m.settle();
-
-    for (NodeId n = 0; n < kNodes; ++n) {
-        m.spawn(n, [&pages, counter, n](Context& ctx) {
-            const Addr own = pages[n];
-            const Addr peer = pages[(n + 1) % kNodes];
-            std::deque<OpHandle> window;
-            for (Word i = 0; i < 16; ++i) {
-                ctx.write(own + 4 * (i % 8), n * 1000 + i);
-                ctx.read(peer + 4 * (i % 8));
-                ctx.compute(15);
-                if (i % 4 == 0) {
-                    window.push_back(ctx.issueFadd(counter, 1));
-                }
-                if (window.size() > 2) {
-                    ctx.verify(window.front());
-                    window.pop_front();
-                }
-            }
-            while (!window.empty()) {
-                ctx.verify(window.front());
-                window.pop_front();
-            }
-            ctx.fence();
-        });
-    }
-    m.run();
-
-    BackendOutcome out;
-    out.elapsed = m.now();
-    for (NodeId n = 0; n < kNodes; ++n) {
-        for (Word off = 0; off < 64; off += 4) {
-            out.image.push_back(m.peek(pages[n] + off));
-        }
-    }
-    out.image.push_back(m.peek(counter));
-    out.report = m.report();
-    out.executed = m.engine().executedEvents();
-    return out;
-}
-
-TEST(Machine, CrossBackendIdentity)
-{
-    const BackendOutcome wheel = runHarnessOn(SimEngine::Wheel);
-    const BackendOutcome heap = runHarnessOn(SimEngine::Heap);
-    ASSERT_FALSE(wheel.image.empty());
-    EXPECT_EQ(wheel.elapsed, heap.elapsed);
-    EXPECT_EQ(wheel.image, heap.image);
-    EXPECT_EQ(wheel.report, heap.report);
-    EXPECT_EQ(wheel.executed, heap.executed);
-}
-
 } // namespace
 } // namespace core
 } // namespace plus
