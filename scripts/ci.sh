@@ -23,7 +23,8 @@
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
 #                  JSON output schema validated
-#   8. perf-smoke: micro_sim BM_FiberSwitch, fail if the best of 3
+#   8. perf-smoke: in its own RelWithDebInfo tree (build-perf/, shared
+#                  with prof): micro_sim BM_FiberSwitch, fail if the best of 3
 #                  fiber resume+yield round trips is over 200 ns; then
 #                  engine_throughput --quick --micro-only, fail if the
 #                  wheel runs the micro mix less than 3.0x as fast as
@@ -39,7 +40,8 @@
 #                  then chaos_sweep --kill-node; every run must leave the
 #                  surviving replicas mutually consistent, and the output
 #                  must match golden/chaos_sweep_8.txt
-#  11. prof:       host-time profiler gates — a profiled run must record
+#  11. prof:       host-time profiler gates, built in build-perf/ like
+#                  perf-smoke — a profiled run must record
 #                  every serial phase, and the profiler-on overhead on
 #                  the wheel micro benchmark must stay under 3% (median
 #                  of 40 paired ratios, on one of 3 attempts)
@@ -197,10 +199,21 @@ print(f"shootout JSON OK: {len(d['patterns'])} patterns, both protocols win")
 EOF
 }
 
+# The perf gates' floors were calibrated on a RelWithDebInfo build, and a
+# Release (-O3) tree read the unmodified wheel at 2.85-3.23x against the
+# 3.0x floor. So perf-smoke and prof configure their own tree with that
+# build type, whatever build/ was last configured as, and print it.
+PERF_BUILD=build-perf
+build_perf() {
+    cmake -B "$PERF_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    echo "perf build: $PERF_BUILD, CMAKE_BUILD_TYPE=$(sed -n \
+        's/^CMAKE_BUILD_TYPE:STRING=//p' "$PERF_BUILD/CMakeCache.txt")"
+    cmake --build "$PERF_BUILD" -j "$JOBS" --target "$@"
+}
+
 run_perf_smoke() {
     echo "=== perf-smoke: fiber switch + engine throughput gates ==="
-    cmake -B build -S . >/dev/null
-    cmake --build build -j "$JOBS" --target engine_throughput micro_sim
+    build_perf engine_throughput micro_sim
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
@@ -210,7 +223,7 @@ run_perf_smoke() {
     # Xeon; a switch that makes a system call again (swapcontext's
     # signal-mask save took 600-700 ns there) fails. Best of 3.
     echo "--- fiber switch: resume+yield round trip"
-    build/bench/micro_sim --benchmark_filter=BM_FiberSwitch \
+    "$PERF_BUILD"/bench/micro_sim --benchmark_filter=BM_FiberSwitch \
         --benchmark_format=json --benchmark_repetitions=3 \
         > "$out/fiber.json"
     python3 - "$out/fiber.json" <<'EOF'
@@ -240,7 +253,7 @@ EOF
     echo "--- engine: wheel over priority-queue baseline"
     local attempt
     for attempt in 1 2 3; do
-        build/bench/engine_throughput --quick --micro-only \
+        "$PERF_BUILD"/bench/engine_throughput --quick --micro-only \
             --out="$out/bench.json" > /dev/null
         if python3 - "$out/bench.json" <<'EOF'
 import json, sys
@@ -319,16 +332,15 @@ run_recovery() {
 
 run_prof() {
     echo "=== prof: host-time profiler breakdown + overhead gate ==="
-    cmake -B build -S . >/dev/null
-    cmake --build build -j "$JOBS" --target engine_throughput
+    build_perf engine_throughput
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
 
     # A profiled run must attribute host time to every serial phase.
     echo "--- profiled run"
-    build/bench/engine_throughput --quick --prof-out="$out/prof.json" \
-        --out=/dev/null >/dev/null
+    "$PERF_BUILD"/bench/engine_throughput --quick \
+        --prof-out="$out/prof.json" --out=/dev/null >/dev/null
     python3 - "$out/prof.json" <<'EOF'
 import json, sys
 prof = json.load(open(sys.argv[1]))
@@ -349,7 +361,7 @@ EOF
     echo "--- overhead gate (profiler off vs on, median of 40 pairs)"
     local attempt
     for attempt in 1 2 3; do
-        build/bench/engine_throughput --prof-overhead \
+        "$PERF_BUILD"/bench/engine_throughput --prof-overhead \
             --out="$out/overhead.json"
         if python3 - "$out/overhead.json" <<'EOF'
 import json, sys

@@ -8,8 +8,8 @@ golden tests verify that dynamically; pluslint enforces the
 
   R1  unordered-iteration   no iteration over std::unordered_map /
                             std::unordered_set — hash order is not part of
-                            the contract. Use an ordered container or
-                            plus::sortedView() (common/determinism.hpp).
+                            the contract. Index dense ids with a vector;
+                            use std::map for sparse keys.
   R2  wall-clock            no std::chrono::{system,steady,high_resolution}
                             _clock, time(), clock(), gettimeofday(),
                             std::random_device, rand()/srand(), or cycle
@@ -366,8 +366,6 @@ def lint_tokens_file(src, table, rel, findings):
         # ---- R1: iteration over unordered containers ------------------
         if t.text == "for":
             got = range_for_expr(toks, i)
-            if got and any(e.text == "sortedView" for e in got[0]):
-                got = None  # plus::sortedView() makes the order defined
             if got:
                 expr, line = got
                 for k, e in enumerate(expr):
@@ -380,8 +378,8 @@ def lint_tokens_file(src, table, rel, findings):
                         add("R1", line,
                             f"range-for over unordered container "
                             f"'{e.text}' — hash order is not "
-                            f"deterministic; use an ordered container or "
-                            f"plus::sortedView()")
+                            f"deterministic; index dense ids with a "
+                            f"vector, use std::map for sparse keys")
                         break
                     if e.text in unordered_elem:
                         # Iterating the ordered outer container is fine,
@@ -397,8 +395,8 @@ def lint_tokens_file(src, table, rel, findings):
                                       or base.text in loop_unordered):
                 add("R1", t.line,
                     f"iterator walk of unordered container '{base.text}' "
-                    f"— hash order is not deterministic; use an ordered "
-                    f"container or plus::sortedView()")
+                    f"— hash order is not deterministic; index dense ids "
+                    f"with a vector, use std::map for sparse keys")
 
         # ---- R2: wall-clock / host entropy ----------------------------
         if not src.host_only and t.kind == "id":

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/determinism.hpp"
 #include "common/panic.hpp"
 #include "mem/copy_list.hpp"
 
@@ -23,8 +24,27 @@ InvariantChecker::InvariantChecker(const EventRing* history)
 std::uint64_t
 InvariantChecker::generation(Vpn vpn) const
 {
-    auto it = generations_.find(vpn);
-    return it == generations_.end() ? 0 : it->second;
+    return vpn < generations_.size() ? generations_[vpn] : 0;
+}
+
+InvariantChecker::Entry*
+InvariantChecker::findEntry(NodeId node, Tag tag)
+{
+    if (node >= entries_.size()) {
+        return nullptr;
+    }
+    auto it = entries_[node].find(tag);
+    return it == entries_[node].end() ? nullptr : &it->second;
+}
+
+bool
+InvariantChecker::wordInvalid(NodeId node, Vpn vpn, Addr word_offset) const
+{
+    if (node >= invalidWords_.size()) {
+        return false;
+    }
+    auto it = invalidWords_[node].find(vpn);
+    return it != invalidWords_[node].end() && it->second.count(word_offset);
 }
 
 const mem::CopyList*
@@ -36,32 +56,31 @@ InvariantChecker::listOf(Vpn vpn) const
 void
 InvariantChecker::copyListChanged(Vpn vpn)
 {
-    generations_[vpn] += 1;
+    denseSlot(generations_, vpn) += 1;
 }
 
 void
 InvariantChecker::nodeCrashed(NodeId node)
 {
-    crashedNodes_.insert(node);
+    denseSlot(crashedNodes_, node) = true;
 }
 
 void
 InvariantChecker::epochSealed(NodeId dead, std::uint64_t epoch)
 {
-    if (crashedNodes_.find(dead) == crashedNodes_.end()) {
+    if (dead >= crashedNodes_.size() || !crashedNodes_[dead]) {
         violation(concat("recovery epoch ", epoch, " sealed for n", dead,
                          " which never crashed"));
     }
-    sealedNodes_.insert(dead);
+    denseSlot(sealedNodes_, dead) = true;
     epoch_ = epoch;
 
     // Write off the dead node's own protocol state: its pending entries
     // can never retire (acks to it are dropped), and chains it
     // originated may finish their walk with no owner. Purging here is
     // what lets survivors reach writesInFlight() == 0 after recovery.
-    auto it = entries_.find(dead);
-    if (it != entries_.end()) {
-        entries_.erase(it);
+    if (dead < entries_.size()) {
+        entries_[dead].clear();
     }
     // pluslint: allow(R1) -- order-independent flagging; every chain is
     // visited exactly once and the flag writes commute.
@@ -76,8 +95,7 @@ void
 InvariantChecker::messageProcessed(NodeId src, NodeId dst,
                                    std::uint8_t msg_class)
 {
-    if (!sealedNodes_.empty() &&
-        sealedNodes_.find(src) != sealedNodes_.end()) {
+    if (src < sealedNodes_.size() && sealedNodes_[src]) {
         violation(concat("n", dst, " processed a message of class ",
                          static_cast<unsigned>(msg_class),
                          " from crashed node n", src,
@@ -89,10 +107,7 @@ std::uint64_t
 InvariantChecker::writesInFlight() const
 {
     std::uint64_t total = 0;
-    // pluslint: allow(R1) -- commutative sum; the visit order cannot
-    // reach the total.
-    for (const auto& [node, entries] : entries_) {
-        (void)node;
+    for (const auto& entries : entries_) {
         total += entries.size();
     }
     return total;
@@ -102,7 +117,7 @@ void
 InvariantChecker::pendingInsert(NodeId node, Tag tag, Vpn vpn,
                                 Addr word_offset)
 {
-    auto [it, inserted] = entries_[node].emplace(
+    auto [it, inserted] = denseSlot(entries_, node).emplace(
         tag, Entry{vpn, word_offset, false, 0, false});
     (void)it;
     if (!inserted) {
@@ -115,19 +130,17 @@ void
 InvariantChecker::writeIssued(NodeId node, Tag tag, Vpn vpn,
                               Addr word_offset, bool from_rmw)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    Entry* entry = findEntry(node, tag);
+    if (!entry) {
         violation(concat("node ", node, " issued write tag ", tag,
                          " without a pending-writes entry"));
     }
-    if (it->second.vpn != vpn || it->second.wordOffset != word_offset) {
+    if (entry->vpn != vpn || entry->wordOffset != word_offset) {
         violation(concat("node ", node, " write tag ", tag,
                          " issued for a different address than its "
                          "pending-writes entry"));
     }
-    it->second.fromRmw = from_rmw;
+    entry->fromRmw = from_rmw;
 }
 
 void
@@ -143,11 +156,8 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
 
     auto markTail = [&](Chain& c) {
         if (c.tracked) {
-            auto nit = entries_.find(c.originator);
-            auto eit = nit == entries_.end()
-                           ? decltype(nit->second.end()){}
-                           : nit->second.find(c.tag);
-            if (nit == entries_.end() || eit == nit->second.end()) {
+            Entry* entry = findEntry(c.originator, c.tag);
+            if (!entry) {
                 // An orphaned chain's entry legally retired early: its
                 // write was aborted by crash recovery and completed by
                 // whichever acknowledgement arrived first.
@@ -159,7 +169,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                                      c.tag));
                 }
             } else {
-                eit->second.chainDone = true;
+                entry->chainDone = true;
             }
         }
         ++chainsCompleted_;
@@ -188,23 +198,21 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         c.genAtStart = gen;
         c.visited.push_back(copy);
         if (tracked) {
-            auto nit = entries_.find(originator);
-            auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
-                                             : nit->second.find(tag);
-            if (nit == entries_.end() || eit == nit->second.end()) {
+            Entry* entry = findEntry(originator, tag);
+            if (!entry) {
                 violation(concat("tracked chain ", chain,
                                  " started for n", originator, " tag ", tag,
                                  " with no pending-writes entry"));
             }
-            if (eit->second.chain != 0) {
+            if (entry->chain != 0) {
                 violation(concat("pending entry n", originator, " tag ",
                                  tag, " re-used by a second chain"));
             }
-            eit->second.chain = chain;
+            entry->chain = chain;
             // A re-dispatched (crash-aborted) write may race the old
             // chain's acknowledgement; its new chain tolerates an
             // ownerless tail.
-            c.orphaned = eit->second.aborted;
+            c.orphaned = entry->aborted;
         }
         const bool tail = !list->successorOf(copy).has_value();
         if (tail) {
@@ -237,11 +245,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         // Single-writer: a chain stop at a non-master copy must have
         // invalidated its words (WordInvalidated precedes this event),
         // never applied the written values.
-        auto nit = invalidWords_.find(copy.node);
-        auto vit = nit == invalidWords_.end() ? decltype(nit->second.end()){}
-                                              : nit->second.find(vpn);
-        if (nit == invalidWords_.end() || vit == nit->second.end() ||
-            vit->second.find(word_offset) == vit->second.end()) {
+        if (!wordInvalid(copy.node, vpn, word_offset)) {
             violation(concat("write-invalidate chain ", chain,
                              " stopped at non-master copy ", toString(copy),
                              " of page ", vpn, " without invalidating word ",
@@ -283,40 +287,35 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
 void
 InvariantChecker::pendingAborted(NodeId node, Tag tag, bool retried)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    Entry* entry = findEntry(node, tag);
+    if (!entry) {
         violation(concat("recovery aborted write tag ", tag, " on n", node,
                          " which is not in flight"));
     }
-    Entry& entry = it->second;
-    if (entry.chain != 0) {
+    if (entry->chain != 0) {
         // The old chain may still be walking surviving copies; let it
         // finish without an owner instead of violating at its tail.
-        auto cit = chains_.find(entry.chain);
+        auto cit = chains_.find(entry->chain);
         if (cit != chains_.end()) {
             cit->second.orphaned = true;
         }
     }
-    entry.aborted = true;
+    entry->aborted = true;
     if (retried) {
-        entry.chain = 0;
-        entry.chainDone = false;
+        entry->chain = 0;
+        entry->chainDone = false;
     }
 }
 
 void
 InvariantChecker::pendingComplete(NodeId node, Tag tag)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    const Entry* found = findEntry(node, tag);
+    if (!found) {
         violation(concat("node ", node, " retired write tag ", tag,
                          " which is not in flight (double retire?)"));
     }
-    const Entry entry = it->second;
+    const Entry entry = *found;
     if (entry.aborted) {
         // Crash recovery touched this entry: it retires on whichever
         // acknowledgement (old chain's or re-dispatched chain's)
@@ -330,7 +329,7 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
                 cit->second.orphaned = true;
             }
         }
-        nit->second.erase(it);
+        entries_[node].erase(tag);
         ++retired_;
         return;
     }
@@ -353,7 +352,7 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
         violation(concat("node ", node, " retired write tag ", tag,
                          " which never took effect at the master copy"));
     }
-    nit->second.erase(it);
+    entries_[node].erase(tag);
     ++retired_;
 }
 
@@ -364,10 +363,9 @@ InvariantChecker::fenceComplete(NodeId node, bool pending_empty)
         violation(concat("fence completed on n", node,
                          " with a non-empty pending-writes cache"));
     }
-    auto nit = entries_.find(node);
-    if (nit != entries_.end() && !nit->second.empty()) {
+    if (node < entries_.size() && !entries_[node].empty()) {
         violation(concat("fence completed on n", node, " with ",
-                         nit->second.size(),
+                         entries_[node].size(),
                          " write(s) still unretired (checker view)"));
     }
 }
@@ -375,11 +373,10 @@ InvariantChecker::fenceComplete(NodeId node, bool pending_empty)
 void
 InvariantChecker::readServed(NodeId node, Vpn vpn, Addr word_offset)
 {
-    auto nit = entries_.find(node);
-    if (nit == entries_.end()) {
+    if (node >= entries_.size()) {
         return;
     }
-    for (const auto& [tag, entry] : nit->second) {
+    for (const auto& [tag, entry] : entries_[node]) {
         if (entry.vpn == vpn && entry.wordOffset == word_offset) {
             violation(concat("read on n", node, " of page ", vpn,
                              " word ", word_offset,
@@ -397,7 +394,7 @@ InvariantChecker::wordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
                          " word ", word_offset, " at n", node,
                          " under write-update, which never invalidates"));
     }
-    invalidWords_[node][vpn].insert(word_offset);
+    denseSlot(invalidWords_, node)[vpn].insert(word_offset);
 }
 
 void
@@ -409,11 +406,10 @@ InvariantChecker::wordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
                          " under write-update, which never invalidates"));
     }
     // Idempotent: concurrent re-fetches of the same word each revalidate.
-    auto nit = invalidWords_.find(node);
-    if (nit != invalidWords_.end()) {
-        auto vit = nit->second.find(vpn);
-        if (vit != nit->second.end()) {
-            vit->second.erase(word_offset);
+    if (node < invalidWords_.size()) {
+        auto it = invalidWords_[node].find(vpn);
+        if (it != invalidWords_[node].end()) {
+            it->second.erase(word_offset);
         }
     }
 }
@@ -424,13 +420,7 @@ InvariantChecker::localValueServed(NodeId node, Vpn vpn, Addr word_offset)
     if (mode_ != CoherenceProtocol::WriteInvalidate) {
         return; // write-update never invalidates: every local serve is legal
     }
-    auto nit = invalidWords_.find(node);
-    if (nit == invalidWords_.end()) {
-        return;
-    }
-    auto vit = nit->second.find(vpn);
-    if (vit != nit->second.end() &&
-        vit->second.find(word_offset) != vit->second.end()) {
+    if (wordInvalid(node, vpn, word_offset)) {
         violation(concat("stale read: n", node, " served page ", vpn,
                          " word ", word_offset,
                          " from its own copy while the word is invalidated"));

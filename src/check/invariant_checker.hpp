@@ -160,17 +160,24 @@ class InvariantChecker
     }
 
     std::uint64_t generation(Vpn vpn) const;
+    /** Node @p node's in-flight entry with @p tag, or null. */
+    Entry* findEntry(NodeId node, Tag tag);
+    /** True if the shadow state has @p word_offset invalid there. */
+    bool wordInvalid(NodeId node, Vpn vpn, Addr word_offset) const;
     const mem::CopyList* listOf(Vpn vpn) const;
 
     const EventRing* history_;
     CopyListResolver resolve_;
 
+    // Tables keyed by node or page are vectors indexed by that dense id,
+    // grown on demand.
+
     /** In-flight pending-write entries, per node, keyed by tag. */
-    std::unordered_map<NodeId, std::unordered_map<Tag, Entry>> entries_;
-    /** Open propagation chains by chain id. */
+    std::vector<std::unordered_map<Tag, Entry>> entries_;
+    /** Open propagation chains by chain id (sparse: node<<32 | count). */
     std::unordered_map<ChainId, Chain> chains_;
     /** Copy-list mutation counters per page. */
-    std::unordered_map<Vpn, std::uint64_t> generations_;
+    std::vector<std::uint64_t> generations_;
 
     CoherenceProtocol mode_ = CoherenceProtocol::WriteUpdate;
     /**
@@ -179,14 +186,13 @@ class InvariantChecker
      * WordInvalidated/WordRevalidated events (never from the copy's
      * memory, so a protocol bug cannot hide from the check).
      */
-    std::unordered_map<NodeId,
-                       std::unordered_map<Vpn, std::unordered_set<Addr>>>
+    std::vector<std::unordered_map<Vpn, std::unordered_set<Addr>>>
         invalidWords_;
 
     /** Nodes reported fail-stop crashed (nodeCrashed). */
-    std::unordered_set<NodeId> crashedNodes_;
+    std::vector<bool> crashedNodes_;
     /** Crashed nodes whose recovery epoch sealed (see epochSealed). */
-    std::unordered_set<NodeId> sealedNodes_;
+    std::vector<bool> sealedNodes_;
     std::uint64_t epoch_ = 0;
 
     std::uint64_t retired_ = 0;

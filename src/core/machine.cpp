@@ -413,8 +413,7 @@ Machine::nodeAt(NodeId id)
 node::Processor::Translation
 Machine::translateFor(NodeId node, Vpn vpn)
 {
-    if (!lostPages_.empty() &&
-        lostPages_.find(vpn) != lostPages_.end()) {
+    if (pageIsLost(vpn)) {
         // Degraded mode: the page lost its last copy to a crash. The
         // processor completes the access with kPageLostValue in bounded
         // time instead of faulting on the destroyed mapping.

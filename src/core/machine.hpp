@@ -27,7 +27,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -244,7 +243,7 @@ class Machine
     /** True once @p vpn lost its last copy to a node crash. */
     bool pageIsLost(Vpn vpn) const
     {
-        return lostPages_.find(vpn) != lostPages_.end();
+        return vpn < lostPages_.size() && lostPages_[vpn];
     }
 
     /**
@@ -357,8 +356,11 @@ class Machine
 
     /** Crash recovery; null unless config_.network.fault.recover. */
     std::unique_ptr<RecoveryManager> recovery_;
-    /** Pages whose last copy died; served degraded (kPageLostValue). */
-    std::unordered_set<Vpn> lostPages_;
+    /**
+     * Per-VPN flag: the page's last copy died, so accesses are served
+     * degraded (kPageLostValue).
+     */
+    std::vector<bool> lostPages_;
 
     struct PendingCopy {
         Vpn vpn;

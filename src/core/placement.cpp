@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/determinism.hpp"
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "core/machine.hpp"
@@ -28,7 +27,9 @@ AccessProfile::collect(Machine& machine)
     for (NodeId n = 0; n < machine.nodeCount(); ++n) {
         const mem::RefCounters* counters = machine.nodeAt(n).refCounters();
         PLUS_ASSERT(counters, "node has no reference counters");
-        for (const auto& [vpn, count] : sortedView(counters->counts())) {
+        const std::vector<std::uint64_t>& counts = counters->counts();
+        for (Vpn vpn = 0; vpn < counts.size(); ++vpn) {
+            const std::uint64_t count = counts[vpn];
             if (count == 0) {
                 continue;
             }

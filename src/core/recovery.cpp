@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/determinism.hpp"
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "core/machine.hpp"
@@ -67,23 +68,26 @@ RecoveryManager::recover(NodeId dead)
     PLUS_LOG(LogComponent::Proto, "recovery epoch for node ", dead,
              " starting at cycle ", machine_.now());
 
-    // 1. Repair every copy-list the dead node appears in. sortedVpns()
-    //    is ascending, so `affected` and `lost` come out sorted — the
-    //    coherence managers binary-search them during replay.
+    // 1. Repair every copy-list the dead node appears in. The walk is
+    //    by ascending VPN, so `affected` and `lost` come out sorted —
+    //    the coherence managers binary-search them during replay. It
+    //    goes by index because a lost page's entry is destroyed inside
+    //    the loop.
     mem::PageDirectory& directory = machine_.directory_;
     std::vector<Vpn> affected;
     std::vector<Vpn> lost;
-    for (const Vpn vpn : directory.sortedVpns()) {
-        mem::CopyList& list = directory.copyList(vpn);
-        if (!list.hasCopyOn(dead)) {
+    for (Vpn vpn = 0; vpn < directory.vpnLimit(); ++vpn) {
+        if (!directory.contains(vpn) ||
+            !directory.copyList(vpn).hasCopyOn(dead)) {
             continue;
         }
+        mem::CopyList& list = directory.copyList(vpn);
         if (list.size() == 1) {
             // The dead node held the only copy: the page is gone. Unmap
             // it everywhere; accesses now complete degraded.
             lost.push_back(vpn);
             stats_.pagesLost += 1;
-            machine_.lostPages_.insert(vpn);
+            denseSlot(machine_.lostPages_, vpn) = true;
             machine_.emit(
                 {.kind = check::EventKind::CopyListChanged, .vpn = vpn});
             machine_.shootdown(vpn);

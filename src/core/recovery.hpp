@@ -37,7 +37,7 @@
  *
  * The whole procedure is ordinary simulation state manipulated in one
  * deterministic event, so a fixed crash schedule yields
- * byte-identical post-recovery memory images on every engine backend.
+ * byte-identical post-recovery memory images.
  */
 
 #ifndef PLUS_CORE_RECOVERY_HPP_

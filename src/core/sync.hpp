@@ -76,8 +76,6 @@ class QueuedLock
     /** Release, handing the lock to the oldest queued waiter if any. */
     void release(Context& ctx);
 
-    Addr lockAddress() const { return lock_; }
-
   private:
     QueuedLock() = default;
 
@@ -101,8 +99,6 @@ class Barrier
                           bool replicate_sense);
 
     unsigned participants() const { return n_; }
-    Addr countAddress() const { return count_; }
-    Addr senseAddress() const { return sense_; }
 
   private:
     friend class BarrierWaiter;

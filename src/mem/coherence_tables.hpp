@@ -11,15 +11,20 @@
 #define PLUS_MEM_COHERENCE_TABLES_HPP_
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "common/determinism.hpp"
 #include "common/panic.hpp"
 #include "common/types.hpp"
 
 namespace plus {
 namespace mem {
 
-/** master + next-copy tables of one node, keyed by local frame. */
+/**
+ * master + next-copy tables of one node, indexed by local frame (frames
+ * are allocated low-first, so the tables are dense). An invalid
+ * PhysPage marks an empty entry.
+ */
 class CoherenceTables
 {
   public:
@@ -27,54 +32,59 @@ class CoherenceTables
     void
     setMaster(FrameId frame, PhysPage master)
     {
-        master_[frame] = master;
+        denseSlot(rows_, frame).master = master;
     }
 
     /** Set (or clear, with nullopt) the successor of a local frame. */
     void
     setNextCopy(FrameId frame, std::optional<PhysPage> next)
     {
-        if (next) {
-            next_[frame] = *next;
-        } else {
-            next_.erase(frame);
-        }
+        denseSlot(rows_, frame).next = next.value_or(PhysPage{});
     }
 
-    /** Drop both entries when the local copy is deleted. */
+    /**
+     * Drop both entries when the local copy is deleted: the frame is
+     * reused by the next allocation.
+     */
     void
     erase(FrameId frame)
     {
-        master_.erase(frame);
-        next_.erase(frame);
+        if (frame < rows_.size()) {
+            rows_[frame] = Row{};
+        }
     }
 
     /** Master copy of the page held in @p frame. @pre entry exists. */
     PhysPage
     master(FrameId frame) const
     {
-        auto it = master_.find(frame);
-        PLUS_ASSERT(it != master_.end(),
-                    "no master-table entry for frame ", frame);
-        return it->second;
+        PLUS_ASSERT(knows(frame), "no master-table entry for frame ", frame);
+        return rows_[frame].master;
     }
 
-    bool knows(FrameId frame) const { return master_.count(frame) != 0; }
+    bool
+    knows(FrameId frame) const
+    {
+        return frame < rows_.size() && rows_[frame].master.valid();
+    }
 
     /** Successor of the local copy in @p frame, if any. */
     std::optional<PhysPage>
     nextCopy(FrameId frame) const
     {
-        auto it = next_.find(frame);
-        if (it == next_.end()) {
+        if (frame >= rows_.size() || !rows_[frame].next.valid()) {
             return std::nullopt;
         }
-        return it->second;
+        return rows_[frame].next;
     }
 
   private:
-    std::unordered_map<FrameId, PhysPage> master_;
-    std::unordered_map<FrameId, PhysPage> next_;
+    struct Row {
+        PhysPage master;
+        PhysPage next;
+    };
+
+    std::vector<Row> rows_;
 };
 
 } // namespace mem

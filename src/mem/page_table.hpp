@@ -12,19 +12,22 @@
 #ifndef PLUS_MEM_PAGE_TABLE_HPP_
 #define PLUS_MEM_PAGE_TABLE_HPP_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/determinism.hpp"
+#include "common/panic.hpp"
 #include "common/types.hpp"
 #include "mem/copy_list.hpp"
 
 namespace plus {
 namespace mem {
 
-/** Per-node virtual-to-physical map with lazy fill. */
+/**
+ * Per-node virtual-to-physical map with lazy fill, indexed by VPN (VPNs
+ * come from one bump counter, so the table is dense).
+ */
 class PageTable
 {
   public:
@@ -32,18 +35,18 @@ class PageTable
     std::optional<PhysPage>
     lookup(Vpn vpn) const
     {
-        auto it = map_.find(vpn);
-        if (it == map_.end()) {
+        if (!contains(vpn)) {
             return std::nullopt;
         }
-        return it->second;
+        return map_[vpn];
     }
 
     /** Install or update a mapping (exception handler / OS action). */
     void
     install(Vpn vpn, PhysPage page)
     {
-        map_[vpn] = page;
+        PLUS_ASSERT(page.valid(), "install of an invalid page for vpn ", vpn);
+        denseSlot(map_, vpn) = page;
         ++fills_;
     }
 
@@ -51,26 +54,32 @@ class PageTable
     void
     invalidate(Vpn vpn)
     {
-        if (map_.erase(vpn)) {
+        if (contains(vpn)) {
+            map_[vpn] = PhysPage{};
             ++invalidations_;
         }
     }
 
-    bool contains(Vpn vpn) const { return map_.count(vpn) != 0; }
-    std::size_t size() const { return map_.size(); }
+    bool
+    contains(Vpn vpn) const
+    {
+        return vpn < map_.size() && map_[vpn].valid();
+    }
 
     std::uint64_t fills() const { return fills_; }
     std::uint64_t invalidations() const { return invalidations_; }
 
   private:
-    std::unordered_map<Vpn, PhysPage> map_;
+    /** An invalid PhysPage marks a miss. */
+    std::vector<PhysPage> map_;
     std::uint64_t fills_ = 0;
     std::uint64_t invalidations_ = 0;
 };
 
 /**
- * Centralized table of legal mappings: one CopyList per virtual page.
- * Maintained by the operating system (the Machine in this simulator).
+ * Centralized table of legal mappings: one CopyList per virtual page,
+ * indexed by VPN. Maintained by the operating system (the Machine in
+ * this simulator).
  */
 class PageDirectory
 {
@@ -79,58 +88,46 @@ class PageDirectory
     void
     create(Vpn vpn, PhysPage master)
     {
-        PLUS_ASSERT(!map_.count(vpn), "vpn ", vpn, " already exists");
-        map_.emplace(vpn, CopyList(master));
+        PLUS_ASSERT(!contains(vpn), "vpn ", vpn, " already exists");
+        denseSlot(map_, vpn).emplace(master);
     }
 
     /** Destroy a virtual page entirely. */
     void
     destroy(Vpn vpn)
     {
-        PLUS_ASSERT(map_.erase(vpn) == 1, "destroy of unknown vpn ", vpn);
+        PLUS_ASSERT(contains(vpn), "destroy of unknown vpn ", vpn);
+        map_[vpn].reset();
     }
 
-    bool contains(Vpn vpn) const { return map_.count(vpn) != 0; }
+    bool
+    contains(Vpn vpn) const
+    {
+        return vpn < map_.size() && map_[vpn].has_value();
+    }
 
     const CopyList&
     copyList(Vpn vpn) const
     {
-        auto it = map_.find(vpn);
-        PLUS_ASSERT(it != map_.end(), "unknown vpn ", vpn);
-        return it->second;
+        PLUS_ASSERT(contains(vpn), "unknown vpn ", vpn);
+        return *map_[vpn];
     }
 
     CopyList&
     copyList(Vpn vpn)
     {
-        auto it = map_.find(vpn);
-        PLUS_ASSERT(it != map_.end(), "unknown vpn ", vpn);
-        return it->second;
+        PLUS_ASSERT(contains(vpn), "unknown vpn ", vpn);
+        return *map_[vpn];
     }
-
-    std::size_t pages() const { return map_.size(); }
 
     /**
-     * Every legal virtual page, ascending. Recovery walks the whole
-     * directory; sorting makes the walk identical in every backend
-     * (the underlying map's order is not deterministic).
+     * One past the highest VPN ever created: every legal page lies in
+     * [0, vpnLimit()), and a walk in that range is in ascending order.
      */
-    std::vector<Vpn>
-    sortedVpns() const
-    {
-        std::vector<Vpn> vpns;
-        vpns.reserve(map_.size());
-        // pluslint: allow(R1) -- collected then sorted before use.
-        for (const auto& [vpn, list] : map_) {
-            (void)list;
-            vpns.push_back(vpn);
-        }
-        std::sort(vpns.begin(), vpns.end());
-        return vpns;
-    }
+    Vpn vpnLimit() const { return map_.size(); }
 
   private:
-    std::unordered_map<Vpn, CopyList> map_;
+    std::vector<std::optional<CopyList>> map_;
 };
 
 } // namespace mem

@@ -12,8 +12,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
+#include "common/determinism.hpp"
 #include "common/panic.hpp"
 #include "common/types.hpp"
 
@@ -43,7 +44,7 @@ class RefCounters
     void
     recordRemoteRef(Vpn vpn)
     {
-        std::uint64_t& count = counts_[vpn];
+        std::uint64_t& count = denseSlot(counts_, vpn);
         ++count;
         ++total_;
         if (count >= threshold_) {
@@ -57,12 +58,8 @@ class RefCounters
     std::uint64_t
     count(Vpn vpn) const
     {
-        auto it = counts_.find(vpn);
-        return it == counts_.end() ? 0 : it->second;
+        return vpn < counts_.size() ? counts_[vpn] : 0;
     }
-
-    void reset(Vpn vpn) { counts_.erase(vpn); }
-    void clear() { counts_.clear(); }
 
     /** Re-arm the counters with a new threshold (OS policy change). */
     void
@@ -75,15 +72,15 @@ class RefCounters
     std::uint64_t totalRemoteRefs() const { return total_; }
     std::uint64_t threshold() const { return threshold_; }
 
-    /** All per-page counts (for measurement-driven placement). */
-    const std::unordered_map<Vpn, std::uint64_t>& counts() const
-    {
-        return counts_;
-    }
+    /**
+     * Every page's count, indexed by VPN (for measurement-driven
+     * placement); pages past the end were never referenced.
+     */
+    const std::vector<std::uint64_t>& counts() const { return counts_; }
 
   private:
     std::uint64_t threshold_;
-    std::unordered_map<Vpn, std::uint64_t> counts_;
+    std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     OverflowHandler handler_;
 };

@@ -166,7 +166,7 @@ class FaultInjector
     /**
      * One xoshiro256** stream seeded from FaultConfig::seed. Fates are
      * rolled in frame-transmit order, which is event order, so a fault
-     * schedule replays exactly on either engine backend.
+     * schedule replays exactly.
      */
     Xoshiro256 rng_;
     FaultStats stats_;

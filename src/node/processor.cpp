@@ -1,6 +1,7 @@
 #include "node/processor.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/panic.hpp"
@@ -66,6 +67,7 @@ Processor::Processor(NodeId self, const CostModel& cost, ProcessorMode mode,
 {
     PLUS_ASSERT(deps_.engine && deps_.cm && deps_.cache,
                 "processor missing dependencies");
+    rmwTargets_.assign(deps_.cm->delayedOps().capacity(), kInvalidAddr);
 }
 
 Processor::~Processor() = default;
@@ -485,11 +487,9 @@ Processor::verify(proto::DelayedOpHandle handle)
 {
     // Resolve the handle's target before the wait: once the result is
     // consumed the cache slot (and the handle) can be reallocated.
-    Addr target = kInvalidAddr;
-    if (auto it = rmwTargets_.find(handle); it != rmwTargets_.end()) {
-        target = it->second;
-        rmwTargets_.erase(it);
-    }
+    const Addr target = handle < rmwTargets_.size()
+                            ? std::exchange(rmwTargets_[handle], kInvalidAddr)
+                            : kInvalidAddr;
     WaitState state;
     const unsigned t = current_;
     deps_.cm->procVerify(handle, [this, &state, t](Word value) {

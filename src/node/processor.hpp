@@ -28,7 +28,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "check/event.hpp"
@@ -236,8 +235,6 @@ class Processor
         ThreadId id = 0;
         ThreadState state = ThreadState::Created;
         std::unique_ptr<sim::Fiber> fiber;
-        /** Mailbox for values delivered by continuations. */
-        Word pendingValue = 0;
     };
 
     Thread& current();
@@ -299,11 +296,12 @@ class Processor
 
     /**
      * Target address of each outstanding delayed operation, so verify()
-     * can report which word the acquire synchronized on. Keyed by handle;
-     * the entry is consumed at verify entry, before the cache slot (and
-     * with it the handle) can be reused.
+     * can report which word the acquire synchronized on. Indexed by
+     * handle (a delayed-op cache slot), kInvalidAddr when empty; the
+     * entry is consumed at verify entry, before the cache slot (and with
+     * it the handle) can be reused.
      */
-    std::unordered_map<proto::DelayedOpHandle, Addr> rmwTargets_;
+    std::vector<Addr> rmwTargets_;
 
     std::vector<Thread> threads_;
     std::deque<unsigned> readyQueue_;

@@ -157,23 +157,29 @@ CoherenceManager::procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
             if (deps_.refCounters) {
                 deps_.refCounters->recordRemoteRef(vpn);
             }
-            const ReadTag tag = nextReadTag_++;
-            readWaiters_.emplace(
-                tag, ReadWaiter{vpn, word_offset, kInvalidNode,
-                                std::move(done)});
-            sendRead(tag, phys);
+            sendRead(addReadWaiter(vpn, word_offset, std::move(done)), phys);
         });
+}
+
+ReadTag
+CoherenceManager::addReadWaiter(Vpn vpn, Addr word_offset,
+                                std::function<void(Word)> done)
+{
+    const ReadTag tag = nextReadTag_++;
+    readWaiters_.append(
+        tag, ReadWaiter{vpn, word_offset, kInvalidNode, std::move(done)});
+    return tag;
 }
 
 void
 CoherenceManager::sendRead(ReadTag tag, PhysAddr phys, bool refetch)
 {
-    auto it = readWaiters_.find(tag);
-    PLUS_ASSERT(it != readWaiters_.end(), "no waiting read with tag ", tag);
-    it->second.dst = phys.page.node;
+    ReadWaiter* waiter = readWaiters_.find(tag);
+    PLUS_ASSERT(waiter, "no waiting read with tag ", tag);
+    waiter->dst = phys.page.node;
     auto msg = std::make_unique<ReadReq>();
     msg->target = phys;
-    msg->vpn = it->second.vpn;
+    msg->vpn = waiter->vpn;
     msg->originator = self_;
     msg->tag = tag;
     msg->refetch = refetch;
@@ -183,11 +189,8 @@ CoherenceManager::sendRead(ReadTag tag, PhysAddr phys, bool refetch)
 std::function<void(Word)>
 CoherenceManager::takeReadWaiter(ReadTag tag)
 {
-    auto it = readWaiters_.find(tag);
-    PLUS_ASSERT(it != readWaiters_.end(), "no waiting read with tag ", tag);
+    auto done = readWaiters_.take(tag).done;
     clearNackRetries(NackedKind::Read, tag);
-    auto done = std::move(it->second.done);
-    readWaiters_.erase(it);
     return done;
 }
 
@@ -669,7 +672,7 @@ CoherenceManager::onReadReq(std::unique_ptr<ReadReq> msg)
 void
 CoherenceManager::onReadResp(const ReadResp& msg)
 {
-    if (readWaiters_.find(msg.tag) == readWaiters_.end()) {
+    if (!readWaiters_.find(msg.tag)) {
         // Only recovery can retire a read out from under its response:
         // it re-dispatched the request and the original answer arrived
         // after the replayed one (or after a degraded completion).
@@ -837,7 +840,7 @@ CoherenceManager::nackTargetLive(const Nack& nack) const
 {
     switch (nack.kind) {
       case NackedKind::Read:
-        return readWaiters_.find(nack.readTag) != readWaiters_.end();
+        return readWaiters_.find(nack.readTag) != nullptr;
       case NackedKind::Write:
         return pendingWrites_.live(nack.writeTag);
       case NackedKind::Rmw:
@@ -956,18 +959,16 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
     };
 
     // Collect first: the replay handlers mutate the records. Tags and
-    // handles replay in ascending order — the same on every backend.
+    // handles replay in ascending order.
 
     std::vector<ReadTag> reads;
-    // pluslint: allow(R1) -- sorted below.
     for (const auto& [tag, waiter] : readWaiters_) {
         if (isLost(waiter.vpn) || waiter.dst == dead) {
             reads.push_back(tag);
         }
     }
-    std::sort(reads.begin(), reads.end());
     for (const ReadTag tag : reads) {
-        const ReadWaiter& waiter = readWaiters_.at(tag);
+        const ReadWaiter& waiter = *readWaiters_.find(tag);
         const Vpn vpn = waiter.vpn;
         const Addr word_offset = waiter.wordOffset;
         clearNackRetries(NackedKind::Read, tag);
@@ -1049,7 +1050,7 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
         // Re-execution is at-least-once: if the dead master applied the
         // op but its response was lost, the replay applies it again at
         // the promoted master (see docs/ROBUSTNESS.md). Deterministic
-        // either way — every backend replays identically.
+        // either way.
         const PhysPage page = replayPage(op.vpn);
         dispatchRmw(op.kind, op.vpn, op.wordOffset,
                     PhysAddr{page, op.wordOffset}, op.operand, h,

@@ -409,9 +409,13 @@ class CoherenceManager
         std::function<void(Word)> done;
     };
 
-    /** Blocked remote reads, by tag. */
-    std::unordered_map<ReadTag, ReadWaiter> readWaiters_;
+    /** Blocked remote reads, in tag order. */
+    TagTable<ReadTag, ReadWaiter> readWaiters_;
     ReadTag nextReadTag_ = 1;
+
+    /** Register a blocked remote read under a fresh tag; returns it. */
+    ReadTag addReadWaiter(Vpn vpn, Addr word_offset,
+                          std::function<void(Word)> done);
 
     /**
      * (Re-)send the ReadReq of waiting read @p tag to @p phys; @p refetch

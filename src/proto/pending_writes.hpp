@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "check/event.hpp"
@@ -24,6 +23,64 @@
 
 namespace plus {
 namespace proto {
+
+/**
+ * Records of in-flight operations keyed by tags issued in increasing
+ * order: a vector kept in tag order. Issue appends, retire erases in
+ * place, and a walk visits the records in issue order with no sort.
+ */
+template <typename Tag, typename Record>
+class TagTable
+{
+  public:
+    struct Item {
+        Tag tag;
+        Record record;
+    };
+
+    /** Add @p record under @p tag. @pre tag > every tag held. */
+    void
+    append(Tag tag, Record record)
+    {
+        PLUS_ASSERT(items_.empty() || items_.back().tag < tag, "tag ", tag,
+                    " issued out of order");
+        items_.push_back({tag, std::move(record)});
+    }
+
+    /** The record with @p tag, or null if it is not in flight. */
+    Record* find(Tag tag) { return lookup(*this, tag); }
+    const Record* find(Tag tag) const { return lookup(*this, tag); }
+
+    /** Remove and return the record with @p tag. @pre find(tag) */
+    Record
+    take(Tag tag)
+    {
+        auto it = std::ranges::lower_bound(items_, tag, {}, &Item::tag);
+        PLUS_ASSERT(it != items_.end() && it->tag == tag,
+                    "no in-flight record with tag ", tag);
+        Record record = std::move(it->record);
+        items_.erase(it);
+        return record;
+    }
+
+    void reserve(std::size_t n) { items_.reserve(n); }
+    std::size_t size() const { return items_.size(); }
+    bool empty() const { return items_.empty(); }
+    auto begin() const { return items_.begin(); }
+    auto end() const { return items_.end(); }
+
+  private:
+    template <typename Self>
+    static auto
+    lookup(Self& self, Tag tag) -> decltype(&self.items_.front().record)
+    {
+        auto it = std::ranges::lower_bound(self.items_, tag, {}, &Item::tag);
+        return it != self.items_.end() && it->tag == tag ? &it->record
+                                                        : nullptr;
+    }
+
+    std::vector<Item> items_;
+};
 
 /** Fixed-capacity cache of in-flight writes, keyed by small tags. */
 class PendingWrites
@@ -35,6 +92,7 @@ class PendingWrites
     explicit PendingWrites(unsigned capacity) : capacity_(capacity)
     {
         PLUS_ASSERT(capacity_ > 0, "pending-writes cache needs capacity");
+        entries_.reserve(capacity_);
     }
 
     /** Report cache events to @p events (null to disable). */
@@ -46,9 +104,12 @@ class PendingWrites
     }
 
     unsigned capacity() const { return capacity_; }
-    unsigned inFlight() const { return static_cast<unsigned>(map_.size()); }
+    unsigned inFlight() const
+    {
+        return static_cast<unsigned>(entries_.size());
+    }
     bool full() const { return inFlight() >= capacity_; }
-    bool empty() const { return map_.empty(); }
+    bool empty() const { return entries_.empty(); }
 
     /**
      * One in-flight write: its address plus what a crash-recovery walk
@@ -76,8 +137,8 @@ class PendingWrites
     {
         PLUS_ASSERT(!full(), "pending-writes cache overflow");
         const Tag tag = nextTag_++;
-        map_.emplace(tag, Entry{vpn, word_offset, value, kInvalidNode,
-                                from_rmw});
+        entries_.append(tag, Entry{vpn, word_offset, value, kInvalidNode,
+                                   from_rmw});
         if (events_) {
             events_->emit({.kind = check::EventKind::PendingInsert,
                            .node = self_,
@@ -99,22 +160,21 @@ class PendingWrites
                            .node = self_,
                            .a = tag});
         }
-        auto it = map_.find(tag);
-        PLUS_ASSERT(it != map_.end(), "ack for unknown write tag ", tag);
-        map_.erase(it);
+        PLUS_ASSERT(live(tag), "ack for unknown write tag ", tag);
+        entries_.take(tag);
         wake();
     }
 
     /** True while the write with @p tag is in flight. */
-    bool live(Tag tag) const { return map_.find(tag) != map_.end(); }
+    bool live(Tag tag) const { return entries_.find(tag) != nullptr; }
 
     /** The in-flight write with @p tag. */
     Entry&
     entry(Tag tag)
     {
-        auto it = map_.find(tag);
-        PLUS_ASSERT(it != map_.end(), "no in-flight write with tag ", tag);
-        return it->second;
+        Entry* e = entries_.find(tag);
+        PLUS_ASSERT(e, "no in-flight write with tag ", tag);
+        return *e;
     }
 
     /** Tags of every in-flight write, ascending (= issue order). */
@@ -122,13 +182,10 @@ class PendingWrites
     sortedTags() const
     {
         std::vector<Tag> tags;
-        tags.reserve(map_.size());
-        // pluslint: allow(R1) -- sorted below.
-        for (const auto& [tag, e] : map_) {
-            (void)e;
-            tags.push_back(tag);
+        tags.reserve(entries_.size());
+        for (const auto& item : entries_) {
+            tags.push_back(item.tag);
         }
-        std::sort(tags.begin(), tags.end());
         return tags;
     }
 
@@ -136,11 +193,9 @@ class PendingWrites
     bool
     pendingOn(Vpn vpn, Addr word_offset) const
     {
-        // pluslint: allow(R1) -- pure existence scan; every order gives
-        // the same answer.
-        for (const auto& [tag, e] : map_) {
-            (void)tag;
-            if (e.vpn == vpn && e.wordOffset == word_offset) {
+        for (const auto& item : entries_) {
+            if (item.record.vpn == vpn &&
+                item.record.wordOffset == word_offset) {
                 return true;
             }
         }
@@ -245,7 +300,7 @@ class PendingWrites
     check::EventStream* events_ = nullptr;
     NodeId self_ = kInvalidNode;
     Tag nextTag_ = 1;
-    std::unordered_map<Tag, Entry> map_;
+    TagTable<Tag, Entry> entries_;
     std::vector<Waiter> emptyWaiters_;
     std::vector<Waiter> slotWaiters_;
     std::vector<AddrWaiter> addrWaiters_;

@@ -251,7 +251,6 @@ WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
     if (cm_.deps_.refCounters) {
         cm_.deps_.refCounters->recordRemoteRef(vpn);
     }
-    const ReadTag tag = cm_.nextReadTag_++;
     const std::uint64_t gen = invGen_[frame];
     auto revalidate = [this, vpn, word_offset, frame, gen,
                        done = std::move(done)](Word value) mutable {
@@ -277,10 +276,8 @@ WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
         }
         done(value);
     };
-    cm_.readWaiters_.emplace(
-        tag, CoherenceManager::ReadWaiter{vpn, word_offset, kInvalidNode,
-                                          std::move(revalidate)});
-    cm_.sendRead(tag, PhysAddr{master, word_offset}, /*refetch=*/true);
+    cm_.sendRead(cm_.addReadWaiter(vpn, word_offset, std::move(revalidate)),
+                 PhysAddr{master, word_offset}, /*refetch=*/true);
 }
 
 void

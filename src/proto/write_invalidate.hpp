@@ -119,7 +119,7 @@ class WriteInvalidateProtocol final : public Protocol
 
     // All per-frame state is in ordered containers: recovery-style
     // walks and the promotion hooks iterate, and their order must be
-    // identical on every engine backend (pluslint R1).
+    // identical from run to run (pluslint R1).
 
     /** Invalid words of this node's (non-master) copies. */
     std::map<FrameId, std::set<Addr>> invalidHere_;

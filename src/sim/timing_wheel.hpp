@@ -35,7 +35,7 @@
 namespace plus {
 namespace sim {
 
-/** Time-ordered container of slab records; the Engine's wheel backend. */
+/** Time-ordered container of slab records; the Engine's event queue. */
 class TimingWheel
 {
   public:

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/coherence_tables.hpp"
 #include "mem/copy_list.hpp"
 #include "mem/local_memory.hpp"
@@ -202,6 +204,20 @@ TEST(PageDirectory, CreateLookupDestroy)
     EXPECT_EQ(dir.copyList(3).master(), (PhysPage{0, 5}));
     dir.destroy(3);
     EXPECT_FALSE(dir.contains(3));
+
+    // The recovery walk: ascending VPNs below vpnLimit(), skipping
+    // destroyed pages.
+    for (const Vpn vpn : {Vpn{9}, Vpn{2}, Vpn{5}}) {
+        dir.create(vpn, PhysPage{0, static_cast<FrameId>(vpn)});
+    }
+    dir.destroy(5);
+    std::vector<Vpn> walked;
+    for (Vpn vpn = 0; vpn < dir.vpnLimit(); ++vpn) {
+        if (dir.contains(vpn)) {
+            walked.push_back(vpn);
+        }
+    }
+    EXPECT_EQ(walked, (std::vector<Vpn>{2, 9}));
 }
 
 TEST(PageDirectory, DuplicateCreateIsPanic)
@@ -234,6 +250,13 @@ TEST(CoherenceTables, EraseDropsBoth)
     tables.erase(4);
     EXPECT_FALSE(tables.knows(4));
     EXPECT_THROW(tables.master(4), PanicError);
+
+    // Setting up another frame leaves the erased one empty.
+    tables.setMaster(6, PhysPage{1, 2});
+    tables.setNextCopy(6, PhysPage{3, 4});
+    EXPECT_FALSE(tables.knows(4));
+    EXPECT_FALSE(tables.nextCopy(4).has_value());
+    EXPECT_EQ(tables.nextCopy(6), (PhysPage{3, 4}));
 }
 
 // --- RefCounters ----------------------------------------------------------------

@@ -202,6 +202,22 @@ TEST(PendingWrites, TracksInFlightByAddress)
     EXPECT_FALSE(pw.pendingOn(2, 5));
     pw.complete(tag);
     EXPECT_TRUE(pw.empty());
+
+    // Out-of-order completions: the walk stays in ascending tag order.
+    std::vector<PendingWrites::Tag> tags;
+    for (Addr word = 0; word < 5; ++word) {
+        tags.push_back(pw.insert(2, word));
+    }
+    pw.complete(tags[3]);
+    pw.complete(tags[0]);
+    const auto t5 = pw.insert(2, 0);
+    const std::vector<PendingWrites::Tag> live{tags[1], tags[2], tags[4], t5};
+    EXPECT_EQ(pw.sortedTags(), live);
+    EXPECT_TRUE(pw.pendingOn(2, 0)); // re-written by t5
+    EXPECT_FALSE(pw.pendingOn(2, 3));
+    EXPECT_TRUE(pw.pendingOn(2, 4));
+    pw.complete(t5);
+    EXPECT_FALSE(pw.pendingOn(2, 0));
 }
 
 TEST(PendingWrites, FullAtCapacity)
