@@ -382,6 +382,17 @@ def lint_tokens_file(src, table, rel, findings):
                             f"vector, use std::map for sparse keys")
                         break
                     if e.text in unordered_elem:
+                        enxt2 = expr[k + 2].text if k + 2 < len(expr) \
+                            else ""
+                        if enxt == "[" or (enxt == "." and enxt2 == "at"):
+                            # One element of the ordered outer container
+                            # is itself an unordered container.
+                            add("R1", line,
+                                f"range-for over an unordered element of "
+                                f"'{e.text}' — hash order is not "
+                                f"deterministic; index dense ids with a "
+                                f"vector, use std::map for sparse keys")
+                            break
                         # Iterating the ordered outer container is fine,
                         # but its loop variable is an unordered container.
                         var = loop_var_name(toks, i, expr)

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -172,8 +173,11 @@ class InvariantChecker
     // Tables keyed by node or page are vectors indexed by that dense id,
     // grown on demand.
 
-    /** In-flight pending-write entries, per node, keyed by tag. */
-    std::vector<std::unordered_map<Tag, Entry>> entries_;
+    /**
+     * In-flight pending-write entries, per node, in tag order (a
+     * violation names the lowest matching tag).
+     */
+    std::vector<std::map<Tag, Entry>> entries_;
     /** Open propagation chains by chain id (sparse: node<<32 | count). */
     std::unordered_map<ChainId, Chain> chains_;
     /** Copy-list mutation counters per page. */

@@ -42,6 +42,9 @@ Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
     proc_deps.cache = &cache_;
     processor_ =
         std::make_unique<Processor>(id, config.cost, config.mode, proc_deps);
+    cm_->setCompletionHook([this](unsigned thread, Word value) {
+        processor_->complete(thread, value);
+    });
 }
 
 } // namespace node

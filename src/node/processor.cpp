@@ -13,20 +13,6 @@ namespace node {
 
 namespace {
 
-/**
- * State shared between an operation and its completion continuation.
- * Lives on the issuing fiber's stack: the fiber stays blocked (stack
- * intact) until the continuation runs, and at teardown un-run
- * continuations are destroyed, never invoked, so a raw pointer capture
- * is safe and keeps the closure within sim::Event's inline budget.
- */
-struct WaitState {
-    bool done = false;
-    bool yielded = false;
-    Word value = 0;
-    proto::DelayedOpHandle handle = 0;
-};
-
 /** Fiber stack size of each simulated thread, in bytes. */
 constexpr std::size_t kThreadStackBytes = 256 * 1024;
 
@@ -115,13 +101,6 @@ Processor::halt()
     return written_off;
 }
 
-Processor::Thread&
-Processor::current()
-{
-    PLUS_ASSERT(current_ != kNone, "no thread is running");
-    return threads_[current_];
-}
-
 ThreadId
 Processor::currentThreadId() const
 {
@@ -150,7 +129,7 @@ Processor::sleep(Cycles cycles)
     sim::Fiber::yield();
 }
 
-void
+Word
 Processor::blockCurrent(StallKind kind)
 {
     const unsigned t = current_;
@@ -163,6 +142,14 @@ Processor::blockCurrent(StallKind kind)
         scheduleDispatch();
     }
     sim::Fiber::yield();
+    return threads_[t].result;
+}
+
+void
+Processor::complete(unsigned t, Word result)
+{
+    threads_[t].result = result;
+    wake(t);
 }
 
 void
@@ -229,7 +216,7 @@ Processor::resumeThread(unsigned t)
 {
     if (halted_) {
         // An in-flight charge or page-fault event outlived the crash;
-        // the fiber is frozen where it yielded and unwinds at teardown.
+        // the fiber is frozen where it stopped and unwinds at teardown.
         return;
     }
     PLUS_ASSERT(current_ == t, "resume of a thread that lost the CPU");
@@ -237,9 +224,9 @@ Processor::resumeThread(unsigned t)
     thread.state = ThreadState::Running;
     thread.fiber->resume();
 
-    // The fiber yielded: either the thread finished, blocked, or is in a
-    // timed charge (in which case current_ is still t and an event will
-    // resume it).
+    // The fiber gave the CPU back: the thread finished, blocked, or is
+    // in a timed charge (in which case current_ is still t and an event
+    // will resume it).
     if (thread.fiber->finished()) {
         thread.state = ThreadState::Finished;
         ++finished_;
@@ -346,26 +333,16 @@ Processor::read(Addr vaddr)
         charge(cost_.procRemoteReadIssue, &ProcessorStats::memBusy);
     }
 
-    WaitState state;
     const unsigned t = current_;
-    deps_.cm->procRead(vpn, off, phys, [this, &state, t](Word value) {
-        state.value = value;
-        state.done = true;
-        if (state.yielded) {
-            wake(t);
-        }
-    });
-    if (!state.done) {
-        state.yielded = true;
-        blockCurrent(StallKind::Read);
-    }
+    const std::optional<Word> ready = deps_.cm->procRead(t, vpn, off, phys);
+    const Word value = ready ? *ready : blockCurrent(StallKind::Read);
     if (!local) {
         charge(cost_.procRemoteReadComplete, &ProcessorStats::memBusy);
     }
     if (events_) {
         emitAccess(check::EventKind::ProcRead, threads_[t].id, vaddr);
     }
-    return state.value;
+    return value;
 }
 
 void
@@ -391,16 +368,8 @@ Processor::write(Addr vaddr, Word value)
         charge(cost_.procIssueWrite, &ProcessorStats::memBusy);
     }
 
-    WaitState state;
     const unsigned t = current_;
-    deps_.cm->procWrite(vpn, off, phys, value, [this, &state, t] {
-        state.done = true;
-        if (state.yielded) {
-            wake(t);
-        }
-    });
-    if (!state.done) {
-        state.yielded = true;
+    if (!deps_.cm->procWrite(t, vpn, off, phys, value)) {
         blockCurrent(StallKind::PendingFull);
     }
     if (events_) {
@@ -423,26 +392,8 @@ Processor::issueRmw(proto::RmwOp op, Addr vaddr, Word operand)
         // left to execute it at.
         faultPageLost(vaddr);
         charge(cost_.procIssueOp, &ProcessorStats::issueBusy);
-        WaitState state;
-        const unsigned t = current_;
-        deps_.cm->procIssueLostRmw(
-            op, [this, &state, t](proto::DelayedOpHandle handle) {
-                state.handle = handle;
-                state.done = true;
-                if (state.yielded) {
-                    wake(t);
-                }
-            });
-        if (!state.done) {
-            state.yielded = true;
-            blockCurrent(StallKind::IssueSlot);
-        }
-        rmwTargets_[state.handle] = vaddr;
-        if (events_) {
-            emitAccess(check::EventKind::ProcRmwIssue, threads_[t].id,
-                       vaddr, static_cast<std::uint8_t>(op));
-        }
-        return state.handle;
+        return finishIssue(op, vaddr,
+                           deps_.cm->procIssueLostRmw(current_, op));
     }
     const PhysAddr phys{tr.page, off};
 
@@ -452,28 +403,26 @@ Processor::issueRmw(proto::RmwOp op, Addr vaddr, Word operand)
         fence();
     }
     charge(cost_.procIssueOp, &ProcessorStats::issueBusy);
+    return finishIssue(op, vaddr,
+                  deps_.cm->procIssueRmw(current_, op, vpn, off, phys,
+                                         operand));
+}
 
-    WaitState state;
+proto::DelayedOpHandle
+Processor::finishIssue(proto::RmwOp op, Addr vaddr,
+                  std::optional<proto::DelayedOpHandle> ready)
+{
     const unsigned t = current_;
-    deps_.cm->procIssueRmw(
-        op, vpn, off, phys, operand,
-        [this, &state, t](proto::DelayedOpHandle handle) {
-            state.handle = handle;
-            state.done = true;
-            if (state.yielded) {
-                wake(t);
-            }
-        });
-    if (!state.done) {
-        state.yielded = true;
-        blockCurrent(StallKind::IssueSlot);
-    }
-    rmwTargets_[state.handle] = vaddr;
+    const proto::DelayedOpHandle handle =
+        ready ? *ready
+              : static_cast<proto::DelayedOpHandle>(
+                    blockCurrent(StallKind::IssueSlot));
+    rmwTargets_[handle] = vaddr;
     if (events_) {
         emitAccess(check::EventKind::ProcRmwIssue, threads_[t].id, vaddr,
                    static_cast<std::uint8_t>(op));
     }
-    return state.handle;
+    return handle;
 }
 
 bool
@@ -490,26 +439,16 @@ Processor::verify(proto::DelayedOpHandle handle)
     const Addr target = handle < rmwTargets_.size()
                             ? std::exchange(rmwTargets_[handle], kInvalidAddr)
                             : kInvalidAddr;
-    WaitState state;
     const unsigned t = current_;
-    deps_.cm->procVerify(handle, [this, &state, t](Word value) {
-        state.value = value;
-        state.done = true;
-        if (state.yielded) {
-            wake(t);
-        }
-    });
-    if (!state.done) {
-        // Result not available: in ContextSwitch mode blockCurrent lets
-        // another resident thread run; otherwise the processor stalls.
-        state.yielded = true;
-        blockCurrent(StallKind::Verify);
-    }
+    const std::optional<Word> ready = deps_.cm->procVerify(t, handle);
+    // Result not available: in ContextSwitch mode blockCurrent lets
+    // another resident thread run; otherwise the processor stalls.
+    const Word value = ready ? *ready : blockCurrent(StallKind::Verify);
     charge(cost_.procReadResult, &ProcessorStats::verifyBusy);
     if (events_ && target != kInvalidAddr) {
         emitAccess(check::EventKind::ProcVerify, threads_[t].id, target);
     }
-    return state.value;
+    return value;
 }
 
 Word
@@ -536,16 +475,8 @@ void
 Processor::fence()
 {
     stats_.fences += 1;
-    WaitState state;
     const unsigned t = current_;
-    deps_.cm->procFence([this, &state, t] {
-        state.done = true;
-        if (state.yielded) {
-            wake(t);
-        }
-    });
-    if (!state.done) {
-        state.yielded = true;
+    if (!deps_.cm->procFence(t)) {
         blockCurrent(StallKind::Fence);
     }
     if (events_) {

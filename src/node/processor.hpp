@@ -28,6 +28,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "check/event.hpp"
@@ -165,6 +166,12 @@ class Processor
     void start();
 
     /**
+     * The coherence manager finished thread @p t's parked op with
+     * @p result: store it for the thread and wake it.
+     */
+    void complete(unsigned t, Word result);
+
+    /**
      * Fail-stop: the node hosting this processor crashed. Freezes every
      * resident thread where it stands — fibers are never resumed again
      * (their stacks unwind at teardown), wake-ups and dispatches become
@@ -235,9 +242,9 @@ class Processor
         ThreadId id = 0;
         ThreadState state = ThreadState::Created;
         std::unique_ptr<sim::Fiber> fiber;
+        /** Result of the op the thread last blocked on. */
+        Word result = 0;
     };
-
-    Thread& current();
 
     /** Charge @p cycles to @p bucket and advance simulated time. */
     void charge(Cycles cycles, Cycles ProcessorStats::* bucket);
@@ -249,10 +256,11 @@ class Processor
     void sleep(Cycles cycles);
 
     /**
-     * Block the running thread until wake() is called for it; the
-     * processor's waiting time is attributed to @p kind.
+     * Block the running thread until complete() is called for it; the
+     * processor's waiting time is attributed to @p kind. Returns the
+     * result complete() stored.
      */
-    void blockCurrent(StallKind kind);
+    Word blockCurrent(StallKind kind);
 
     /** Make thread @p t runnable and kick the dispatcher. */
     void wake(unsigned t);
@@ -279,6 +287,11 @@ class Processor
     }
 
     Translation translateCharged(Vpn vpn);
+
+    /** Take the issued handle (or block for it); record its target. */
+    proto::DelayedOpHandle
+    finishIssue(proto::RmwOp op, Addr vaddr,
+                std::optional<proto::DelayedOpHandle> ready);
 
     /**
      * Deliver the degraded completion for an access to a lost page:

@@ -73,7 +73,8 @@ CoherenceManager::CoherenceManager(NodeId self, const CostModel& cost,
     : self_(self), cost_(cost), deps_(deps),
       protocol_(makeProtocol(protocol, *this)),
       pendingWrites_(cost.pendingWriteEntries),
-      delayedOps_(cost.delayedOpEntries)
+      delayedOps_(cost.delayedOpEntries),
+      verifyWaiters_(cost.delayedOpEntries, kNoThread)
 {
     PLUS_ASSERT(deps_.engine && deps_.network && deps_.memory &&
                 deps_.tables, "coherence manager missing dependencies");
@@ -130,44 +131,237 @@ CoherenceManager::applyLocal(FrameId frame, Addr word_offset, Word value)
 // Processor-side interface
 // --------------------------------------------------------------------------
 
-void
-CoherenceManager::procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
-                           std::function<void(Word)> done)
+std::optional<Word>
+CoherenceManager::procRead(unsigned thread, Vpn vpn, Addr word_offset,
+                           PhysAddr phys)
 {
-    // Reading a location that is currently being written blocks until the
-    // write completes (strong ordering within one processor).
-    pendingWrites_.whenAddrClear(
-        vpn, word_offset,
-        [this, vpn, word_offset, phys, done = std::move(done)]() mutable {
-            if (events_) {
-                // The conflicting-write wait is over: the checker verifies
-                // no same-node write to the location is still in flight.
-                events_->emit({.kind = check::EventKind::ReadServed,
-                               .node = self_,
-                               .vpn = vpn,
-                               .word = word_offset});
-            }
-            if (phys.page.node == self_) {
-                protocol_->serveLocalRead(vpn, word_offset,
-                                          phys.page.frame,
-                                          std::move(done));
-                return;
-            }
-            stats_.remoteReads += 1;
-            if (deps_.refCounters) {
-                deps_.refCounters->recordRemoteRef(vpn);
-            }
-            sendRead(addReadWaiter(vpn, word_offset, std::move(done)), phys);
-        });
+    return run({ParkedOp::Kind::Read, thread, vpn, word_offset, phys},
+               /*resumed=*/false);
+}
+
+bool
+CoherenceManager::procWrite(unsigned thread, Vpn vpn, Addr word_offset,
+                            PhysAddr phys, Word value)
+{
+    return run({ParkedOp::Kind::Write, thread, vpn, word_offset, phys, value},
+               /*resumed=*/false)
+        .has_value();
+}
+
+std::optional<DelayedOpHandle>
+CoherenceManager::procIssueRmw(unsigned thread, RmwOp op, Vpn vpn,
+                               Addr word_offset, PhysAddr phys,
+                               Word operand)
+{
+    return run({ParkedOp::Kind::Rmw, thread, vpn, word_offset, phys, operand,
+                op},
+               /*resumed=*/false);
+}
+
+std::optional<DelayedOpHandle>
+CoherenceManager::procIssueLostRmw(unsigned thread, RmwOp op)
+{
+    return run({.kind = ParkedOp::Kind::LostRmw, .thread = thread, .op = op},
+               /*resumed=*/false);
+}
+
+std::optional<Word>
+CoherenceManager::procVerify(unsigned thread, DelayedOpHandle handle)
+{
+    if (delayedOps_.ready(handle)) {
+        return takeResult(handle);
+    }
+    PLUS_ASSERT(delayedOps_.inFlight(handle), "waiting on a free slot");
+    PLUS_ASSERT(verifyWaiters_[handle] == kNoThread,
+                "slot already has a waiter");
+    verifyWaiters_[handle] = thread;
+    return std::nullopt;
+}
+
+bool
+CoherenceManager::procFence(unsigned thread)
+{
+    return run({ParkedOp::Kind::Fence, thread}, /*resumed=*/false)
+        .has_value();
+}
+
+std::optional<Word>
+CoherenceManager::run(ParkedOp op, bool resumed)
+{
+    using Kind = ParkedOp::Kind;
+    using Stage = ParkedOp::Stage;
+    // Park @p op on wait @p at unless it already passed that wait.
+    const auto parks = [&op](Stage at, bool blocked,
+                             std::vector<ParkedOp>& queue) {
+        if (op.stage >= at || !blocked) {
+            return false;
+        }
+        op.stage = at;
+        queue.push_back(op);
+        return true;
+    };
+    const auto done = [&](Word value) -> std::optional<Word> {
+        if (resumed) {
+            finish(op.thread, value);
+        }
+        return value;
+    };
+    // Writes, interlocked issues and fences queue behind an armed write
+    // fence; a blocking fence thereby also waits for gated writes.
+    const bool gated = op.kind == Kind::Write || op.kind == Kind::Rmw ||
+                       op.kind == Kind::Fence;
+    if (gated && !fenceGroups_.empty() &&
+        parks(Stage::Gate, true, fenceGroups_.back())) {
+        return std::nullopt;
+    }
+
+    switch (op.kind) {
+      case Kind::Read: {
+        // Reading a location that is currently being written blocks
+        // until the write completes (strong ordering within one
+        // processor).
+        if (parks(Stage::Addr,
+                  pendingWrites_.pendingOn(op.vpn, op.wordOffset),
+                  addrWaiters_)) {
+            return std::nullopt;
+        }
+        if (events_) {
+            // The conflicting-write wait is over: the checker verifies
+            // no same-node write to the location is still in flight.
+            events_->emit({.kind = check::EventKind::ReadServed,
+                           .node = self_,
+                           .vpn = op.vpn,
+                           .word = op.wordOffset});
+        }
+        ReadWaiter read{op.vpn, op.wordOffset, kInvalidNode, op.thread, {}};
+        if (op.phys.page.node == self_) {
+            const std::optional<Word> value =
+                protocol_->serveLocalRead(read, op.phys.page.frame);
+            return value ? done(*value) : std::nullopt;
+        }
+        stats_.remoteReads += 1;
+        if (deps_.refCounters) {
+            deps_.refCounters->recordRemoteRef(op.vpn);
+        }
+        sendRead(addReadWaiter(std::move(read)), op.phys);
+        return std::nullopt;
+      }
+      case Kind::Write:
+      case Kind::Rmw:
+      case Kind::LostRmw: {
+        // An interlocked op occupies a delayed-op slot until its result
+        // arrives and a pending-writes entry until its update chain
+        // completes, so fences also drain interlocked side effects
+        // (DESIGN.md "RMW vs fence"). While it waits for the entry its
+        // slot's writeTag is 0, which tells the recovery walk it was
+        // never dispatched.
+        const bool rmw = op.kind != Kind::Write;
+        if (rmw && parks(Stage::DelayedSlot, delayedOps_.full(),
+                         delayedSlotWaiters_)) {
+            return std::nullopt;
+        }
+        if (rmw && op.stage < Stage::PendingSlot) {
+            op.handle =
+                delayedOps_.allocate(op.op, op.vpn, op.wordOffset, op.value);
+        }
+        if (op.kind == Kind::LostRmw) {
+            // No master copy left to execute at: the slot exists for
+            // protocol uniformity and completes on the spot with the
+            // lost sentinel.
+            const std::optional<Word> result = done(op.handle);
+            delayedOps_.complete(op.handle, kPageLostValue);
+            return result;
+        }
+        if (parks(Stage::PendingSlot, pendingWrites_.full(),
+                  pendingSlotWaiters_)) {
+            return std::nullopt;
+        }
+        const WriteTag tag =
+            pendingWrites_.insert(op.vpn, op.wordOffset, op.value, rmw);
+        if (events_) {
+            events_->emit({.kind = check::EventKind::WriteIssued,
+                           .cls = rmw,
+                           .node = self_,
+                           .vpn = op.vpn,
+                           .word = op.wordOffset,
+                           .a = tag});
+        }
+        if (!rmw) {
+            const std::optional<Word> result = done(0);
+            dispatchWrite(op.vpn, op.wordOffset, op.phys, op.value, tag);
+            return result;
+        }
+        delayedOps_.op(op.handle).writeTag = tag;
+        const std::optional<Word> result = done(op.handle);
+        dispatchRmw(op.op, op.vpn, op.wordOffset, op.phys, op.value,
+                    op.handle, tag);
+        return result;
+      }
+      case Kind::Fence:
+      case Kind::FenceRelease:
+        if (parks(Stage::Empty, !pendingWrites_.empty(), emptyWaiters_)) {
+            return std::nullopt;
+        }
+        if (op.kind == Kind::FenceRelease) {
+            releaseFenceGroup();
+            return 0;
+        }
+        if (events_) {
+            events_->emit({.kind = check::EventKind::FenceComplete,
+                           .cls = pendingWrites_.empty(),
+                           .node = self_});
+        }
+        return done(0);
+    }
+    PLUS_PANIC("unknown parked op kind");
+}
+
+void
+CoherenceManager::finish(unsigned thread, Word value)
+{
+    PLUS_ASSERT(complete_, "parked op finished with no completion hook");
+    complete_(thread, value);
+}
+
+void
+CoherenceManager::resumeAfterRetire()
+{
+    // A resumed op never retires a write inside the call (dispatch is
+    // asynchronous), so no queue grows behind the walks below except
+    // emptyWaiters_, whose new entries wait for the next drain.
+    while (!pendingSlotWaiters_.empty() && !pendingWrites_.full()) {
+        const ParkedOp op = pendingSlotWaiters_.front();
+        pendingSlotWaiters_.erase(pendingSlotWaiters_.begin());
+        run(op, /*resumed=*/true);
+    }
+    if (pendingWrites_.empty()) {
+        // Every empty waiter registered before the drain runs, even if
+        // an earlier one refilled the cache (FenceComplete reports it).
+        const std::size_t n = emptyWaiters_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            run(emptyWaiters_[i], /*resumed=*/true);
+        }
+        emptyWaiters_.erase(emptyWaiters_.begin(),
+                            emptyWaiters_.begin() +
+                                static_cast<std::ptrdiff_t>(n));
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < addrWaiters_.size(); ++i) {
+        const ParkedOp op = addrWaiters_[i];
+        if (pendingWrites_.pendingOn(op.vpn, op.wordOffset)) {
+            addrWaiters_[kept++] = op;
+        } else {
+            run(op, /*resumed=*/true);
+        }
+    }
+    addrWaiters_.resize(kept);
 }
 
 ReadTag
-CoherenceManager::addReadWaiter(Vpn vpn, Addr word_offset,
-                                std::function<void(Word)> done)
+CoherenceManager::addReadWaiter(ReadWaiter read)
 {
     const ReadTag tag = nextReadTag_++;
-    readWaiters_.append(
-        tag, ReadWaiter{vpn, word_offset, kInvalidNode, std::move(done)});
+    readWaiters_.append(tag, std::move(read));
     return tag;
 }
 
@@ -186,22 +380,21 @@ CoherenceManager::sendRead(ReadTag tag, PhysAddr phys, bool refetch)
     send(phys.page.node, std::move(msg), ReadReq::kBytes);
 }
 
-std::function<void(Word)>
+ReadWaiter
 CoherenceManager::takeReadWaiter(ReadTag tag)
 {
-    auto done = readWaiters_.take(tag).done;
+    ReadWaiter read = readWaiters_.take(tag);
     clearNackRetries(NackedKind::Read, tag);
-    return done;
+    return read;
 }
 
 void
-CoherenceManager::gateBehindFence(std::function<void()> fn)
+CoherenceManager::finishRead(const ReadWaiter& read, Word value)
 {
-    if (fenceGroups_.empty()) {
-        fn();
-    } else {
-        fenceGroups_.back().push_back(std::move(fn));
+    if (!read.refetches.empty()) {
+        protocol_->refetchDone(read, value);
     }
+    finish(read.thread, value);
 }
 
 void
@@ -219,46 +412,21 @@ CoherenceManager::procWriteFence()
 void
 CoherenceManager::armFenceDrain()
 {
-    pendingWrites_.whenEmpty([this] { releaseFenceGroup(); });
+    run({ParkedOp::Kind::FenceRelease}, /*resumed=*/false);
 }
 
 void
 CoherenceManager::releaseFenceGroup()
 {
     PLUS_ASSERT(!fenceGroups_.empty(), "fence drain with no group");
-    auto group = std::move(fenceGroups_.front());
+    const std::vector<ParkedOp> group = std::move(fenceGroups_.front());
     fenceGroups_.pop_front();
-    for (auto& fn : group) {
-        fn(); // may insert the group's own pending writes
+    for (const ParkedOp& op : group) {
+        run(op, /*resumed=*/true); // may insert the group's own writes
     }
     if (!fenceGroups_.empty()) {
         armFenceDrain();
     }
-}
-
-void
-CoherenceManager::procWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
-                            Word value, std::function<void()> accepted)
-{
-    gateBehindFence([this, vpn, word_offset, phys, value,
-                     accepted = std::move(accepted)]() mutable {
-        pendingWrites_.whenSlotFree(
-            [this, vpn, word_offset, phys, value,
-             accepted = std::move(accepted)]() mutable {
-                const WriteTag tag =
-                    pendingWrites_.insert(vpn, word_offset, value);
-                pendingWrites_.noteHighWater();
-                if (events_) {
-                    events_->emit({.kind = check::EventKind::WriteIssued,
-                                   .node = self_,
-                                   .vpn = vpn,
-                                   .word = word_offset,
-                                   .a = tag});
-                }
-                accepted();
-                dispatchWrite(vpn, word_offset, phys, value, tag);
-            });
-    });
 }
 
 void
@@ -351,6 +519,7 @@ CoherenceManager::retireWrite(WriteTag tag)
 {
     clearNackRetries(NackedKind::Write, tag);
     pendingWrites_.complete(tag);
+    resumeAfterRetire();
 }
 
 void
@@ -365,66 +534,6 @@ CoherenceManager::abortPendingWrite(WriteTag tag, bool retried)
     if (!retried) {
         retireWrite(tag);
     }
-}
-
-void
-CoherenceManager::procIssueRmw(RmwOp op, Vpn vpn, Addr word_offset,
-                               PhysAddr phys, Word operand,
-                               std::function<void(DelayedOpHandle)> issued)
-{
-    gateBehindFence([this, op, vpn, word_offset, phys, operand,
-                     issued = std::move(issued)]() mutable {
-        issueRmwUngated(op, vpn, word_offset, phys, operand,
-                        std::move(issued));
-    });
-}
-
-void
-CoherenceManager::procIssueLostRmw(
-    RmwOp op, std::function<void(DelayedOpHandle)> issued)
-{
-    // No master copy left to execute at: allocate the slot for protocol
-    // uniformity and complete it on the spot with the lost sentinel.
-    delayedOps_.whenSlotFree([this, op, issued = std::move(issued)] {
-        const DelayedOpHandle handle = delayedOps_.allocate(op);
-        issued(handle);
-        delayedOps_.complete(handle, kPageLostValue);
-    });
-}
-
-void
-CoherenceManager::issueRmwUngated(
-    RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys, Word operand,
-    std::function<void(DelayedOpHandle)> issued)
-{
-    // The op occupies a delayed-op slot until its result arrives and a
-    // pending-writes entry until its update chain completes, so fences
-    // also drain interlocked side effects (DESIGN.md "RMW vs fence").
-    delayedOps_.whenSlotFree(
-        [this, op, vpn, word_offset, phys, operand,
-         issued = std::move(issued)]() mutable {
-            const DelayedOpHandle handle =
-                delayedOps_.allocate(op, vpn, word_offset, operand);
-            pendingWrites_.whenSlotFree(
-                [this, op, vpn, word_offset, phys, operand, handle,
-                 issued = std::move(issued)]() mutable {
-                    const WriteTag tag = pendingWrites_.insert(
-                        vpn, word_offset, operand, /*from_rmw=*/true);
-                    pendingWrites_.noteHighWater();
-                    if (events_) {
-                        events_->emit({.kind = check::EventKind::WriteIssued,
-                                       .cls = /*from_rmw=*/1,
-                                       .node = self_,
-                                       .vpn = vpn,
-                                       .word = word_offset,
-                                       .a = tag});
-                    }
-                    delayedOps_.op(handle).writeTag = tag;
-                    issued(handle);
-                    dispatchRmw(op, vpn, word_offset, phys, operand, handle,
-                                tag);
-                });
-        });
 }
 
 void
@@ -509,39 +618,30 @@ CoherenceManager::completeRmw(OpTag tag, Word old_value)
 {
     clearNackRetries(NackedKind::Rmw, tag);
     delayedOps_.complete(tag, old_value);
+    // A parked verify frees the slot (resuming its waiters) before its
+    // thread wakes.
+    const unsigned thread = std::exchange(verifyWaiters_[tag], kNoThread);
+    if (thread != kNoThread) {
+        finish(thread, takeResult(tag));
+    }
+}
+
+Word
+CoherenceManager::takeResult(DelayedOpHandle handle)
+{
+    const Word result = delayedOps_.take(handle);
+    while (!delayedSlotWaiters_.empty() && !delayedOps_.full()) {
+        const ParkedOp op = delayedSlotWaiters_.front();
+        delayedSlotWaiters_.erase(delayedSlotWaiters_.begin());
+        run(op, /*resumed=*/true);
+    }
+    return result;
 }
 
 bool
 CoherenceManager::rmwReady(DelayedOpHandle handle) const
 {
     return delayedOps_.ready(handle);
-}
-
-void
-CoherenceManager::procVerify(DelayedOpHandle handle,
-                             std::function<void(Word)> done)
-{
-    delayedOps_.whenReady(
-        handle, [this, handle, done = std::move(done)](Word) {
-            done(delayedOps_.take(handle));
-        });
-}
-
-void
-CoherenceManager::procFence(std::function<void()> done)
-{
-    // A blocking fence must also wait for writes still gated behind an
-    // earlier write fence, so it joins the gate queue itself.
-    gateBehindFence([this, done = std::move(done)]() mutable {
-        pendingWrites_.whenEmpty([this, done = std::move(done)]() mutable {
-            if (events_) {
-                events_->emit({.kind = check::EventKind::FenceComplete,
-                               .cls = pendingWrites_.empty(),
-                               .node = self_});
-            }
-            done();
-        });
-    });
 }
 
 // --------------------------------------------------------------------------
@@ -680,7 +780,7 @@ CoherenceManager::onReadResp(const ReadResp& msg)
         stats_.staleAcks += 1;
         return;
     }
-    takeReadWaiter(msg.tag)(msg.value);
+    finishRead(takeReadWaiter(msg.tag), msg.value);
 }
 
 void
@@ -856,7 +956,7 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
     stats_.recoveryAborts += 1;
     switch (nack.kind) {
       case NackedKind::Read:
-        takeReadWaiter(nack.readTag)(kPageLostValue);
+        finishRead(takeReadWaiter(nack.readTag), kPageLostValue);
         break;
       case NackedKind::Write:
         abortPendingWrite(nack.writeTag, /*retried=*/false);
@@ -906,9 +1006,12 @@ CoherenceManager::onNack(std::unique_ptr<Nack> msg)
         switch (m->kind) {
           case NackedKind::Read:
             if (page->node == self_) {
-                protocol_->serveNackedLocalRead(m->vpn, m->wordOffset,
-                                                page->frame,
-                                                takeReadWaiter(m->readTag));
+                ReadWaiter read = takeReadWaiter(m->readTag);
+                const std::optional<Word> value =
+                    protocol_->serveNackedLocalRead(read, page->frame);
+                if (value) {
+                    finishRead(read, *value);
+                }
             } else {
                 sendRead(m->readTag, phys);
             }
@@ -973,14 +1076,15 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
         const Addr word_offset = waiter.wordOffset;
         clearNackRetries(NackedKind::Read, tag);
         if (isLost(vpn)) {
-            takeReadWaiter(tag)(kPageLostValue);
+            finishRead(takeReadWaiter(tag), kPageLostValue);
             out.lostCompletions += 1;
             continue;
         }
         out.abortedReads += 1;
         const PhysPage page = replayPage(vpn);
         if (page.node == self_) {
-            takeReadWaiter(tag)(deps_.memory->read(page.frame, word_offset));
+            finishRead(takeReadWaiter(tag),
+                       deps_.memory->read(page.frame, word_offset));
         } else {
             sendRead(tag, PhysAddr{page, word_offset});
         }

@@ -48,6 +48,7 @@
 #include "proto/delayed_ops.hpp"
 #include "proto/messages.hpp"
 #include "proto/pending_writes.hpp"
+#include "proto/protocol.hpp"
 #include "sim/event.hpp"
 
 namespace plus {
@@ -61,8 +62,6 @@ class Network;
 } // namespace net
 
 namespace proto {
-
-class Protocol;
 
 /** Per-manager statistics; the bench harnesses aggregate these. */
 struct CmStats {
@@ -125,9 +124,12 @@ inline constexpr StatRow<CmStats> kCmNackStatRows[] = {
 };
 
 /**
- * One node's coherence manager. All processor-side entry points take
- * continuations: the manager never blocks, it calls back when the
- * operation reaches the appropriate milestone.
+ * One node's coherence manager. Each processor-side entry point returns
+ * the op's result when the op can proceed inside the call. Otherwise the
+ * manager parks the op as one ParkedOp record (or, for a remote read,
+ * its ReadWaiter) and returns nullopt/false: the processor blocks the
+ * thread, and the completion hook reports the result once the op
+ * finishes.
  */
 class CoherenceManager
 {
@@ -172,6 +174,17 @@ class CoherenceManager
     using SnoopHook = std::function<void(FrameId, Addr, Word)>;
     void setSnoopHook(SnoopHook hook) { snoop_ = std::move(hook); }
 
+    /**
+     * Finishes a parked op: thread @p thread (the index the processor
+     * passed in) gets @p value — the read or verify result, the
+     * delayed-op handle of an interlocked issue, 0 for a write or fence.
+     */
+    using CompletionHook = std::function<void(unsigned thread, Word value)>;
+    void setCompletionHook(CompletionHook hook)
+    {
+        complete_ = std::move(hook);
+    }
+
     /** Completion callback for page copies this node *initiated*. */
     using PageCopyDoneHandler = std::function<void(std::uint32_t copyId)>;
     void setPageCopyDoneHandler(PageCopyDoneHandler h)
@@ -191,31 +204,33 @@ class CoherenceManager
     }
 
     // --- processor-side interface ------------------------------------------
+    //
+    // @p thread names the issuing thread in the completion hook.
 
     /**
      * Read one word. @p phys is the node's current translation of
      * (vpn, offset). Local reads only wait for conflicting pending
-     * writes; remote reads issue a ReadReq. @p done receives the value.
+     * writes; remote reads issue a ReadReq.
      */
-    void procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
-                  std::function<void(Word)> done);
+    std::optional<Word> procRead(unsigned thread, Vpn vpn, Addr word_offset,
+                                 PhysAddr phys);
 
     /**
-     * Issue a write. @p accepted fires once the write occupies a
-     * pending-writes entry (the processor may then continue); the write
-     * completes asynchronously when the copy-list acknowledges.
+     * Issue a write. True once the write occupies a pending-writes entry
+     * (the processor may then continue); the write completes
+     * asynchronously when the copy-list acknowledges.
      */
-    void procWrite(Vpn vpn, Addr word_offset, PhysAddr phys, Word value,
-                   std::function<void()> accepted);
+    bool procWrite(unsigned thread, Vpn vpn, Addr word_offset, PhysAddr phys,
+                   Word value);
 
     /**
-     * Issue a delayed interlocked operation. @p issued fires with the
-     * delayed-op handle once a cache slot is allocated and the request
-     * is on its way (the processor may then continue).
+     * Issue a delayed interlocked operation. Returns its delayed-op
+     * handle once a cache slot is allocated and the request is on its
+     * way (the processor may then continue).
      */
-    void procIssueRmw(RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys,
-                      Word operand,
-                      std::function<void(DelayedOpHandle)> issued);
+    std::optional<DelayedOpHandle> procIssueRmw(unsigned thread, RmwOp op,
+                                                Vpn vpn, Addr word_offset,
+                                                PhysAddr phys, Word operand);
 
     /**
      * Degraded-mode interlocked issue against a *lost* page (every
@@ -223,21 +238,20 @@ class CoherenceManager
      * so the issue/verify protocol is unchanged, but the operation
      * completes locally and immediately with kPageLostValue.
      */
-    void procIssueLostRmw(RmwOp op,
-                          std::function<void(DelayedOpHandle)> issued);
+    std::optional<DelayedOpHandle> procIssueLostRmw(unsigned thread,
+                                                    RmwOp op);
 
     /** Non-blocking poll of a delayed operation's status. */
     bool rmwReady(DelayedOpHandle handle) const;
 
     /**
-     * Read a delayed operation's result: @p done fires with the value as
-     * soon as it is available (immediately if it already is) and the
-     * cache slot is freed.
+     * Read a delayed operation's result and free its cache slot, as
+     * soon as the result is available.
      */
-    void procVerify(DelayedOpHandle handle, std::function<void(Word)> done);
+    std::optional<Word> procVerify(unsigned thread, DelayedOpHandle handle);
 
-    /** Fence: @p done fires when the pending-writes cache is empty. */
-    void procFence(std::function<void()> done);
+    /** Fence: true once the pending-writes cache is empty. */
+    bool procFence(unsigned thread);
 
     /**
      * The paper's write fence: "causes the coherence manager to block
@@ -353,15 +367,15 @@ class CoherenceManager
     }
 
     // RMW path.
-    void issueRmwUngated(RmwOp op, Vpn vpn, Addr word_offset,
-                         PhysAddr phys, Word operand,
-                         std::function<void(DelayedOpHandle)> issued);
     void dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys,
                      Word operand, DelayedOpHandle handle, WriteTag tag);
     void rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame, Addr word_offset,
                      Word operand, NodeId originator, OpTag op_tag,
                      WriteTag write_tag);
     void completeRmw(OpTag tag, Word old_value);
+
+    /** Consume a ready result; resumes ops waiting for a slot. */
+    Word takeResult(DelayedOpHandle handle);
 
     // Message handlers. Handlers that defer work behind the manager's
     // occupancy own their message and move it into the continuation;
@@ -395,27 +409,83 @@ class CoherenceManager
     DelayedOpCache delayedOps_;
 
     /**
-     * Hold @p fn until no write fence is armed (immediately if none);
-     * entry point for writes and interlocked issues.
+     * A processor op waiting inside the manager, or the write fence's
+     * drain. The manager keeps one such record in the queue of the wait
+     * it parked on; run() resumes it from there.
      */
-    void gateBehindFence(std::function<void()> fn);
+    struct ParkedOp {
+        enum class Kind : std::uint8_t {
+            Read, Write, Rmw, LostRmw, Fence,
+            FenceRelease ///< releases the oldest write-fence group
+        };
+        /**
+         * The waits an op can park on, in the order it meets them. An
+         * op checks only the waits after the one it last parked on.
+         */
+        enum class Stage : std::uint8_t {
+            Start,       ///< not parked yet
+            Gate,        ///< behind an armed write fence (fenceGroups_)
+            DelayedSlot, ///< delayed-op cache full
+            PendingSlot, ///< pending-writes cache full
+            Empty,       ///< pending-writes cache not empty
+            Addr,        ///< a write to the word is in flight
+        };
 
-    /** An outstanding remote read: ReadReq sent, response pending. */
-    struct ReadWaiter {
+        Kind kind = Kind::Read;
+        unsigned thread = 0;
         Vpn vpn = 0;
         Addr wordOffset = 0;
-        /** Node the request was last sent to. */
-        NodeId dst = kInvalidNode;
-        std::function<void(Word)> done;
+        PhysAddr phys{};
+        /** The written value, or an interlocked op's operand. */
+        Word value = 0;
+        RmwOp op = RmwOp::Xchng;
+        Stage stage = Stage::Start;
+        /** An interlocked op's slot, once allocated. */
+        DelayedOpHandle handle = 0;
     };
+
+    /**
+     * Take @p op as far as it can go. Returns its result if it finished
+     * inside the call, nullopt if it parked (or sent a remote read).
+     * A @p resumed op also reports its result through the completion
+     * hook, and a resumed write or interlocked issue does so before it
+     * dispatches: the thread's wake is scheduled first.
+     */
+    std::optional<Word> run(ParkedOp op, bool resumed);
+
+    /** Report parked op @p thread's result through the hook. */
+    void finish(unsigned thread, Word value);
+
+    /**
+     * A pending write retired: resume slot waiters (FIFO, until one
+     * refills the cache), then empty waiters if the cache drained, then
+     * address waiters whose word is clear.
+     */
+    void resumeAfterRetire();
+
+    /**
+     * Write-fence state: each procWriteFence() opens a group; writes,
+     * interlocked issues and fences append to the newest group and are
+     * released, group by group, as the preceding group's writes drain.
+     */
+    std::deque<std::vector<ParkedOp>> fenceGroups_;
+    void armFenceDrain();
+    void releaseFenceGroup();
+
+    std::vector<ParkedOp> delayedSlotWaiters_;
+    std::vector<ParkedOp> pendingSlotWaiters_;
+    std::vector<ParkedOp> emptyWaiters_;
+    std::vector<ParkedOp> addrWaiters_;
+    /** Thread blocked in procVerify on each delayed-op slot. */
+    std::vector<unsigned> verifyWaiters_;
+    static constexpr unsigned kNoThread = ~0u;
 
     /** Blocked remote reads, in tag order. */
     TagTable<ReadTag, ReadWaiter> readWaiters_;
     ReadTag nextReadTag_ = 1;
 
     /** Register a blocked remote read under a fresh tag; returns it. */
-    ReadTag addReadWaiter(Vpn vpn, Addr word_offset,
-                          std::function<void(Word)> done);
+    ReadTag addReadWaiter(ReadWaiter read);
 
     /**
      * (Re-)send the ReadReq of waiting read @p tag to @p phys; @p refetch
@@ -423,19 +493,14 @@ class CoherenceManager
      */
     void sendRead(ReadTag tag, PhysAddr phys, bool refetch = false);
 
-    /** Retire waiting read @p tag; returns its continuation. */
-    std::function<void(Word)> takeReadWaiter(ReadTag tag);
+    /** Retire waiting read @p tag; returns its record. */
+    ReadWaiter takeReadWaiter(ReadTag tag);
 
     /**
-     * Write-fence state: each procWriteFence() opens a group; writes
-     * and interlocked issues append to the newest group and are
-     * released, group by group, as the preceding group's writes drain.
+     * Complete @p read with @p value: revalidate what it re-fetched,
+     * then report to its thread. Every path that ends a read waiter.
      */
-    std::deque<std::vector<std::function<void()>>> fenceGroups_;
-    void armFenceDrain();
-    void releaseFenceGroup();
-
-    /** Local-read continuations use PendingWrites address waiters. */
+    void finishRead(const ReadWaiter& read, Word value);
 
     Cycles busyUntil_ = 0;
 
@@ -469,6 +534,7 @@ class CoherenceManager
 
     Translator translate_;
     SnoopHook snoop_;
+    CompletionHook complete_;
     PageCopyDoneHandler pageCopyDone_;
     check::EventStream* events_ = nullptr;
     std::unordered_map<std::uint64_t, unsigned> nackRetries_;

@@ -13,8 +13,6 @@
 #define PLUS_PROTO_DELAYED_OPS_HPP_
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/panic.hpp"
@@ -31,9 +29,6 @@ using DelayedOpHandle = std::uint32_t;
 class DelayedOpCache
 {
   public:
-    using Waiter = std::function<void()>;
-    using ResultWaiter = std::function<void(Word)>;
-
     explicit DelayedOpCache(unsigned capacity) : slots_(capacity)
     {
         PLUS_ASSERT(capacity > 0, "delayed-op cache needs capacity");
@@ -92,11 +87,6 @@ class DelayedOpCache
                     "result for a slot that is not in flight");
         slot.state = State::Ready;
         slot.result = result;
-        if (slot.waiter) {
-            auto fn = std::move(slot.waiter);
-            slot.waiter = nullptr;
-            fn(result);
-        }
     }
 
     /** True while @p handle's result has not arrived. */
@@ -133,39 +123,7 @@ class DelayedOpCache
         PLUS_ASSERT(slot.state == State::Ready, "take() before result");
         slot.state = State::Free;
         --used_;
-        const Word result = slot.result;
-        wakeSlotWaiters();
-        return result;
-    }
-
-    /**
-     * Run @p fn with the result as soon as it is available (immediately
-     * if already ready). The slot is *not* freed; the caller still
-     * calls take().
-     */
-    void
-    whenReady(DelayedOpHandle handle, ResultWaiter fn)
-    {
-        Slot& slot = at(handle);
-        if (slot.state == State::Ready) {
-            fn(slot.result);
-        } else {
-            PLUS_ASSERT(slot.state == State::InFlight,
-                        "waiting on a free slot");
-            PLUS_ASSERT(!slot.waiter, "slot already has a waiter");
-            slot.waiter = std::move(fn);
-        }
-    }
-
-    /** Run @p fn once a slot can be allocated. */
-    void
-    whenSlotFree(Waiter fn)
-    {
-        if (!full()) {
-            fn();
-        } else {
-            slotWaiters_.push_back(std::move(fn));
-        }
+        return slot.result;
     }
 
     unsigned maxInFlight() const { return maxUsed_; }
@@ -177,7 +135,6 @@ class DelayedOpCache
         State state = State::Free;
         Op op;
         Word result = 0;
-        ResultWaiter waiter;
     };
 
     Slot&
@@ -194,18 +151,7 @@ class DelayedOpCache
         return slots_[handle];
     }
 
-    void
-    wakeSlotWaiters()
-    {
-        while (!slotWaiters_.empty() && !full()) {
-            auto fn = std::move(slotWaiters_.front());
-            slotWaiters_.erase(slotWaiters_.begin());
-            fn();
-        }
-    }
-
     std::vector<Slot> slots_;
-    std::vector<Waiter> slotWaiters_;
     unsigned used_ = 0;
     unsigned maxUsed_ = 0;
 };

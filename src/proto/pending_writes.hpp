@@ -13,8 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "check/event.hpp"
@@ -87,7 +85,6 @@ class PendingWrites
 {
   public:
     using Tag = std::uint32_t;
-    using Waiter = std::function<void()>;
 
     explicit PendingWrites(unsigned capacity) : capacity_(capacity)
     {
@@ -103,7 +100,6 @@ class PendingWrites
         self_ = self;
     }
 
-    unsigned capacity() const { return capacity_; }
     unsigned inFlight() const
     {
         return static_cast<unsigned>(entries_.size());
@@ -139,6 +135,7 @@ class PendingWrites
         const Tag tag = nextTag_++;
         entries_.append(tag, Entry{vpn, word_offset, value, kInvalidNode,
                                    from_rmw});
+        maxInFlight_ = std::max(maxInFlight_, inFlight());
         if (events_) {
             events_->emit({.kind = check::EventKind::PendingInsert,
                            .node = self_,
@@ -149,7 +146,7 @@ class PendingWrites
         return tag;
     }
 
-    /** Complete the write with @p tag and wake any satisfied waiters. */
+    /** Complete the write with @p tag. */
     void
     complete(Tag tag)
     {
@@ -162,7 +159,6 @@ class PendingWrites
         }
         PLUS_ASSERT(live(tag), "ack for unknown write tag ", tag);
         entries_.take(tag);
-        wake();
     }
 
     /** True while the write with @p tag is in flight. */
@@ -202,108 +198,15 @@ class PendingWrites
         return false;
     }
 
-    /** Run @p fn once the cache is empty (immediately if it already is). */
-    void
-    whenEmpty(Waiter fn)
-    {
-        if (empty()) {
-            fn();
-        } else {
-            emptyWaiters_.push_back(std::move(fn));
-        }
-    }
-
-    /** Run @p fn once a slot is free (immediately if one already is). */
-    void
-    whenSlotFree(Waiter fn)
-    {
-        if (!full()) {
-            fn();
-        } else {
-            slotWaiters_.push_back(std::move(fn));
-        }
-    }
-
-    /** Run @p fn once no write to the location is in flight. */
-    void
-    whenAddrClear(Vpn vpn, Addr word_offset, Waiter fn)
-    {
-        if (!pendingOn(vpn, word_offset)) {
-            fn();
-        } else {
-            addrWaiters_.push_back({Key{vpn, word_offset}, std::move(fn)});
-        }
-    }
-
     /** Peak simultaneous in-flight writes seen (diagnostics). */
     unsigned maxInFlight() const { return maxInFlight_; }
 
-    /** Call after insert() to update the high-water mark. */
-    void
-    noteHighWater()
-    {
-        maxInFlight_ = std::max(maxInFlight_, inFlight());
-    }
-
   private:
-    struct Key {
-        Vpn vpn;
-        Addr wordOffset;
-    };
-
-    void
-    wake()
-    {
-        if (!full()) {
-            auto waiters = std::move(slotWaiters_);
-            slotWaiters_.clear();
-            for (auto& fn : waiters) {
-                // A woken waiter may immediately refill the slot; respect
-                // capacity by re-queueing the rest.
-                if (!full()) {
-                    fn();
-                } else {
-                    slotWaiters_.push_back(std::move(fn));
-                }
-            }
-        }
-        if (empty()) {
-            auto waiters = std::move(emptyWaiters_);
-            emptyWaiters_.clear();
-            for (auto& fn : waiters) {
-                fn();
-            }
-        }
-        if (!addrWaiters_.empty()) {
-            std::vector<AddrWaiter> keep;
-            auto waiters = std::move(addrWaiters_);
-            addrWaiters_.clear();
-            for (auto& w : waiters) {
-                if (pendingOn(w.key.vpn, w.key.wordOffset)) {
-                    keep.push_back(std::move(w));
-                } else {
-                    w.fn();
-                }
-            }
-            for (auto& w : keep) {
-                addrWaiters_.push_back(std::move(w));
-            }
-        }
-    }
-
-    struct AddrWaiter {
-        Key key;
-        Waiter fn;
-    };
-
     unsigned capacity_;
     check::EventStream* events_ = nullptr;
     NodeId self_ = kInvalidNode;
     Tag nextTag_ = 1;
     TagTable<Tag, Entry> entries_;
-    std::vector<Waiter> emptyWaiters_;
-    std::vector<Waiter> slotWaiters_;
-    std::vector<AddrWaiter> addrWaiters_;
     unsigned maxInFlight_ = 0;
 };
 

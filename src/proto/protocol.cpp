@@ -32,12 +32,19 @@ Protocol::noteChainStop(const UpdateReq& msg)
     }
 }
 
-void
-Protocol::serveNackedLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                               std::function<void(Word)> done)
+std::optional<Word>
+Protocol::serveNackedLocalRead(ReadWaiter& read, FrameId frame)
 {
-    (void)vpn;
-    done(cm_.deps_.memory->read(frame, word_offset));
+    return cm_.deps_.memory->read(frame, read.wordOffset);
+}
+
+void
+Protocol::refetchDone(const ReadWaiter& read, Word value)
+{
+    (void)value;
+    PLUS_PANIC("re-fetch of page ", read.vpn, " word ", read.wordOffset,
+               " under the ", toString(kind()),
+               " protocol, which never sends one");
 }
 
 void

@@ -32,8 +32,8 @@
 #define PLUS_PROTO_PROTOCOL_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -44,6 +44,27 @@ namespace plus {
 namespace proto {
 
 class CoherenceManager;
+
+/**
+ * A processor read the manager is serving: a blocked remote read keeps
+ * this record under its ReadTag until the response arrives.
+ */
+struct ReadWaiter {
+    /** A re-fetch into local copy @c frame at invalidation gen @c gen. */
+    struct Refetch {
+        FrameId frame = kInvalidFrame;
+        std::uint64_t gen = 0;
+    };
+
+    Vpn vpn = 0;
+    Addr wordOffset = 0;
+    /** Node the request was last sent to. */
+    NodeId dst = kInvalidNode;
+    /** Processor thread the value completes. */
+    unsigned thread = 0;
+    /** Write-invalidate re-fetches the answer revalidates, oldest first. */
+    std::vector<Refetch> refetches;
+};
 
 /** Strategy for the protocol-specific half of the coherence manager. */
 class Protocol
@@ -97,20 +118,30 @@ class Protocol
     // --- read path --------------------------------------------------------
 
     /**
-     * Serve a processor read of @p frame held by this node (conflicting
-     * pending writes already drained). Must eventually call @p done.
+     * Serve processor read @p read of @p frame held by this node
+     * (conflicting pending writes already drained). Returns the value,
+     * or nullopt once @p read has moved into a write-invalidate
+     * re-fetch that completes it later.
      */
-    virtual void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                                std::function<void(Word)> done) = 0;
+    virtual std::optional<Word> serveLocalRead(ReadWaiter& read,
+                                               FrameId frame) = 0;
 
     /**
-     * A nacked remote read re-translated to a local copy; serve it.
-     * Default: plain local-memory read (the pre-refactor behaviour —
-     * notably without the localReads counter, preserving seed stats).
+     * A nacked remote read re-translated to a local copy; serve it like
+     * serveLocalRead. Default: plain local-memory read (the
+     * pre-refactor behaviour — notably without the localReads counter,
+     * preserving seed stats).
      */
-    virtual void serveNackedLocalRead(Vpn vpn, Addr word_offset,
-                                      FrameId frame,
-                                      std::function<void(Word)> done);
+    virtual std::optional<Word> serveNackedLocalRead(ReadWaiter& read,
+                                                     FrameId frame);
+
+    /**
+     * The answer @p value to re-fetching @p read arrived (or recovery
+     * completed it): revalidate the local copies it re-fetched into,
+     * newest first. Only write-invalidate re-fetches; the default
+     * panics.
+     */
+    virtual void refetchDone(const ReadWaiter& read, Word value);
 
     /**
      * Serve a remote ReadReq addressed to an allocated frame this node

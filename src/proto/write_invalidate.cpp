@@ -194,90 +194,82 @@ WriteInvalidateProtocol::chainAckAtMaster(std::uint64_t chain_id)
     ackOriginator(pc.originator, pc.tag, pc.fromRmw);
 }
 
-void
-WriteInvalidateProtocol::serveLocalRead(Vpn vpn, Addr word_offset,
-                                        FrameId frame,
-                                        std::function<void(Word)> done)
+std::optional<Word>
+WriteInvalidateProtocol::serveLocalRead(ReadWaiter& read, FrameId frame)
 {
-    const PhysPage master = cm_.deps_.tables->master(frame);
-    if (master.node != cm_.self_) {
-        const auto it = invalidHere_.find(frame);
-        if (it != invalidHere_.end() &&
-            it->second.count(word_offset) != 0) {
-            refetchWord(vpn, word_offset, frame, master, std::move(done));
-            return;
-        }
+    const std::optional<Word> value = serveNackedLocalRead(read, frame);
+    if (value) {
+        cm_.stats_.localReads += 1;
     }
-    cm_.stats_.localReads += 1;
-    if (cm_.events_) {
-        cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
-                           .node = cm_.self_,
-                           .vpn = vpn,
-                           .word = word_offset});
-    }
-    done(cm_.deps_.memory->read(frame, word_offset));
+    return value;
 }
 
-void
-WriteInvalidateProtocol::serveNackedLocalRead(Vpn vpn, Addr word_offset,
-                                              FrameId frame,
-                                              std::function<void(Word)> done)
+std::optional<Word>
+WriteInvalidateProtocol::serveNackedLocalRead(ReadWaiter& read,
+                                              FrameId frame)
 {
-    const PhysPage master = cm_.deps_.tables->master(frame);
-    if (master.node != cm_.self_) {
-        const auto it = invalidHere_.find(frame);
-        if (it != invalidHere_.end() &&
-            it->second.count(word_offset) != 0) {
-            refetchWord(vpn, word_offset, frame, master, std::move(done));
-            return;
-        }
+    if (refetchIfInvalid(read, frame)) {
+        return std::nullopt;
     }
     if (cm_.events_) {
         cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
                            .node = cm_.self_,
-                           .vpn = vpn,
-                           .word = word_offset});
+                           .vpn = read.vpn,
+                           .word = read.wordOffset});
     }
-    done(cm_.deps_.memory->read(frame, word_offset));
+    return cm_.deps_.memory->read(frame, read.wordOffset);
 }
 
-void
-WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
-                                     FrameId frame, PhysPage master,
-                                     std::function<void(Word)> done)
+bool
+WriteInvalidateProtocol::refetchIfInvalid(ReadWaiter& read, FrameId frame)
 {
+    const PhysPage master = cm_.deps_.tables->master(frame);
+    if (master.node == cm_.self_) {
+        return false;
+    }
+    const auto it = invalidHere_.find(frame);
+    if (it == invalidHere_.end() || it->second.count(read.wordOffset) == 0) {
+        return false;
+    }
     cm_.stats_.remoteReads += 1;
     cm_.stats_.refetches += 1;
     if (cm_.deps_.refCounters) {
-        cm_.deps_.refCounters->recordRemoteRef(vpn);
+        cm_.deps_.refCounters->recordRemoteRef(read.vpn);
     }
-    const std::uint64_t gen = invGen_[frame];
-    auto revalidate = [this, vpn, word_offset, frame, gen,
-                       done = std::move(done)](Word value) mutable {
+    read.refetches.push_back({frame, invGen_[frame]});
+    const PhysAddr target{master, read.wordOffset};
+    cm_.sendRead(cm_.addReadWaiter(std::move(read)), target,
+                 /*refetch=*/true);
+    return true;
+}
+
+void
+WriteInvalidateProtocol::refetchDone(const ReadWaiter& read, Word value)
+{
+    for (auto it = read.refetches.rbegin(); it != read.refetches.rend();
+         ++it) {
         // Revalidate the copy's word only if nothing invalidated the
         // copy (or recycled the frame) while the re-fetch was in
-        // flight; the value handed to the reader is correct as of
-        // the master's serialization either way.
+        // flight; the value handed to the reader is correct as of the
+        // master's serialization either way.
+        const FrameId frame = it->frame;
         const auto git = invGen_.find(frame);
-        if (git != invGen_.end() && git->second == gen &&
-            cm_.deps_.memory->allocated(frame)) {
-            cm_.applyLocal(frame, word_offset, value);
-            const auto iit = invalidHere_.find(frame);
-            if (iit != invalidHere_.end()) {
-                iit->second.erase(word_offset);
-            }
-            if (cm_.events_) {
-                cm_.events_->emit(
-                    {.kind = check::EventKind::WordRevalidated,
-                     .node = cm_.self_,
-                     .vpn = vpn,
-                     .word = word_offset});
-            }
+        if (git == invGen_.end() || git->second != it->gen ||
+            !cm_.deps_.memory->allocated(frame)) {
+            continue;
         }
-        done(value);
-    };
-    cm_.sendRead(cm_.addReadWaiter(vpn, word_offset, std::move(revalidate)),
-                 PhysAddr{master, word_offset}, /*refetch=*/true);
+        cm_.applyLocal(frame, read.wordOffset, value);
+        const auto iit = invalidHere_.find(frame);
+        if (iit != invalidHere_.end()) {
+            iit->second.erase(read.wordOffset);
+        }
+        if (cm_.events_) {
+            cm_.events_->emit({.kind = check::EventKind::WordRevalidated,
+                               .node = cm_.self_,
+                               .vpn = read.vpn,
+                               .word = read.wordOffset});
+        }
+    }
 }
 
 void

@@ -68,10 +68,11 @@ class WriteInvalidateProtocol final : public Protocol
                              WriteTag write_tag) override;
     void chainStop(std::unique_ptr<UpdateReq> msg) override;
     void chainAckAtMaster(std::uint64_t chain_id) override;
-    void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                        std::function<void(Word)> done) override;
-    void serveNackedLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                              std::function<void(Word)> done) override;
+    std::optional<Word> serveLocalRead(ReadWaiter& read,
+                                       FrameId frame) override;
+    std::optional<Word> serveNackedLocalRead(ReadWaiter& read,
+                                             FrameId frame) override;
+    void refetchDone(const ReadWaiter& read, Word value) override;
     void serveReadReq(std::unique_ptr<ReadReq> msg) override;
     void fillBatchValidity(FrameId src_frame, Addr base_offset, Addr count,
                            PageCopyData& msg) override;
@@ -113,9 +114,8 @@ class WriteInvalidateProtocol final : public Protocol
     void launchChain(Vpn vpn, FrameId frame, std::vector<WordWrite> writes,
                      NodeId originator, WriteTag tag, bool from_rmw);
 
-    /** Re-fetch one invalidated word of a local copy from the master. */
-    void refetchWord(Vpn vpn, Addr word_offset, FrameId frame,
-                     PhysPage master, std::function<void(Word)> done);
+    /** Re-fetch @p read from the master if @p frame holds it invalid. */
+    bool refetchIfInvalid(ReadWaiter& read, FrameId frame);
 
     // All per-frame state is in ordered containers: recovery-style
     // walks and the promotion hooks iterate, and their order must be

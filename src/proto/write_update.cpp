@@ -78,13 +78,11 @@ WriteUpdateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
                       msg->fromRmw, /*invalidate=*/false);
 }
 
-void
-WriteUpdateProtocol::serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                                    std::function<void(Word)> done)
+std::optional<Word>
+WriteUpdateProtocol::serveLocalRead(ReadWaiter& read, FrameId frame)
 {
-    (void)vpn;
     cm_.stats_.localReads += 1;
-    done(cm_.deps_.memory->read(frame, word_offset));
+    return cm_.deps_.memory->read(frame, read.wordOffset);
 }
 
 void

@@ -37,8 +37,8 @@ class WriteUpdateProtocol final : public Protocol
                              NodeId originator,
                              WriteTag write_tag) override;
     void chainStop(std::unique_ptr<UpdateReq> msg) override;
-    void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
-                        std::function<void(Word)> done) override;
+    std::optional<Word> serveLocalRead(ReadWaiter& read,
+                                       FrameId frame) override;
     void serveReadReq(std::unique_ptr<ReadReq> msg) override;
     void applyCopyBatch(const PageCopyData& msg) override;
 };

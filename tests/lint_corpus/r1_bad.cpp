@@ -2,6 +2,7 @@
 // order of an unordered_map leaks into observable output.
 #include <cstdio>
 #include <unordered_map>
+#include <vector>
 
 namespace corpus {
 
@@ -21,8 +22,17 @@ class TrafficTable {
         }
     }
 
+    void
+    dumpNode(unsigned node) const
+    {
+        for (const auto& [link, bytes] : perNode_[node]) { // BAD: hash order
+            std::printf("n%u link %u: %u bytes\n", node, link, bytes);
+        }
+    }
+
   private:
     std::unordered_map<unsigned, unsigned> perLink_;
+    std::vector<std::unordered_map<unsigned, unsigned>> perNode_;
 };
 
 } // namespace corpus

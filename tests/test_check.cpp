@@ -276,6 +276,29 @@ TEST(CheckUnit, ReadOfOwnInFlightWritePanics)
                  PanicError);
 }
 
+TEST(CheckUnit, ReadOfOwnInFlightWriteNamesTheLowestTag)
+{
+    check::Checker c(invariantsOnly());
+    for (const std::uint64_t tag : {4, 7}) {
+        c.consume({.kind = EventKind::PendingInsert,
+                   .node = 2,
+                   .vpn = 5,
+                   .word = 3,
+                   .a = tag});
+    }
+    try {
+        c.consume({.kind = EventKind::ReadServed,
+                   .node = 2,
+                   .vpn = 5,
+                   .word = 3});
+        FAIL() << "expected a checker violation";
+    } catch (const PanicError& err) {
+        EXPECT_NE(std::string(err.what()).find("(tag 4)"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(CheckUnit, FenceWithInFlightWritesPanics)
 {
     check::Checker c(invariantsOnly());

@@ -2,13 +2,63 @@
  * @file
  * Tests of the processor timing model: cost accounting identities,
  * latency-hiding behaviour of the three modes, the cache's effect on
- * local access costs, and page-fault charging.
+ * local access costs, page-fault charging, and heap allocation on the
+ * steady-state local path.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "core/context.hpp"
 #include "core/machine.hpp"
+
+// Every allocation of this test binary is counted; the storage comes
+// from malloc/free, so sanitizer builds still track it.
+namespace {
+std::size_t g_allocations = 0;
+} // namespace
+
+void*
+operator new(std::size_t bytes)
+{
+    ++g_allocations;
+    if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
+        return p;
+    }
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t bytes)
+{
+    return operator new(bytes);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace plus {
 namespace core {
@@ -241,6 +291,55 @@ TEST(Processor, PauseSharesTheProcessorBetweenResidentThreads)
     });
     m.run();
     EXPECT_TRUE(spinner_done);
+}
+
+TEST(Processor, SteadyStateLocalOpsDoNotAllocate)
+{
+    // Twelve local pages are 48 KB, more than the 32 KB cache, so a pass
+    // over one word per line misses on every line; re-reading a word
+    // right after its miss hits.
+    constexpr Addr kPages = 12;
+    constexpr Addr kLineBytes = 16;
+    constexpr int kWrites = 64;
+    MachineConfig cfg = cfgFor(1);
+    // The invariant checker keeps hashed records per in-flight write
+    // (three allocations a write); it observes the modelled path and is
+    // not part of it.
+    cfg.check.invariants = false;
+    Machine m(cfg);
+    const Addr base = m.alloc(kPages * kPageBytes, 0);
+    std::size_t read_allocs = 0;
+    std::size_t write_allocs = 0;
+    m.spawn(0, [&](Context& ctx) {
+        const auto reads = [&] {
+            for (Addr a = base; a < base + kPages * kPageBytes;
+                 a += kLineBytes) {
+                ctx.read(a);
+                ctx.read(a);
+            }
+            ctx.fence();
+        };
+        const auto writes = [&] {
+            for (int i = 0; i < kWrites; ++i) {
+                ctx.write(base + kWordBytes * i, i);
+            }
+            ctx.fence();
+        };
+        reads(); // warm-up: page faults, event slab, waiter queues
+        writes();
+        std::size_t before = g_allocations;
+        reads();
+        read_allocs = g_allocations - before;
+        before = g_allocations;
+        writes();
+        write_allocs = g_allocations - before;
+    });
+    m.run();
+    EXPECT_EQ(read_allocs, 0u);
+    // The master builds each write's update chain as a
+    // std::vector<WordWrite>, one allocation even when the page has no
+    // other copy to update.
+    EXPECT_LE(write_allocs, static_cast<std::size_t>(kWrites));
 }
 
 } // namespace

@@ -229,87 +229,11 @@ TEST(PendingWrites, FullAtCapacity)
     EXPECT_THROW(pw.insert(1, 2), PanicError);
 }
 
-TEST(PendingWrites, WhenEmptyFiresOnDrain)
-{
-    PendingWrites pw(4);
-    const auto t1 = pw.insert(1, 0);
-    const auto t2 = pw.insert(1, 1);
-    int fired = 0;
-    pw.whenEmpty([&] { ++fired; });
-    pw.complete(t1);
-    EXPECT_EQ(fired, 0);
-    pw.complete(t2);
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(PendingWrites, WhenEmptyImmediateIfEmpty)
-{
-    PendingWrites pw(4);
-    int fired = 0;
-    pw.whenEmpty([&] { ++fired; });
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(PendingWrites, WhenSlotFreeQueuesBehindCapacity)
-{
-    PendingWrites pw(1);
-    const auto t1 = pw.insert(1, 0);
-    int fired = 0;
-    pw.whenSlotFree([&] { ++fired; });
-    pw.whenSlotFree([&] { ++fired; });
-    EXPECT_EQ(fired, 0);
-    pw.complete(t1);
-    // The first waiter may refill the slot; here neither does, so both
-    // run.
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(PendingWrites, SlotWaiterThatRefillsBlocksTheNext)
-{
-    PendingWrites pw(1);
-    const auto t1 = pw.insert(1, 0);
-    int second = 0;
-    PendingWrites::Tag t2 = 0;
-    pw.whenSlotFree([&] { t2 = pw.insert(2, 0); });
-    pw.whenSlotFree([&] { ++second; });
-    pw.complete(t1);
-    EXPECT_EQ(second, 0); // first waiter took the slot
-    pw.complete(t2);
-    EXPECT_EQ(second, 1);
-}
-
-TEST(PendingWrites, WhenAddrClearWaitsForThatAddressOnly)
-{
-    PendingWrites pw(4);
-    const auto ta = pw.insert(1, 0);
-    const auto tb = pw.insert(1, 1);
-    int fired = 0;
-    pw.whenAddrClear(1, 0, [&] { ++fired; });
-    pw.complete(tb);
-    EXPECT_EQ(fired, 0);
-    pw.complete(ta);
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(PendingWrites, DuplicateAddressesBothBlockReads)
-{
-    PendingWrites pw(4);
-    const auto t1 = pw.insert(1, 0);
-    const auto t2 = pw.insert(1, 0);
-    int fired = 0;
-    pw.whenAddrClear(1, 0, [&] { ++fired; });
-    pw.complete(t1);
-    EXPECT_EQ(fired, 0);
-    pw.complete(t2);
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(PendingWrites, HighWaterMark)
 {
     PendingWrites pw(8);
     for (int i = 0; i < 5; ++i) {
         pw.insert(1, i);
-        pw.noteHighWater();
     }
     EXPECT_EQ(pw.maxInFlight(), 5u);
 }
@@ -334,39 +258,6 @@ TEST(DelayedOps, CapacityEnforced)
     cache.allocate(RmwOp::Xchng);
     EXPECT_TRUE(cache.full());
     EXPECT_THROW(cache.allocate(RmwOp::Xchng), PanicError);
-}
-
-TEST(DelayedOps, WhenReadyFiresOnCompletion)
-{
-    DelayedOpCache cache(4);
-    const auto h = cache.allocate(RmwOp::Queue);
-    Word seen = 0;
-    cache.whenReady(h, [&](Word v) { seen = v; });
-    EXPECT_EQ(seen, 0u);
-    cache.complete(h, 7);
-    EXPECT_EQ(seen, 7u);
-}
-
-TEST(DelayedOps, WhenReadyImmediateIfReady)
-{
-    DelayedOpCache cache(4);
-    const auto h = cache.allocate(RmwOp::Queue);
-    cache.complete(h, 9);
-    Word seen = 0;
-    cache.whenReady(h, [&](Word v) { seen = v; });
-    EXPECT_EQ(seen, 9u);
-}
-
-TEST(DelayedOps, SlotWaitersRunAfterTake)
-{
-    DelayedOpCache cache(1);
-    const auto h = cache.allocate(RmwOp::Xchng);
-    int fired = 0;
-    cache.whenSlotFree([&] { ++fired; });
-    cache.complete(h, 1);
-    EXPECT_EQ(fired, 0); // still occupied until the result is read
-    cache.take(h);
-    EXPECT_EQ(fired, 1);
 }
 
 TEST(DelayedOps, HandlesAreReusedAfterTake)
