@@ -33,8 +33,22 @@ InvariantChecker::findEntry(NodeId node, Tag tag)
     if (node >= entries_.size()) {
         return nullptr;
     }
-    auto it = entries_[node].find(tag);
-    return it == entries_[node].end() ? nullptr : &it->second;
+    return entries_[node].find(tag);
+}
+
+InvariantChecker::Chain*
+InvariantChecker::findChain(ChainId chain)
+{
+    const ChainId node = chain >> 32;
+    return node < chains_.size()
+               ? chains_[node].find(static_cast<std::uint32_t>(chain))
+               : nullptr;
+}
+
+void
+InvariantChecker::eraseChain(ChainId chain)
+{
+    chains_[chain >> 32].erase(static_cast<std::uint32_t>(chain));
 }
 
 bool
@@ -82,11 +96,11 @@ InvariantChecker::epochSealed(NodeId dead, std::uint64_t epoch)
     if (dead < entries_.size()) {
         entries_[dead].clear();
     }
-    // pluslint: allow(R1) -- order-independent flagging; every chain is
-    // visited exactly once and the flag writes commute.
-    for (auto& [id, chain] : chains_) {
-        if (chain.originator == dead) {
-            chain.orphaned = true;
+    for (auto& chains : chains_) {
+        for (auto& [id, chain] : chains) {
+            if (chain.originator == dead) {
+                chain.orphaned = true;
+            }
         }
     }
 }
@@ -117,10 +131,8 @@ void
 InvariantChecker::pendingInsert(NodeId node, Tag tag, Vpn vpn,
                                 Addr word_offset)
 {
-    auto [it, inserted] = denseSlot(entries_, node).emplace(
-        tag, Entry{vpn, word_offset, false, 0, false});
-    (void)it;
-    if (!inserted) {
+    if (!denseSlot(entries_, node).insert(
+            tag, Entry{vpn, word_offset, false, 0, false})) {
         violation(concat("node ", node, " re-used in-flight write tag ",
                          tag));
     }
@@ -176,7 +188,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     };
 
     if (at_master) {
-        if (chains_.count(chain)) {
+        if (findChain(chain)) {
             violation(concat("chain ", chain,
                              " applied at the master copy twice"));
         }
@@ -196,7 +208,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         c.tracked = tracked;
         c.lastCopy = copy;
         c.genAtStart = gen;
-        c.visited.push_back(copy);
+        c.head = copy;
         if (tracked) {
             Entry* entry = findEntry(originator, tag);
             if (!entry) {
@@ -221,23 +233,24 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                 return; // fully verified; nothing retires it later
             }
         }
-        chains_.emplace(chain, std::move(c));
+        denseSlot(chains_, chain >> 32)
+            .insert(static_cast<std::uint32_t>(chain), std::move(c));
         return;
     }
 
-    auto cit = chains_.find(chain);
-    if (cit == chains_.end()) {
+    Chain* cp = findChain(chain);
+    if (!cp) {
         violation(concat("chain ", chain, " applied its effects at replica ",
                          toString(copy), " of page ", vpn,
                          " before (or without) the master copy"));
     }
-    Chain& c = cit->second;
+    Chain& c = *cp;
     if (c.vpn != vpn) {
         violation(concat("chain ", chain, " crossed from page ", c.vpn,
                          " to page ", vpn));
     }
-    if (std::find(c.visited.begin(), c.visited.end(), copy) !=
-        c.visited.end()) {
+    if (copy == c.head || std::ranges::find(c.visited, copy) !=
+                              c.visited.end()) {
         violation(concat("chain ", chain, " applied twice at copy ",
                          toString(copy)));
     }
@@ -279,7 +292,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     if (tail) {
         markTail(c);
         if ((!c.tracked && strict) || c.orphaned) {
-            chains_.erase(cit);
+            eraseChain(chain);
         }
     }
 }
@@ -295,9 +308,8 @@ InvariantChecker::pendingAborted(NodeId node, Tag tag, bool retried)
     if (entry->chain != 0) {
         // The old chain may still be walking surviving copies; let it
         // finish without an owner instead of violating at its tail.
-        auto cit = chains_.find(entry->chain);
-        if (cit != chains_.end()) {
-            cit->second.orphaned = true;
+        if (Chain* c = findChain(entry->chain)) {
+            c->orphaned = true;
         }
     }
     entry->aborted = true;
@@ -322,11 +334,10 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
         // arrives first. A chain still in flight dies tolerantly at
         // its own tail; retire-once stays fully enforced.
         if (entry.chain != 0 && entry.chainDone) {
-            chains_.erase(entry.chain);
+            eraseChain(entry.chain);
         } else if (entry.chain != 0) {
-            auto cit = chains_.find(entry.chain);
-            if (cit != chains_.end()) {
-                cit->second.orphaned = true;
+            if (Chain* c = findChain(entry.chain)) {
+                c->orphaned = true;
             }
         }
         entries_[node].erase(tag);
@@ -335,17 +346,16 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
     }
     if (entry.chain != 0) {
         if (!entry.chainDone) {
-            const auto cit = chains_.find(entry.chain);
+            const Chain* c = findChain(entry.chain);
             const bool relaxed =
-                cit != chains_.end() &&
-                cit->second.genAtStart != generation(entry.vpn);
+                c && c->genAtStart != generation(entry.vpn);
             if (!relaxed) {
                 violation(concat("node ", node, " retired write tag ", tag,
                                  " before the last copy of page ",
                                  entry.vpn, " acknowledged"));
             }
         }
-        chains_.erase(entry.chain);
+        eraseChain(entry.chain);
     } else if (!entry.fromRmw && mode_ != CoherenceProtocol::WriteInvalidate) {
         // Write-invalidate legally retires chainless: a write whose words
         // are already invalidated at every copy skips the chain entirely.

@@ -39,13 +39,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "check/event.hpp"
 #include "common/config.hpp"
+#include "common/tag_table.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -150,8 +150,10 @@ class InvariantChecker
          * finishes, so an ownerless tail is tolerated.
          */
         bool orphaned = false;
+        PhysPage head; ///< the master copy it started at
         PhysPage lastCopy;
         std::uint64_t genAtStart = 0;
+        /** Copies after the head (empty for a chain that stops there). */
         std::vector<PhysPage> visited;
     };
 
@@ -163,6 +165,10 @@ class InvariantChecker
     std::uint64_t generation(Vpn vpn) const;
     /** Node @p node's in-flight entry with @p tag, or null. */
     Entry* findEntry(NodeId node, Tag tag);
+    /** The open chain @p chain, or null. */
+    Chain* findChain(ChainId chain);
+    /** @pre chain was opened (its master's table exists). */
+    void eraseChain(ChainId chain);
     /** True if the shadow state has @p word_offset invalid there. */
     bool wordInvalid(NodeId node, Vpn vpn, Addr word_offset) const;
     const mem::CopyList* listOf(Vpn vpn) const;
@@ -177,9 +183,12 @@ class InvariantChecker
      * In-flight pending-write entries, per node, in tag order (a
      * violation names the lowest matching tag).
      */
-    std::vector<std::map<Tag, Entry>> entries_;
-    /** Open propagation chains by chain id (sparse: node<<32 | count). */
-    std::unordered_map<ChainId, Chain> chains_;
+    std::vector<TagTable<Tag, Entry>> entries_;
+    /**
+     * Open propagation chains, per master node, by the low half of the
+     * chain id (node << 32 | count).
+     */
+    std::vector<TagTable<std::uint32_t, Chain>> chains_;
     /** Copy-list mutation counters per page. */
     std::vector<std::uint64_t> generations_;
 

@@ -17,68 +17,11 @@
 
 #include "check/event.hpp"
 #include "common/panic.hpp"
+#include "common/tag_table.hpp"
 #include "common/types.hpp"
 
 namespace plus {
 namespace proto {
-
-/**
- * Records of in-flight operations keyed by tags issued in increasing
- * order: a vector kept in tag order. Issue appends, retire erases in
- * place, and a walk visits the records in issue order with no sort.
- */
-template <typename Tag, typename Record>
-class TagTable
-{
-  public:
-    struct Item {
-        Tag tag;
-        Record record;
-    };
-
-    /** Add @p record under @p tag. @pre tag > every tag held. */
-    void
-    append(Tag tag, Record record)
-    {
-        PLUS_ASSERT(items_.empty() || items_.back().tag < tag, "tag ", tag,
-                    " issued out of order");
-        items_.push_back({tag, std::move(record)});
-    }
-
-    /** The record with @p tag, or null if it is not in flight. */
-    Record* find(Tag tag) { return lookup(*this, tag); }
-    const Record* find(Tag tag) const { return lookup(*this, tag); }
-
-    /** Remove and return the record with @p tag. @pre find(tag) */
-    Record
-    take(Tag tag)
-    {
-        auto it = std::ranges::lower_bound(items_, tag, {}, &Item::tag);
-        PLUS_ASSERT(it != items_.end() && it->tag == tag,
-                    "no in-flight record with tag ", tag);
-        Record record = std::move(it->record);
-        items_.erase(it);
-        return record;
-    }
-
-    void reserve(std::size_t n) { items_.reserve(n); }
-    std::size_t size() const { return items_.size(); }
-    bool empty() const { return items_.empty(); }
-    auto begin() const { return items_.begin(); }
-    auto end() const { return items_.end(); }
-
-  private:
-    template <typename Self>
-    static auto
-    lookup(Self& self, Tag tag) -> decltype(&self.items_.front().record)
-    {
-        auto it = std::ranges::lower_bound(self.items_, tag, {}, &Item::tag);
-        return it != self.items_.end() && it->tag == tag ? &it->record
-                                                        : nullptr;
-    }
-
-    std::vector<Item> items_;
-};
 
 /** Fixed-capacity cache of in-flight writes, keyed by small tags. */
 class PendingWrites

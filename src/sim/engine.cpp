@@ -18,7 +18,7 @@ Engine::~Engine()
 }
 
 EventId
-Engine::scheduleImpl(Cycles when, Event fn, bool daemon)
+Engine::scheduleImpl(Cycles when, Event&& fn, bool daemon)
 {
     PLUS_ASSERT(fn, "scheduling a null event");
     PLUS_ASSERT(when >= now_, "scheduling into the past: ", when, " < ",
@@ -52,8 +52,8 @@ Engine::cancel(EventId id)
         return false;
     }
     EventRecord& rec = slab_[idx];
-    if (rec.gen != gen || rec.home == EventRecord::kHomeFree) {
-        return false; // already fired, already cancelled, or recycled
+    if (rec.gen != gen || rec.home >= EventRecord::kHomeFired) {
+        return false; // fired or firing, already cancelled, or recycled
     }
     wheel_.remove(idx);
     if (rec.daemon) {
@@ -73,18 +73,22 @@ Engine::dispatchNext(Cycles limit)
         return false;
     }
     EventRecord& rec = slab_[idx];
-    const Cycles when = rec.when;
-    Event fn = std::move(rec.fn);
     if (rec.daemon) {
         --daemonPending_;
     }
-    // Free before invoking: the callback may reschedule into this very
-    // slot, and cancel() of the now-fired id must report false.
-    slab_.free(idx);
     --pending_;
-    now_ = when;
+    now_ = rec.when;
     ++executed_;
-    fn();
+    // Run the callable in place (slab records never move) and free the
+    // record afterwards, even if the callable throws; cancel() of the
+    // running id reports false.
+    rec.home = EventRecord::kHomeFired;
+    struct FreeOnExit {
+        EventSlab& slab;
+        std::uint32_t idx;
+        ~FreeOnExit() { slab.free(idx); }
+    } const freeOnExit{slab_, idx};
+    rec.fn();
     return true;
 }
 

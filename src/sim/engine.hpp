@@ -10,10 +10,10 @@
  *
  * Internally events live in a slab of reusable records (no per-event
  * heap allocation: the callable is a `sim::Event` with inline capture
- * storage) ordered by a hierarchical timing wheel — O(1) schedule,
- * cancel and dispatch for the short fixed delays that dominate the
- * simulation. tests/test_engine.cpp checks the wheel against a
- * `(when, seq)` priority-queue reference model (docs/PERF.md).
+ * storage, run in place) ordered by a one-level calendar of one-cycle
+ * slots and a heap for far events — O(1) schedule, cancel and dispatch
+ * for the short delays that dominate the simulation. test_engine checks
+ * it against a `(when, seq)` priority-queue reference (docs/PERF.md).
  */
 
 #ifndef PLUS_SIM_ENGINE_HPP_
@@ -49,7 +49,7 @@ struct EngineStats {
     std::uint64_t scheduled = 0;    ///< events ever scheduled
     std::uint64_t executed = 0;     ///< events dispatched
     std::uint64_t cancelled = 0;    ///< successful cancel() calls
-    std::uint64_t cascades = 0;     ///< wheel slot redistributions
+    std::uint64_t cascades = 0;     ///< far events refiled into slots
     std::size_t slabLive = 0;       ///< records currently allocated
     std::size_t slabHighWater = 0;  ///< peak simultaneous records
     std::size_t slabSlots = 0;      ///< slab capacity (bounded by peak)
@@ -147,7 +147,7 @@ class Engine
     EngineStats stats() const;
 
   private:
-    EventId scheduleImpl(Cycles when, Event fn, bool daemon);
+    EventId scheduleImpl(Cycles when, Event&& fn, bool daemon);
     bool dispatchNext(Cycles limit);
 
     EventSlab slab_;

@@ -70,10 +70,12 @@ struct EventKey {
 
 /** One scheduled (or free) event: callable + timing + intrusive links. */
 struct EventRecord {
+    /** `home` for a record waiting in the calendar's far heap. */
+    static constexpr std::uint16_t kHomeFar = 0xfffd;
+    /** `home` for a record whose callable is running. */
+    static constexpr std::uint16_t kHomeFired = 0xfffe;
     /** `home` for a record on the slab free list. */
     static constexpr std::uint16_t kHomeFree = 0xffff;
-    /** `home` for a record parked in the pre-cursor heap. */
-    static constexpr std::uint16_t kHomePre = 0xfffe;
 
     Event fn;                           ///< poisoned while the slot is free
     Cycles when = 0;                    ///< absolute due cycle
@@ -81,7 +83,7 @@ struct EventRecord {
     std::uint32_t gen = 1;              ///< bumped on free; never 0
     std::uint32_t next = kNilRecord;    ///< slot list / free list link
     std::uint32_t prev = kNilRecord;    ///< slot list back link
-    std::uint16_t home = kHomeFree;     ///< wheel slot index or kHome*
+    std::uint16_t home = kHomeFree;     ///< calendar slot or kHome*
     bool daemon = false;                ///< does not keep run() alive
 
     EventKey key() const { return EventKey{when, seq}; }

@@ -11,7 +11,7 @@ namespace sim {
 namespace {
 
 /** Heap comparator: std::*_heap keeps the EventKey minimum at [0]. */
-constexpr auto kPreLater = [](const auto& a, const auto& b) {
+constexpr auto kFarLater = [](const auto& a, const auto& b) {
     return b.key < a.key;
 };
 
@@ -23,204 +23,141 @@ TimingWheel::TimingWheel(EventSlab& slab) : slab_(slab)
     std::fill(std::begin(tails_), std::end(tails_), kNilRecord);
 }
 
-unsigned
-TimingWheel::levelOf(Cycles when, Cycles cursor)
-{
-    const Cycles differing = when ^ cursor;
-    if (differing == 0) {
-        return 0;
-    }
-    return static_cast<unsigned>(std::bit_width(differing) - 1) / kSlotBits;
-}
-
-unsigned
-TimingWheel::cursorSlot(unsigned level) const
-{
-    return static_cast<unsigned>(cursor_ >> (kSlotBits * level)) &
-           (kSlots - 1);
-}
-
-Cycles
-TimingWheel::lowerBound(unsigned level, unsigned slot) const
-{
-    const unsigned aboveBits = kSlotBits * (level + 1);
-    const Cycles base =
-        aboveBits >= 64 ? 0 : (cursor_ >> aboveBits) << aboveBits;
-    return base | (static_cast<Cycles>(slot) << (kSlotBits * level));
-}
-
 void
 TimingWheel::insert(std::uint32_t idx)
 {
     EventRecord& rec = slab_[idx];
-    if (rec.when < cursor_) {
-        // runUntil() probing advanced the cursor past now(); park the
-        // event in the pre-cursor heap (always drained before the
-        // wheel, so global EventKey order is preserved).
-        rec.home = EventRecord::kHomePre;
-        pre_.push_back(PreEntry{rec.key(), idx, rec.gen});
-        std::push_heap(pre_.begin(), pre_.end(), kPreLater);
+    PLUS_ASSERT(rec.when >= base_, "event at cycle ", rec.when,
+                " filed behind the calendar base ", base_);
+    if (rec.when - base_ < kSlots) {
+        append(idx, static_cast<unsigned>(rec.when % kSlots));
         return;
     }
-    fileAt(idx, rec.when);
+    rec.home = EventRecord::kHomeFar;
+    far_.push_back(FarEntry{rec.key(), idx, rec.gen});
+    std::push_heap(far_.begin(), far_.end(), kFarLater);
 }
 
 void
-TimingWheel::fileAt(std::uint32_t idx, Cycles when)
+TimingWheel::append(std::uint32_t idx, unsigned slot)
 {
+    // Records reach a slot in seq order (file comment), so appending
+    // keeps it sorted for head-first dispatch.
     EventRecord& rec = slab_[idx];
-    const unsigned level = levelOf(when, cursor_);
-    const unsigned slot =
-        static_cast<unsigned>(when >> (kSlotBits * level)) & (kSlots - 1);
-    const unsigned home = level * kSlots + slot;
-
-    rec.home = static_cast<std::uint16_t>(home);
-    // Higher levels are unordered staging: the cascade refiles each list
-    // in order. A level-0 slot holds exactly one timestamp, and every
-    // event due then arrives in seq order (new schedules carry the
-    // largest seq; a cascade refiles its whole group in order), so the
-    // append keeps the slot sorted for head-first dispatch.
+    rec.home = static_cast<std::uint16_t>(slot);
     rec.next = kNilRecord;
-    rec.prev = tails_[home];
+    rec.prev = tails_[slot];
     if (rec.prev == kNilRecord) {
-        heads_[home] = idx;
-        pending_[level] |= Cycles{1} << slot;
-        levelMask_ |= 1U << level;
+        heads_[slot] = idx;
+        occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
     } else {
-        PLUS_ASSERT(level > 0 || slab_[rec.prev].seq < rec.seq,
-                    "level-0 slot filed out of seq order at cycle ", when);
+        PLUS_ASSERT(slab_[rec.prev].seq < rec.seq,
+                    "calendar slot filed out of seq order at cycle ",
+                    rec.when);
         slab_[rec.prev].next = idx;
     }
-    tails_[home] = idx;
-}
-
-void
-TimingWheel::unlink(std::uint32_t idx, unsigned home)
-{
-    EventRecord& rec = slab_[idx];
-    if (rec.prev != kNilRecord) {
-        slab_[rec.prev].next = rec.next;
-    } else {
-        heads_[home] = rec.next;
-    }
-    if (rec.next != kNilRecord) {
-        slab_[rec.next].prev = rec.prev;
-    } else {
-        tails_[home] = rec.prev;
-    }
-    if (heads_[home] == kNilRecord) {
-        const unsigned level = home / kSlots;
-        pending_[level] &= ~(Cycles{1} << (home % kSlots));
-        if (pending_[level] == 0) {
-            levelMask_ &= ~(1U << level);
-        }
-    }
+    tails_[slot] = idx;
 }
 
 void
 TimingWheel::remove(std::uint32_t idx)
 {
     const EventRecord& rec = slab_[idx];
-    if (rec.home == EventRecord::kHomePre) {
-        // Lazy: the heap entry goes stale and is skipped on pop (the
-        // caller frees the record, which bumps its generation).
+    if (rec.home == EventRecord::kHomeFar) {
+        // Lazy: the heap entry goes stale and is dropped when it
+        // surfaces (the caller frees the record, bumping its generation).
         return;
     }
-    PLUS_ASSERT(rec.home < kLevels * kSlots, "removing unfiled record ",
-                idx);
-    unlink(idx, rec.home);
+    PLUS_ASSERT(rec.home < kSlots, "removing unfiled record ", idx);
+    const unsigned slot = rec.home;
+    if (rec.prev != kNilRecord) {
+        slab_[rec.prev].next = rec.next;
+    } else {
+        heads_[slot] = rec.next;
+    }
+    if (rec.next != kNilRecord) {
+        slab_[rec.next].prev = rec.prev;
+    } else {
+        tails_[slot] = rec.prev;
+    }
+    if (heads_[slot] == kNilRecord) {
+        occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
 }
 
-std::uint32_t
-TimingWheel::popPre(Cycles limit)
+unsigned
+TimingWheel::nextOffset() const
 {
-    while (!pre_.empty()) {
-        const PreEntry top = pre_.front();
-        const EventRecord& rec = slab_[top.idx];
-        const bool stale =
-            rec.gen != top.gen || rec.home != EventRecord::kHomePre;
-        if (!stale && top.key.when > limit) {
-            return kNilRecord;
+    // Scan the bitmap from base's slot round the ring; the last pass
+    // revisits the first word for the slots below base's.
+    const auto start = static_cast<unsigned>(base_ % kSlots);
+    const std::uint64_t atOrAfter = ~std::uint64_t{0} << (start % 64);
+    for (unsigned i = 0; i <= kWords; ++i) {
+        const unsigned word = (start / 64 + i) % kWords;
+        std::uint64_t bits = occupied_[word];
+        if (i == 0) {
+            bits &= atOrAfter;
+        } else if (i == kWords) {
+            bits &= ~atOrAfter;
         }
-        std::pop_heap(pre_.begin(), pre_.end(), kPreLater);
-        pre_.pop_back();
-        if (!stale) {
-            return top.idx;
+        if (bits != 0) {
+            const unsigned slot =
+                word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            return (slot - start) % kSlots;
         }
     }
-    return kNilRecord;
+    return kSlots;
+}
+
+TimingWheel::FarEntry
+TimingWheel::popFar()
+{
+    const FarEntry top = far_.front();
+    std::pop_heap(far_.begin(), far_.end(), kFarLater);
+    far_.pop_back();
+    return top;
+}
+
+void
+TimingWheel::advance(Cycles base)
+{
+    base_ = base;
+    while (!far_.empty() && far_.front().key.when - base_ < kSlots) {
+        const FarEntry top = popFar();
+        if (slab_[top.idx].gen == top.gen) { // else cancelled
+            append(top.idx, static_cast<unsigned>(top.key.when % kSlots));
+            ++cascades_;
+        }
+    }
 }
 
 std::uint32_t
 TimingWheel::extractNext(Cycles limit)
 {
-    // Events below the cursor strictly precede everything on the
-    // wheel (pre.when < cursor_ <= wheel lower bounds).
-    if (!pre_.empty()) {
-        const std::uint32_t idx = popPre(limit);
-        if (idx != kNilRecord) {
-            return idx;
+    const unsigned offset = nextOffset();
+    Cycles when = base_ + offset;
+    if (offset == kSlots) {
+        // The window is empty: the next event is the earliest live far
+        // entry (every far entry is due at or after base + kSlots); a
+        // cancelled one's record has moved on to a new generation.
+        while (!far_.empty() &&
+               slab_[far_.front().idx].gen != far_.front().gen) {
+            popFar();
         }
-        if (!pre_.empty()) {
-            return kNilRecord; // valid pre entry beyond the limit
+        if (far_.empty()) {
+            return kNilRecord;
         }
+        when = far_.front().key.when;
     }
-
-    for (;;) {
-        int bestLevel = -1;
-        Cycles bestLb = 0;
-        for (std::uint32_t mask = levelMask_; mask != 0;
-             mask &= mask - 1) {
-            const unsigned level =
-                static_cast<unsigned>(std::countr_zero(mask));
-            // Invariant: every occupied slot sits at or after the
-            // cursor's position within its level, so the mask below
-            // never erases the whole bitmap.
-            const std::uint64_t ahead =
-                pending_[level] & (~std::uint64_t{0} << cursorSlot(level));
-            PLUS_ASSERT(ahead != 0, "wheel slot behind cursor at level ",
-                        level);
-            const unsigned slot =
-                static_cast<unsigned>(std::countr_zero(ahead));
-            const Cycles lb = lowerBound(level, slot);
-            if (bestLevel < 0 || lb < bestLb) {
-                bestLevel = static_cast<int>(level);
-                bestLb = lb;
-            }
-        }
-        if (bestLevel < 0 || bestLb > limit) {
-            return kNilRecord; // empty, or next event past the limit
-        }
-
-        cursor_ = bestLb;
-        const unsigned level = static_cast<unsigned>(bestLevel);
-        const unsigned home =
-            level * kSlots +
-            (static_cast<unsigned>(bestLb >> (kSlotBits * level)) &
-             (kSlots - 1));
-        if (level == 0) {
-            // Level-0 slots hold exactly one timestamp; pop the head.
-            const std::uint32_t idx = heads_[home];
-            unlink(idx, home);
-            return idx;
-        }
-
-        // Cascade: refile the whole slot list (in order) now that the
-        // cursor entered its window; everything lands strictly lower.
-        ++cascades_;
-        std::uint32_t idx = heads_[home];
-        heads_[home] = kNilRecord;
-        tails_[home] = kNilRecord;
-        pending_[level] &= ~(Cycles{1} << (home % kSlots));
-        if (pending_[level] == 0) {
-            levelMask_ &= ~(1U << level);
-        }
-        while (idx != kNilRecord) {
-            const std::uint32_t next = slab_[idx].next;
-            fileAt(idx, slab_[idx].when);
-            idx = next;
-        }
+    if (when > limit) {
+        return kNilRecord;
     }
+    if (when != base_) {
+        advance(when);
+    }
+    const std::uint32_t idx = heads_[when % kSlots];
+    remove(idx);
+    return idx;
 }
 
 } // namespace sim

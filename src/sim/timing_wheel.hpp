@@ -1,26 +1,20 @@
 /**
  * @file
- * Hierarchical timing wheel over the event slab.
+ * One-level event calendar over the event slab (a single-level timing
+ * wheel with a far heap; Brown's calendar queue, CACM 31(10), 1988).
  *
- * Eleven levels of 64 slots cover the full 64-bit cycle space. An
- * event due at `when` is filed at the level of the highest bit block
- * in which `when` differs from the wheel cursor (level 0 when equal),
- * in slot `(when >> 6*level) & 63` — so short delays (link hops,
- * cache latencies, CM service times) go straight into the near wheel
- * and insertion, cancellation and dispatch are all O(1). When the
- * cursor reaches a higher-level slot its whole list cascades down in
- * order; see docs/PERF.md for the determinism argument. All events
- * with equal `when` always share one slot, filed in schedule-call
- * order; since EventKey::seq grows with every schedule, each level-0
- * slot list is already in (when, seq) order and insertion is an O(1)
- * append, so dispatch realises the total (when, seq) order.
- *
- * One wrinkle keeps `runUntil()` honest: probing for "is the next
- * event past the limit" may legitimately advance the cursor beyond
- * `Engine::now()` (the cursor tracks dispatch *lower bounds*, not
- * executed time). An event subsequently scheduled between now and the
- * cursor would be mis-filed, so such events are parked in a tiny
- * (when, seq)-ordered pre-cursor heap that is always drained first.
+ * The window is `[base, base + kSlots)`, where `base` is the due cycle
+ * of the last record extractNext() returned, i.e. Engine::now(). An
+ * event due inside the window is appended to the list of slot
+ * `when % kSlots`, which inside the window holds exactly one timestamp;
+ * later events wait in a (when, seq) min-heap. Whenever `base` advances,
+ * every heap entry the window now covers is refiled into its slot, in
+ * heap order, before anything can be filed into that slot directly.
+ * EventKey::seq grows with every schedule, so each slot list is in
+ * (when, seq) order and filing is an O(1) append: dispatch realises the
+ * total (when, seq) order with no sorting. `base` never passes now(),
+ * so every schedule lands at or after it. docs/PERF.md has the delay
+ * distribution that sizes kSlots.
  */
 
 #ifndef PLUS_SIM_TIMING_WHEEL_HPP_
@@ -39,56 +33,51 @@ namespace sim {
 class TimingWheel
 {
   public:
-    static constexpr unsigned kSlotBits = 6;
-    static constexpr unsigned kSlots = 1U << kSlotBits;       // 64
-    static constexpr unsigned kLevels =
-        (64 + kSlotBits - 1) / kSlotBits;                     // 11
+    /** Window length in cycles (one cycle per slot). */
+    static constexpr unsigned kSlots = 1024;
 
     explicit TimingWheel(EventSlab& slab);
 
-    /** File record @p idx by its EventKey (sets home + links). */
+    /** File record @p idx by its EventKey. @pre its when >= base */
     void insert(std::uint32_t idx);
 
-    /** Unlink record @p idx (O(1); pre-cursor entries go stale lazily). */
+    /** Unlink record @p idx (O(1); far-heap entries go stale lazily). */
     void remove(std::uint32_t idx);
 
     /**
      * Unlink and return the next record in EventKey order whose due
-     * cycle is <= @p limit, cascading higher levels as the cursor
-     * advances; kNilRecord when none qualifies. The cursor never
-     * advances past @p limit.
+     * cycle is <= @p limit, moving the window's base to its cycle;
+     * kNilRecord (base unmoved) when none qualifies.
      */
     std::uint32_t extractNext(Cycles limit);
 
-    Cycles cursor() const { return cursor_; }
-
-    /** Higher-level slot lists redistributed so far. */
+    /** Far-heap entries refiled into the window so far. */
     std::uint64_t cascades() const { return cascades_; }
 
   private:
-    struct PreEntry {
+    static constexpr unsigned kWords = kSlots / 64;
+
+    struct FarEntry {
         EventKey key;
         std::uint32_t idx;
         std::uint32_t gen;
     };
 
-    static unsigned levelOf(Cycles when, Cycles cursor);
-    unsigned cursorSlot(unsigned level) const;
-    Cycles lowerBound(unsigned level, unsigned slot) const;
-
-    void fileAt(std::uint32_t idx, Cycles when);
-    void unlink(std::uint32_t idx, unsigned home);
-    std::uint32_t popPre(Cycles limit);
+    /** Cycles from base to the first occupied slot; kSlots if none. */
+    unsigned nextOffset() const;
+    void append(std::uint32_t idx, unsigned slot);
+    FarEntry popFar();
+    /** Move base to @p base and refile the far entries it uncovers. */
+    void advance(Cycles base);
 
     EventSlab& slab_;
-    std::uint32_t heads_[kLevels * kSlots];
-    std::uint32_t tails_[kLevels * kSlots];
-    std::uint64_t pending_[kLevels] = {};  ///< occupied-slot bitmap per level
-    std::uint32_t levelMask_ = 0;          ///< non-empty levels
-    Cycles cursor_ = 0;
+    std::uint32_t heads_[kSlots];
+    std::uint32_t tails_[kSlots];
+    std::uint64_t occupied_[kWords] = {}; ///< non-empty slot bitmap
+    Cycles base_ = 0;
     std::uint64_t cascades_ = 0;
-    /** Min-heap on EventKey of events filed below the cursor. */
-    std::vector<PreEntry> pre_;
+    /** Min-heap on EventKey of events due at or after base + kSlots. */
+    std::vector<FarEntry> far_;
 };
 
 } // namespace sim

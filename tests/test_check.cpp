@@ -299,6 +299,30 @@ TEST(CheckUnit, ReadOfOwnInFlightWriteNamesTheLowestTag)
     }
 }
 
+TEST(CheckUnit, ReusedInFlightTagPanics)
+{
+    check::Checker c(invariantsOnly());
+    for (const std::uint64_t tag : {7, 4}) {
+        c.consume({.kind = EventKind::PendingInsert,
+                   .node = 1,
+                   .vpn = 5,
+                   .word = tag,
+                   .a = tag});
+    }
+    try {
+        c.consume({.kind = EventKind::PendingInsert,
+                   .node = 1,
+                   .vpn = 6,
+                   .word = 0,
+                   .a = 7});
+        FAIL() << "expected a checker violation";
+    } catch (const PanicError& err) {
+        EXPECT_NE(std::string(err.what()).find("re-used in-flight write tag 7"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(CheckUnit, FenceWithInFlightWritesPanics)
 {
     check::Checker c(invariantsOnly());

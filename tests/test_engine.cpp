@@ -259,8 +259,14 @@ TEST(Engine, RandomScheduleCancelIsDeterministic)
 TEST(Engine, CancelOfFiredIdReturnsFalse)
 {
     Engine engine;
-    const EventId id = engine.schedule(10, [] {});
+    // The id is already fired while its own event runs.
+    EventId id = kInvalidEvent;
+    bool cancelledWhileRunning = true;
+    id = engine.schedule(10,
+                         [&] { cancelledWhileRunning = engine.cancel(id); });
     engine.run();
+    EXPECT_FALSE(cancelledWhileRunning);
+    EXPECT_EQ(engine.stats().cancelled, 0u);
     EXPECT_FALSE(engine.cancel(id));
     // The slot is recycled: the stale id must not cancel its successor.
     bool ran = false;
@@ -288,39 +294,47 @@ TEST(Engine, ScheduleAtNowExecutesThisCycle)
 
 TEST(Engine, RunUntilBoundaryAcrossCascade)
 {
-    // Limits landing exactly on wheel-window edges (64, 4096) must
-    // still execute events at the limit and hold back the rest.
+    // Limits landing on the calendar window's edges (kSlots - 1, kSlots,
+    // kSlots + 1, 2 * kSlots) must still execute events at the limit and
+    // hold back the rest; events past the first window wait in the far
+    // heap until the base comes within kSlots of them.
+    constexpr Cycles k = TimingWheel::kSlots;
     Engine engine;
     std::vector<Cycles> fired;
-    for (const Cycles when : {Cycles{63}, Cycles{64}, Cycles{65},
-                              Cycles{4095}, Cycles{4096}, Cycles{4097}}) {
+    for (const Cycles when : {k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1}) {
         engine.scheduleAt(when, [&fired, when] { fired.push_back(when); });
     }
-    engine.runUntil(64);
-    EXPECT_EQ(fired, (std::vector<Cycles>{63, 64}));
-    engine.runUntil(4096);
-    EXPECT_EQ(fired, (std::vector<Cycles>{63, 64, 65, 4095, 4096}));
+    engine.runUntil(k - 1);
+    EXPECT_EQ(fired, (std::vector<Cycles>{k - 1}));
+    engine.runUntil(k);
+    EXPECT_EQ(fired, (std::vector<Cycles>{k - 1, k}));
+    engine.runUntil(k + 1);
+    EXPECT_EQ(fired, (std::vector<Cycles>{k - 1, k, k + 1}));
+    engine.runUntil(2 * k);
+    EXPECT_EQ(fired,
+              (std::vector<Cycles>{k - 1, k, k + 1, 2 * k - 1, 2 * k}));
     engine.run();
     EXPECT_EQ(fired.size(), 6u);
-    EXPECT_EQ(engine.now(), 4097u);
+    EXPECT_EQ(engine.now(), 2 * k + 1);
 }
 
 TEST(Engine, FifoTieBreakAcrossCascade)
 {
-    // Events due the same far cycle, scheduled from different points in
-    // time (so they enter the wheel at different levels and cascade a
-    // different number of times), still fire in issue order.
+    // One far cycle takes events while it is past the window (they wait
+    // in the far heap) and after it entered the window (they go straight
+    // to its slot); all of them still fire in issue order.
+    constexpr Cycles k = TimingWheel::kSlots;
     Engine engine;
     std::vector<int> order;
-    const Cycles target = 4161; // crosses two window boundaries
-    engine.scheduleAt(target, [&] { order.push_back(0); });
+    const Cycles target = 2 * k + 5;
+    engine.scheduleAt(target, [&] { order.push_back(0); }); // far
     engine.schedule(50, [&] {
-        engine.scheduleAt(target, [&] { order.push_back(1); });
+        engine.scheduleAt(target, [&] { order.push_back(1); }); // far
     });
-    engine.schedule(4100, [&] {
-        engine.scheduleAt(target, [&] { order.push_back(2); });
+    engine.schedule(k + 10, [&] {
+        engine.scheduleAt(target, [&] { order.push_back(2); }); // in window
     });
-    engine.schedule(4160, [&] {
+    engine.schedule(target - 1, [&] {
         engine.scheduleAt(target, [&] { order.push_back(3); });
     });
     engine.run();
@@ -359,9 +373,9 @@ TEST(Engine, Cancel10kEventsStaysBounded)
 
 TEST(Engine, PreCursorScheduleAfterRunUntilProbe)
 {
-    // runUntil() may cascade the wheel past now() while probing whether
-    // the next event exceeds the limit; events scheduled into that gap
-    // must still run, in (when, seq) order, before the far event.
+    // A runUntil() probe finds the next event past the limit; events
+    // then scheduled between now() and that event must still run, in
+    // (when, seq) order, before it.
     Engine engine;
     std::vector<Cycles> fired;
     engine.schedule(5, [&] { fired.push_back(5); });
@@ -401,15 +415,37 @@ TEST(Engine, MoveOnlyAndLargeCapturesExecute)
 TEST(Engine, StatsCountCascadesAndHighWater)
 {
     Engine engine;
-    engine.schedule(70, [] {}); // level 1 -> cascades on dispatch
+    engine.schedule(TimingWheel::kSlots, [] {}); // far: one refile
+    engine.schedule(TimingWheel::kSlots - 1, [] {}); // in the window
     engine.schedule(1, [] {});
-    EXPECT_EQ(engine.stats().slabHighWater, 2u);
+    EXPECT_EQ(engine.stats().slabHighWater, 3u);
     engine.run();
     const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.scheduled, 2u);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_GE(stats.cascades, 1u);
+    EXPECT_EQ(stats.scheduled, 3u);
+    EXPECT_EQ(stats.executed, 3u);
+    EXPECT_EQ(stats.cascades, 1u);
     EXPECT_EQ(stats.slabLive, 0u);
+}
+
+TEST(Engine, ThrowingEventStillFreesItsRecord)
+{
+    // An event runs inside its slab record. One that throws still frees
+    // the record (destroying its captures), and a later run() executes
+    // the events that remain.
+    Engine engine;
+    std::vector<int> fired;
+    auto token = std::make_shared<int>(0);
+    engine.schedule(1, [&] { fired.push_back(1); });
+    engine.schedule(2, [token] { PLUS_PANIC("event ", *token, " fails"); });
+    engine.schedule(3, [&] { fired.push_back(3); });
+    token.reset();
+    EXPECT_THROW(engine.run(), PanicError);
+    EXPECT_EQ(fired, (std::vector<int>{1}));
+    EXPECT_EQ(engine.stats().slabLive, 1u);
+    engine.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+    EXPECT_EQ(engine.stats().slabLive, 0u);
+    EXPECT_EQ(engine.pendingEvents(), 0u);
 }
 
 /**
@@ -509,21 +545,25 @@ mix64(std::uint64_t x)
 }
 
 /**
- * A delay drawn from @p h: same-cycle and near ties, and every wheel
- * level up to 4 (level 2 starts at 4096 cycles, level 3 at 262,144).
+ * A delay drawn from @p h: same-cycle and near ties, delays inside the
+ * calendar window, delays straddling its edge (kSlots - 1 to kSlots + 1),
+ * a few windows ahead, and far beyond.
  */
 Cycles
 pickDelay(std::uint64_t h)
 {
+    constexpr Cycles k = TimingWheel::kSlots;
     const std::uint64_t r = h >> 8U;
-    switch (h % 8) {
+    switch (h % 10) {
       case 0: return 0;
       case 1:
       case 2: return r % 8;
       case 3: return r % 64;
-      case 4: return 64 + r % 4032;
-      case 5: return 4096 + r % 258048;
-      case 6: return 262144 + r % (Cycles{1} << 24U);
+      case 4: return 64 + r % (k - 64);
+      case 5: return k - 1 + r % 3;
+      case 6: return k * (2 + r % 4) + r % 3 - 1;
+      case 7: return k + r % (4 * k);
+      case 8: return 4 * k + r % (Cycles{1} << 24U);
       default: return r % 600;
     }
 }
@@ -545,6 +585,9 @@ struct Side {
     add(Cycles when, bool daemon)
     {
         const int tag = static_cast<int>(ids.size());
+        if (when - engine.now() >= TimingWheel::kSlots) {
+            far.push_back(ids.size());
+        }
         auto fire = [this, tag] { this->fire(tag); };
         ids.push_back(daemon ? engine.scheduleDaemon(when - engine.now(), fire)
                              : engine.scheduleAt(when, fire));
@@ -583,54 +626,61 @@ struct Side {
     E engine;
     std::uint64_t seed;
     std::vector<EventId> ids; ///< by tag
+    std::vector<std::size_t> far; ///< tags scheduled kSlots or more ahead
     std::vector<std::pair<Cycles, int>> log;
 };
 
 TEST(Engine, MatchesPriorityQueueReferenceModel)
 {
-    // The wheel and RefEngine take the same pseudo-random stream of
-    // schedules, cancels and runUntil probes, and must agree on what ran
-    // when after every probe. A probe can leave the wheel's cursor ahead
-    // of now(); the events then scheduled between now() and the limit
-    // land in that gap (the wheel's pre-cursor heap).
+    // The engine and RefEngine take the same pseudo-random stream of
+    // schedules, cancels (some aimed at far-heap events) and runUntil
+    // probes, and must agree on what ran when after every probe. After a
+    // probe, events are scheduled between now() and the limit, where a
+    // probe that moved the calendar's base would mis-file them.
     for (const std::uint64_t seed :
          {1ull, 2ull, 3ull, 42ull, 1990ull, 77213ull, 0xdeadull,
           123456789ull}) {
         SCOPED_TRACE(testing::Message() << "seed " << seed);
-        Side<Engine> wheel(seed);
+        Side<Engine> real(seed);
         Side<RefEngine> ref(seed);
         std::uint64_t state = seed;
         auto next = [&state] { return state = mix64(state + 1); };
-        auto both = [&wheel, &ref](const auto& op) {
-            op(wheel);
+        auto both = [&real, &ref](const auto& op) {
+            op(real);
             op(ref);
         };
         for (int round = 0; round < 24; ++round) {
             for (std::uint64_t n = 8 + next() % 24; n > 0; --n) {
-                const Cycles when = wheel.engine.now() + pickDelay(next());
+                const Cycles when = real.engine.now() + pickDelay(next());
                 const bool daemon = next() % 10 == 0;
                 both([&](auto& side) { side.add(when, daemon); });
             }
             for (std::uint64_t n = next() % 4; n > 0; --n) {
-                const std::size_t target = next() % wheel.ids.size();
+                const std::size_t target = next() % real.ids.size();
                 both([&](auto& side) { side.cancel(target); });
             }
-            const Cycles limit = wheel.engine.now() + pickDelay(next());
+            for (std::uint64_t n = next() % 3; n > 0 && !real.far.empty();
+                 --n) {
+                const std::size_t target =
+                    real.far[next() % real.far.size()];
+                both([&](auto& side) { side.cancel(target); });
+            }
+            const Cycles limit = real.engine.now() + pickDelay(next());
             both([&](auto& side) { side.engine.runUntil(limit); });
-            ASSERT_EQ(wheel.log, ref.log) << "round " << round;
-            ASSERT_EQ(wheel.engine.now(), ref.engine.now());
-            ASSERT_EQ(wheel.engine.pendingEvents(),
+            ASSERT_EQ(real.log, ref.log) << "round " << round;
+            ASSERT_EQ(real.engine.now(), ref.engine.now());
+            ASSERT_EQ(real.engine.pendingEvents(),
                       ref.engine.pendingEvents());
             for (std::uint64_t n = next() % 4; n > 0; --n) {
-                const Cycles now = wheel.engine.now();
+                const Cycles now = real.engine.now();
                 const Cycles when = now + next() % (limit - now + 1);
                 both([&](auto& side) { side.add(when, false); });
             }
         }
         both([](auto& side) { side.engine.run(); });
-        ASSERT_EQ(wheel.log, ref.log);
-        ASSERT_EQ(wheel.engine.now(), ref.engine.now());
-        EXPECT_EQ(wheel.engine.pendingEvents(), 0u);
+        ASSERT_EQ(real.log, ref.log);
+        ASSERT_EQ(real.engine.now(), ref.engine.now());
+        EXPECT_EQ(real.engine.pendingEvents(), 0u);
     }
 }
 

@@ -301,12 +301,7 @@ TEST(Processor, SteadyStateLocalOpsDoNotAllocate)
     constexpr Addr kPages = 12;
     constexpr Addr kLineBytes = 16;
     constexpr int kWrites = 64;
-    MachineConfig cfg = cfgFor(1);
-    // The invariant checker keeps hashed records per in-flight write
-    // (three allocations a write); it observes the modelled path and is
-    // not part of it.
-    cfg.check.invariants = false;
-    Machine m(cfg);
+    Machine m(cfgFor(1)); // the invariant checker stays on
     const Addr base = m.alloc(kPages * kPageBytes, 0);
     std::size_t read_allocs = 0;
     std::size_t write_allocs = 0;
