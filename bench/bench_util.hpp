@@ -15,14 +15,22 @@
 #ifndef PLUS_BENCH_BENCH_UTIL_HPP_
 #define PLUS_BENCH_BENCH_UTIL_HPP_
 
+#include <unistd.h>
+
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
 #include "plus/plus.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/prof.hpp"
+
+#ifndef PLUS_BUILD_TYPE
+#define PLUS_BUILD_TYPE "unknown" // set by bench/CMakeLists.txt
+#endif
 
 namespace plus {
 namespace bench {
@@ -157,6 +165,55 @@ exportTelemetry(const core::Machine& machine)
         machine.writeStatsJson(os);
     }
     return exportProf();
+}
+
+/**
+ * Write the "host" member of a bench JSON record at @p indent: core
+ * count, CPU model, architecture, memory, compiler and build type (the
+ * fields BENCH_fiber.json records), so an absolute rate says which
+ * machine and build it came from. The caller adds any following comma.
+ */
+inline void
+writeHostJson(std::ostream& os, const std::string& indent)
+{
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+            break;
+        }
+    }
+    const long long memory_gb =
+        static_cast<long long>(sysconf(_SC_PHYS_PAGES)) *
+        sysconf(_SC_PAGE_SIZE) / (1LL << 30);
+#if defined(__x86_64__)
+    const char* arch = "x86_64";
+#elif defined(__aarch64__)
+    const char* arch = "aarch64";
+#else
+    const char* arch = "unknown";
+#endif
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "gcc " + std::to_string(__GNUC__) + "." +
+                                 std::to_string(__GNUC_MINOR__) + "." +
+                                 std::to_string(__GNUC_PATCHLEVEL__);
+#else
+    const std::string compiler = "unknown";
+#endif
+    const std::string in = indent + "  ";
+    os << indent << "\"host\": {\n"
+       << in << "\"nproc\": " << std::thread::hardware_concurrency()
+       << ",\n"
+       << in << "\"cpu\": " << telemetry::jsonQuoted(cpu) << ",\n"
+       << in << "\"arch\": \"" << arch << "\",\n"
+       << in << "\"memory_gb\": " << memory_gb << ",\n"
+       << in << "\"compiler\": " << telemetry::jsonQuoted(compiler) << ",\n"
+       << in << "\"build\": \"" << PLUS_BUILD_TYPE << "\"\n"
+       << indent << "}";
 }
 
 /** Ratio of local to remote operations as Table 2-1 prints it. */

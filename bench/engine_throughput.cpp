@@ -286,7 +286,9 @@ writeJson(std::ostream& os, bool quick, unsigned nodes, const Paired& micro,
     os << "{\n"
        << "  \"bench\": \"engine_throughput\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"nodes\": " << nodes << ",\n"
+       << "  \"nodes\": " << nodes << ",\n";
+    writeHostJson(os, "  ");
+    os << ",\n"
        << "  \"baselineEventsPerSec\": " << micro.bestA << ",\n"
        << "  \"wheelEventsPerSec\": " << micro.bestB << ",\n"
        << "  \"pairs\": " << kMicroPairs << ",\n"

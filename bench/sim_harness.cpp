@@ -133,7 +133,9 @@ main(int argc, char** argv)
         const std::uint64_t events = machine.engine().executedEvents();
         os << "{\n"
            << "  \"bench\": \"sim_harness\",\n"
-           << "  \"nodes\": " << nodes << ",\n"
+           << "  \"nodes\": " << nodes << ",\n";
+        writeHostJson(os, "  ");
+        os << ",\n"
            << "  \"cycles\": " << machine.now() << ",\n"
            << "  \"events\": " << events << ",\n"
            << "  \"messages\": " << rep.totalMessages << ",\n"

@@ -229,7 +229,7 @@ struct Event {
     NodeId node = kInvalidNode;
     /** Second party: message peer, link endpoint, chain originator. */
     NodeId peer = kInvalidNode;
-    /** Payload bytes, or a kind-dependent count. */
+    /** Message bytes, or a kind-dependent count. */
     std::uint32_t bytes = 0;
     /** Stamped by EventStream::emit. */
     Cycles cycle = 0;

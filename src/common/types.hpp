@@ -63,7 +63,7 @@ inline constexpr Addr kPageWords = kPageBytes / kWordBytes;
 /**
  * Top-bit flag used by the interlocked operations (Table 3-1): queue slots
  * are "full" when the top bit is set, `fetch-and-set` sets it, and
- * `cond-xchng` tests it. Payload values are therefore at most 31 bits.
+ * `cond-xchng` tests it. Data values are therefore at most 31 bits.
  */
 inline constexpr Word kTopBit = 0x80000000u;
 

@@ -68,7 +68,7 @@ Network::send(Packet packet)
 }
 
 void
-Network::deliver(Packet packet, unsigned hops, Cycles injected_at,
+Network::deliver(Packet&& packet, unsigned hops, Cycles injected_at,
                  Cycles queueing)
 {
     // A dead destination router consumes nothing (mid-flight kills; the
@@ -86,7 +86,7 @@ Network::deliver(Packet packet, unsigned hops, Cycles injected_at,
 }
 
 void
-Network::deliverUp(Packet packet, unsigned hops, Cycles injected_at,
+Network::deliverUp(Packet&& packet, unsigned hops, Cycles injected_at,
                    Cycles queueing)
 {
     const prof::ScopedPhase prof_scope(prof::Phase::NetDeliver);
@@ -129,20 +129,49 @@ Network::noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
     }
 }
 
-void
-IdealNetwork::inject(Packet packet)
+Network::Transit*
+Network::acquireTransit(Packet&& packet)
 {
-    const Cycles latency =
-        zeroLoadLatency(topology_.distance(packet.src, packet.dst));
-    const Cycles injected_at = engine_.now();
-    // sim::Event takes move-only captures, so the packet rides inline
-    // in the event record — no allocation per send. hops is recomputed
-    // at delivery to keep the capture within the inline budget.
-    engine_.schedule(latency, [this, p = std::move(packet),
-                               injected_at]() mutable {
-        const unsigned hops = topology_.distance(p.src, p.dst);
-        deliver(std::move(p), hops, injected_at, 0);
-    });
+    Transit* transit = nullptr;
+    if (transitFree_.empty()) {
+        transitPool_.push_back(std::make_unique<Transit>());
+        transit = transitPool_.back().get();
+    } else {
+        transit = transitFree_.back();
+        transitFree_.pop_back();
+    }
+    transit->injectedAt = engine_.now();
+    transit->queueing = 0;
+    transit->hops = 0;
+    transit->at = packet.src;
+    transit->packet = std::move(packet);
+    return transit;
+}
+
+void
+Network::releaseTransit(Transit* transit)
+{
+    transitFree_.push_back(transit);
+}
+
+void
+Network::arrive(Transit* transit)
+{
+    // Recycled after delivery: a send() from the handler takes another
+    // transit, so the packet is delivered in place.
+    deliver(std::move(transit->packet), transit->hops, transit->injectedAt,
+            transit->queueing);
+    releaseTransit(transit);
+}
+
+void
+IdealNetwork::inject(Packet&& packet)
+{
+    Transit* transit = acquireTransit(std::move(packet));
+    transit->hops =
+        topology_.distance(transit->packet.src, transit->packet.dst);
+    engine_.schedule(zeroLoadLatency(transit->hops),
+                     [this, transit] { arrive(transit); });
 }
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, const Topology& topology,
@@ -186,34 +215,10 @@ MeshNetwork::linkBetween(NodeId from, NodeId to) const
     return from * kPorts + port;
 }
 
-MeshNetwork::Transit*
-MeshNetwork::acquireTransit()
-{
-    if (transitFree_.empty()) {
-        transitPool_.push_back(std::make_unique<Transit>());
-        return transitPool_.back().get();
-    }
-    Transit* transit = transitFree_.back();
-    transitFree_.pop_back();
-    return transit;
-}
-
 void
-MeshNetwork::releaseTransit(Transit* transit)
+MeshNetwork::inject(Packet&& packet)
 {
-    transit->packet = Packet{};
-    transitFree_.push_back(transit);
-}
-
-void
-MeshNetwork::inject(Packet packet)
-{
-    Transit* transit = acquireTransit();
-    transit->injectedAt = engine_.now();
-    transit->queueing = 0;
-    transit->hops = 0;
-    transit->at = packet.src;
-    transit->packet = std::move(packet);
+    Transit* transit = acquireTransit(std::move(packet));
     // The fixed overhead covers the network interface and first-router
     // setup; the head then advances hop by hop.
     engine_.schedule(config_.fixedCycles,
@@ -225,13 +230,7 @@ MeshNetwork::hop(Transit* transit)
 {
     const NodeId dst = transit->packet.dst;
     if (transit->at == dst) {
-        Packet packet = std::move(transit->packet);
-        const unsigned hops = transit->hops;
-        const Cycles injected_at = transit->injectedAt;
-        const Cycles queueing = transit->queueing;
-        // Recycle before delivering: the handler may send() again.
-        releaseTransit(transit);
-        deliver(std::move(packet), hops, injected_at, queueing);
+        arrive(transit);
         return;
     }
 

@@ -31,6 +31,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "net/topology.hpp"
+#include "proto/messages.hpp"
 
 namespace plus {
 namespace sim {
@@ -39,29 +40,11 @@ class Engine;
 
 namespace net {
 
-/** Base class for protocol-defined packet contents. */
-struct Payload {
-    virtual ~Payload() = default;
-
-    /**
-     * Deep copy, needed by the reliable-delivery layer to keep a
-     * retransmittable frame while the original rides the wire (packets
-     * own their payload via unique_ptr). Defaults to null so payload
-     * types outside the protocol need not implement it; the reliable
-     * layer panics if asked to carry an uncloneable payload.
-     */
-    virtual std::unique_ptr<Payload> clone() const { return nullptr; }
-};
-
-/**
- * A message in flight between two nodes. Field order keeps the struct at
- * 32 bytes so a send closure (this + Packet + a cycle stamp) still fits
- * sim::Event's inline capture buffer.
- */
+/** A message in flight between two nodes. */
 struct Packet {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
-    /** Payload size in bytes, excluding the link-level header. */
+    /** Message size in bytes, excluding the link-level header. */
     unsigned payloadBytes = 0;
     /**
      * Sender's classification (a proto::MsgType value), carried opaquely
@@ -81,7 +64,8 @@ struct Packet {
     /** Cumulative acknowledgement carried by an ack frame. */
     std::uint32_t linkAck = 0;
 
-    std::unique_ptr<Payload> payload;
+    /** The protocol message; std::monostate for link-layer acks. */
+    proto::Message message;
 };
 
 /** Values of Packet::linkCtl. */
@@ -116,7 +100,7 @@ inline constexpr StatRow<NetworkStats> kNetworkStatRows[] = {
 };
 
 /** Per-node packet sink. */
-using DeliveryHandler = std::function<void(Packet)>;
+using DeliveryHandler = std::function<void(Packet&&)>;
 
 class FaultInjector;
 class LinkLayer;
@@ -193,23 +177,46 @@ class Network
     friend class LinkLayer;
 
     /** Put a packet on the wire (the model's raw, lossy path). */
-    virtual void inject(Packet packet) = 0;
+    virtual void inject(Packet&& packet) = 0;
 
     /**
      * Physical arrival at the destination router. Routes through the
      * reliable layer when armed (sequencing, dedup, acks); otherwise
      * hands straight up to the protocol.
      */
-    void deliver(Packet packet, unsigned hops, Cycles injected_at,
+    void deliver(Packet&& packet, unsigned hops, Cycles injected_at,
                  Cycles queueing);
 
     /** Protocol-visible delivery: stats, telemetry, the node handler. */
-    void deliverUp(Packet packet, unsigned hops, Cycles injected_at,
+    void deliverUp(Packet&& packet, unsigned hops, Cycles injected_at,
                    Cycles queueing);
 
     /** Count a fault-layer discard and report it to the stream. */
     void noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
                   unsigned bytes, check::DropReason reason);
+
+    /**
+     * A packet on the wire: the models thread it through their delivery
+     * events by pointer, so no event has to capture the packet itself.
+     */
+    struct Transit {
+        Packet packet;
+        Cycles injectedAt = 0;
+        Cycles queueing = 0;
+        unsigned hops = 0;
+        NodeId at = kInvalidNode;
+    };
+
+    /**
+     * Grab a pooled transit for @p packet, injected now at its source,
+     * so every in-flight packet costs one pool hit instead of an
+     * allocation per send.
+     */
+    Transit* acquireTransit(Packet&& packet);
+    void releaseTransit(Transit* transit);
+
+    /** Deliver @p transit's packet, then recycle the transit. */
+    void arrive(Transit* transit);
 
     sim::Engine& engine_;
     Topology topology_;
@@ -221,6 +228,9 @@ class Network
     check::EventStream* events_ = nullptr;
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<LinkLayer> link_;
+    /** Owning transit pool; recycled through transitFree_. */
+    std::vector<std::unique_ptr<Transit>> transitPool_;
+    std::vector<Transit*> transitFree_;
 };
 
 /** Contention-free model: latency formula only. */
@@ -230,7 +240,7 @@ class IdealNetwork : public Network
     using Network::Network;
 
   protected:
-    void inject(Packet packet) override;
+    void inject(Packet&& packet) override;
 };
 
 /**
@@ -247,7 +257,7 @@ class MeshNetwork : public Network
     Cycles maxLinkBusyCycles() const;
 
   protected:
-    void inject(Packet packet) override;
+    void inject(Packet&& packet) override;
 
   private:
     /** Router ports with a mesh neighbour: +x, -x, +y, -y. */
@@ -260,25 +270,9 @@ class MeshNetwork : public Network
         NodeId to = kInvalidNode; ///< kInvalidNode: no neighbour there
     };
 
-    /** State threaded through the hop-by-hop events. */
-    struct Transit {
-        Packet packet;
-        Cycles injectedAt = 0;
-        Cycles queueing = 0;
-        unsigned hops = 0;
-        NodeId at = kInvalidNode;
-    };
-
     /** Index into links_ of the link from @p from to adjacent @p to. */
     std::uint32_t linkBetween(NodeId from, NodeId to) const;
     void hop(Transit* transit);
-
-    /**
-     * Grab a pooled transit so every in-flight packet costs one pool
-     * hit instead of a shared_ptr allocation per send.
-     */
-    Transit* acquireTransit();
-    void releaseTransit(Transit* transit);
 
     /** Index node * kPorts + port. */
     std::vector<Link> links_;
@@ -288,9 +282,6 @@ class MeshNetwork : public Network
      * Topology::nextHop.
      */
     std::vector<std::uint32_t> nextLink_;
-    /** Owning transit pool; recycled through transitFree_. */
-    std::vector<std::unique_ptr<Transit>> transitPool_;
-    std::vector<Transit*> transitFree_;
 };
 
 /** Factory honouring NetworkConfig::ideal. */

@@ -40,29 +40,6 @@ LinkLayer::LinkLayer(Network& network, sim::Engine& engine,
                4 * net_.serializationCycles(64);
 }
 
-Packet
-LinkLayer::clonePacket(const Packet& packet) const
-{
-    Packet copy;
-    copy.src = packet.src;
-    copy.dst = packet.dst;
-    copy.payloadBytes = packet.payloadBytes;
-    copy.msgClass = packet.msgClass;
-    copy.linkCtl = packet.linkCtl;
-    copy.crcOk = packet.crcOk;
-    copy.linkSeq = packet.linkSeq;
-    copy.linkAck = packet.linkAck;
-    if (packet.payload) {
-        copy.payload = packet.payload->clone();
-        if (!copy.payload) {
-            PLUS_PANIC("packet of class ", unsigned(packet.msgClass),
-                       " carries an uncloneable payload; reliable "
-                       "delivery needs Payload::clone()");
-        }
-    }
-    return copy;
-}
-
 void
 LinkLayer::sendData(Packet packet)
 {
@@ -75,7 +52,7 @@ LinkLayer::sendData(Packet packet)
         chan.unacked.emplace(packet.linkSeq, Unacked{});
     PLUS_ASSERT(inserted, "sequence number reused on channel ",
                 packet.src, " -> ", packet.dst);
-    it->second.frame = clonePacket(packet);
+    it->second.frame = packet;
     it->second.sentAt = engine_.now();
     armTimer(packet.src, packet.dst, packet.linkSeq, it->second);
 
@@ -104,7 +81,7 @@ LinkLayer::transmit(Packet packet)
         net_.inject(std::move(packet));
         return;
       case Fate::Duplicate: {
-        Packet copy = clonePacket(packet);
+        Packet copy = packet;
         net_.inject(std::move(packet));
         net_.inject(std::move(copy));
         return;
@@ -125,7 +102,7 @@ LinkLayer::transmit(Packet packet)
 }
 
 void
-LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
+LinkLayer::receive(Packet&& packet, unsigned hops, Cycles injected_at,
                    Cycles queueing)
 {
     if (!packet.crcOk) {
@@ -313,7 +290,7 @@ LinkLayer::onTimeout(NodeId src, NodeId dst, std::uint32_t seq)
     }
     PLUS_LOG(LogComponent::Net, "retransmit ", src, " -> ", dst, " seq ",
              seq, " attempt ", entry.attempts);
-    transmit(clonePacket(entry.frame));
+    transmit(entry.frame);
     armTimer(src, dst, seq, entry);
 }
 

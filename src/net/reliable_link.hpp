@@ -8,7 +8,7 @@
  * assumption (update chains, FrameFlush ordering) keeps holding:
  *
  *  - Sender side: each (src,dst) channel numbers data frames with a
- *    monotonically increasing sequence, keeps a clone of every
+ *    monotonically increasing sequence, keeps a copy of every
  *    unacknowledged frame, and retransmits on timeout with exponential
  *    backoff (rto << min(attempts, 6)). The timeout adapts to the
  *    measured round trip (Jacobson srtt + 4 * rttvar, floored at a
@@ -89,7 +89,7 @@ class LinkLayer
     void sendData(Packet packet);
 
     /** Physical arrival of any frame (from Network::deliver). */
-    void receive(Packet packet, unsigned hops, Cycles injected_at,
+    void receive(Packet&& packet, unsigned hops, Cycles injected_at,
                  Cycles queueing);
 
     /** Unacknowledged frames across all channels (0 = all delivered). */
@@ -114,7 +114,7 @@ class LinkLayer
 
     /**
      * Tear down every channel to or from @p dead: cancel retransmit
-     * timers, drop unacknowledged clones and parked reorder-buffer
+     * timers, drop unacknowledged copies and parked reorder-buffer
      * frames. Machine context only.
      */
     void purgeNode(NodeId dead);
@@ -142,7 +142,7 @@ class LinkLayer
   private:
     /** One unacknowledged frame awaiting its cumulative ack. */
     struct Unacked {
-        Packet frame; ///< retransmittable clone
+        Packet frame; ///< retransmittable copy
         unsigned attempts = 0;
         Cycles sentAt = 0;       ///< first transmission (RTT sampling)
         std::uint64_t timer = 0; ///< sim::EventId of the pending timeout
@@ -167,9 +167,6 @@ class LinkLayer
         std::uint32_t delivered = 0; ///< in-order watermark
         std::map<std::uint32_t, Held> held;
     };
-
-    /** Deep-copy @p packet; panics on an uncloneable payload. */
-    Packet clonePacket(const Packet& packet) const;
 
     /** Apply the injector's fate and hand the frame to the model. */
     void transmit(Packet packet);

@@ -32,7 +32,7 @@ Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
         cache_.snoop(frame, off);
     });
 
-    network.setDeliveryHandler(id, [this](net::Packet packet) {
+    network.setDeliveryHandler(id, [this](net::Packet&& packet) {
         cm_->onPacket(std::move(packet));
     });
 

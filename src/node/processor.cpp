@@ -138,7 +138,7 @@ Processor::blockCurrent(StallKind kind)
     lastRun_ = t;
     freeSince_ = deps_.engine->now();
     freeReason_ = kind;
-    if (!readyQueue_.empty()) {
+    if (!readyEmpty()) {
         scheduleDispatch();
     }
     sim::Fiber::yield();
@@ -166,10 +166,33 @@ Processor::wake(unsigned t)
                     thread.state == ThreadState::Created,
                 "wake of a thread that is not waiting");
     thread.state = ThreadState::Ready;
-    readyQueue_.push_back(t);
+    pushReady(t);
     if (current_ == kNone) {
         scheduleDispatch();
     }
+}
+
+void
+Processor::pushReady(unsigned t)
+{
+    threads_[t].nextReady = kNone;
+    if (readyTail_ == kNone) {
+        readyHead_ = t;
+    } else {
+        threads_[readyTail_].nextReady = t;
+    }
+    readyTail_ = t;
+}
+
+unsigned
+Processor::popReady()
+{
+    const unsigned t = readyHead_;
+    readyHead_ = threads_[t].nextReady;
+    if (readyHead_ == kNone) {
+        readyTail_ = kNone;
+    }
+    return t;
 }
 
 void
@@ -188,12 +211,11 @@ Processor::scheduleDispatch()
 void
 Processor::dispatch()
 {
-    if (halted_ || current_ != kNone || readyQueue_.empty()) {
+    if (halted_ || current_ != kNone || readyEmpty()) {
         return;
     }
     const prof::ScopedPhase prof_scope(prof::Phase::ProcDispatch);
-    const unsigned t = readyQueue_.front();
-    readyQueue_.pop_front();
+    const unsigned t = popReady();
     PLUS_ASSERT(threads_[t].state == ThreadState::Ready,
                 "non-ready thread in the ready queue");
     closeFreeInterval();
@@ -234,7 +256,7 @@ Processor::resumeThread(unsigned t)
         lastRun_ = t;
         freeSince_ = deps_.engine->now();
         freeReason_ = StallKind::Idle;
-        if (!readyQueue_.empty()) {
+        if (!readyEmpty()) {
             scheduleDispatch();
         }
     }
@@ -296,12 +318,12 @@ Processor::compute(Cycles cycles)
 void
 Processor::yieldNow()
 {
-    if (mode_ != ProcessorMode::ContextSwitch || readyQueue_.empty()) {
+    if (mode_ != ProcessorMode::ContextSwitch || readyEmpty()) {
         return;
     }
     const unsigned t = current_;
     threads_[t].state = ThreadState::Ready;
-    readyQueue_.push_back(t);
+    pushReady(t);
     current_ = kNone;
     lastRun_ = t;
     freeSince_ = deps_.engine->now();

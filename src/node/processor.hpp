@@ -25,7 +25,6 @@
 #define PLUS_NODE_PROCESSOR_HPP_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -244,6 +243,8 @@ class Processor
         std::unique_ptr<sim::Fiber> fiber;
         /** Result of the op the thread last blocked on. */
         Word result = 0;
+        /** The thread queued behind this one while it is Ready. */
+        unsigned nextReady = kNone;
     };
 
     /** Charge @p cycles to @p bucket and advance simulated time. */
@@ -264,6 +265,15 @@ class Processor
 
     /** Make thread @p t runnable and kick the dispatcher. */
     void wake(unsigned t);
+
+    /**
+     * The ready queue, FIFO, linked through Thread::nextReady: a thread
+     * is queued only while Ready, so at most once, and queueing never
+     * allocates.
+     */
+    void pushReady(unsigned t);
+    unsigned popReady();
+    bool readyEmpty() const { return readyHead_ == kNone; }
 
     void scheduleDispatch();
     void dispatch();
@@ -317,7 +327,8 @@ class Processor
     std::vector<Addr> rmwTargets_;
 
     std::vector<Thread> threads_;
-    std::deque<unsigned> readyQueue_;
+    unsigned readyHead_ = kNone;
+    unsigned readyTail_ = kNone;
     unsigned current_ = kNone;
     unsigned lastRun_ = kNone;
     unsigned finished_ = 0;

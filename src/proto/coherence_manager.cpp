@@ -32,31 +32,17 @@ constexpr unsigned kNackRetryLimit = 64;
 constexpr Cycles kNackBackoffBase = 64;
 constexpr unsigned kNackBackoffCap = 6;
 
-/** Downcast an owned protocol message to its concrete type. */
-template <typename T>
-std::unique_ptr<T>
-take(std::unique_ptr<ProtoMsg>& msg)
-{
-    return std::unique_ptr<T>(static_cast<T*>(msg.release()));
-}
-
 /** Page a message addresses, for traffic attribution (0 = none). */
 Vpn
-vpnOf(const ProtoMsg& msg)
+vpnOf(const Message& msg)
 {
-    switch (msg.type) {
-      case MsgType::ReadReq:
-        return static_cast<const ReadReq&>(msg).vpn;
-      case MsgType::WriteReq:
-        return static_cast<const WriteReq&>(msg).vpn;
-      case MsgType::UpdateReq:
-        return static_cast<const UpdateReq&>(msg).vpn;
-      case MsgType::RmwReq:
-        return static_cast<const RmwReq&>(msg).vpn;
-      case MsgType::Nack:
-        return static_cast<const Nack&>(msg).vpn;
-      default:
-        return 0;
+    switch (typeOf(msg)) {
+      case MsgType::ReadReq: return std::get<ReadReq>(msg).vpn;
+      case MsgType::WriteReq: return std::get<WriteReq>(msg).vpn;
+      case MsgType::UpdateReq: return std::get<UpdateReq>(msg).vpn;
+      case MsgType::RmwReq: return std::get<RmwReq>(msg).vpn;
+      case MsgType::Nack: return std::get<Nack>(msg).vpn;
+      default: return 0;
     }
 }
 
@@ -94,28 +80,27 @@ CoherenceManager::enqueue(Cycles occupancy, sim::Event work)
 }
 
 void
-CoherenceManager::send(NodeId dst, std::unique_ptr<ProtoMsg> msg,
-                       unsigned bytes)
+CoherenceManager::send(NodeId dst, Message msg)
 {
     PLUS_ASSERT(dst != self_, "protocol message addressed to self");
-    stats_.sent[static_cast<std::size_t>(msg->type)] += 1;
+    const MsgType type = typeOf(msg);
+    const unsigned bytes = wireBytes(msg);
+    stats_.sent[static_cast<std::size_t>(type)] += 1;
     PLUS_LOG(LogComponent::Proto, "n", self_, " -> n", dst, " ",
-             toString(msg->type));
+             toString(type));
     if (events_) {
         events_->emit({.kind = check::EventKind::MessageSent,
-                       .cls = static_cast<std::uint8_t>(msg->type),
+                       .cls = static_cast<std::uint8_t>(type),
                        .node = self_,
                        .peer = dst,
                        .bytes = bytes,
-                       .vpn = vpnOf(*msg)});
+                       .vpn = vpnOf(msg)});
     }
-    net::Packet packet;
-    packet.src = self_;
-    packet.dst = dst;
-    packet.payloadBytes = bytes;
-    packet.msgClass = static_cast<std::uint8_t>(msg->type);
-    packet.payload = std::move(msg);
-    deps_.network->send(std::move(packet));
+    deps_.network->send({.src = self_,
+                         .dst = dst,
+                         .payloadBytes = bytes,
+                         .msgClass = static_cast<std::uint8_t>(type),
+                         .message = std::move(msg)});
 }
 
 void
@@ -371,13 +356,11 @@ CoherenceManager::sendRead(ReadTag tag, PhysAddr phys, bool refetch)
     ReadWaiter* waiter = readWaiters_.find(tag);
     PLUS_ASSERT(waiter, "no waiting read with tag ", tag);
     waiter->dst = phys.page.node;
-    auto msg = std::make_unique<ReadReq>();
-    msg->target = phys;
-    msg->vpn = waiter->vpn;
-    msg->originator = self_;
-    msg->tag = tag;
-    msg->refetch = refetch;
-    send(phys.page.node, std::move(msg), ReadReq::kBytes);
+    send(phys.page.node, ReadReq{.target = phys,
+                                 .vpn = waiter->vpn,
+                                 .originator = self_,
+                                 .tag = tag,
+                                 .refetch = refetch});
 }
 
 ReadWaiter
@@ -459,34 +442,29 @@ CoherenceManager::dispatchWrite(Vpn vpn, Addr word_offset, PhysAddr phys,
     if (phys.page.node != self_ && deps_.refCounters) {
         deps_.refCounters->recordRemoteRef(vpn);
     }
-    auto msg = std::make_unique<WriteReq>();
-    msg->target = PhysAddr{target, word_offset};
-    msg->vpn = vpn;
-    msg->value = value;
-    msg->originator = self_;
-    msg->tag = tag;
-    send(target.node, std::move(msg), WriteReq::kBytes);
+    send(target.node, WriteReq{.target = PhysAddr{target, word_offset},
+                               .vpn = vpn,
+                               .value = value,
+                               .originator = self_,
+                               .tag = tag});
 }
 
 void
 CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
-                                std::vector<WordWrite> writes,
+                                const WordWrites& writes,
                                 NodeId originator, WriteTag tag,
                                 bool from_rmw, bool invalidate)
 {
     const std::optional<PhysPage> next = deps_.tables->nextCopy(frame);
     if (next) {
-        auto msg = std::make_unique<UpdateReq>();
-        msg->target = *next;
-        msg->vpn = vpn;
-        msg->writes = std::move(writes);
-        msg->originator = originator;
-        msg->tag = tag;
-        msg->chainId = chain;
-        msg->fromRmw = from_rmw;
-        msg->invalidate = invalidate;
-        const unsigned bytes = msg->bytes();
-        send(next->node, std::move(msg), bytes);
+        send(next->node, UpdateReq{.target = *next,
+                                   .vpn = vpn,
+                                   .writes = writes,
+                                   .originator = originator,
+                                   .tag = tag,
+                                   .chainId = chain,
+                                   .fromRmw = from_rmw,
+                                   .invalidate = invalidate});
         return;
     }
     if (invalidate) {
@@ -495,11 +473,8 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
             // The tail sharer of an invalidation chain acknowledges the
             // master, which commits the chain and relays the completion
             // to the originator (Protocol::chainAckAtMaster).
-            auto msg = std::make_unique<WriteAck>();
-            msg->tag = tag;
-            msg->fromRmw = from_rmw;
-            msg->chainId = chain;
-            send(master.node, std::move(msg), WriteAck::kChainBytes);
+            send(master.node,
+                 WriteAck{.tag = tag, .fromRmw = from_rmw, .chainId = chain});
             return;
         }
         // Degenerate chain (master with no copies): ack directly below.
@@ -507,10 +482,7 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
     if (originator == self_) {
         retireWrite(tag);
     } else {
-        auto msg = std::make_unique<WriteAck>();
-        msg->tag = tag;
-        msg->fromRmw = from_rmw;
-        send(originator, std::move(msg), WriteAck::kBytes);
+        send(originator, WriteAck{.tag = tag, .fromRmw = from_rmw});
     }
 }
 
@@ -569,15 +541,13 @@ CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
     if (phys.page.node != self_ && deps_.refCounters) {
         deps_.refCounters->recordRemoteRef(vpn);
     }
-    auto msg = std::make_unique<RmwReq>();
-    msg->op = op;
-    msg->target = PhysAddr{target, word_offset};
-    msg->vpn = vpn;
-    msg->operand = operand;
-    msg->originator = self_;
-    msg->opTag = handle;
-    msg->writeTag = tag;
-    send(target.node, std::move(msg), RmwReq::kBytes);
+    send(target.node, RmwReq{.op = op,
+                             .target = PhysAddr{target, word_offset},
+                             .vpn = vpn,
+                             .operand = operand,
+                             .originator = self_,
+                             .opTag = handle,
+                             .writeTag = tag});
 }
 
 void
@@ -593,24 +563,19 @@ CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
 
     // The master executes atomically, returns the old contents to the
     // originator, and propagates the effects down the copy-list.
-    std::vector<WordWrite> writes;
-    writes.reserve(result.writes.size());
-    for (const auto& w : result.writes) {
+    for (const WordWrite& w : result.writes) {
         applyLocal(frame, w.wordOffset, w.value);
-        writes.push_back(WordWrite{w.wordOffset, w.value});
     }
 
     if (originator == self_) {
         completeRmw(op_tag, result.oldValue);
     } else {
-        auto msg = std::make_unique<RmwResp>();
-        msg->opTag = op_tag;
-        msg->oldValue = result.oldValue;
-        send(originator, std::move(msg), RmwResp::kBytes);
+        send(originator,
+             RmwResp{.opTag = op_tag, .oldValue = result.oldValue});
     }
 
-    protocol_->propagateRmwEffects(vpn, frame, std::move(writes),
-                                   originator, write_tag);
+    protocol_->propagateRmwEffects(vpn, frame, result.writes, originator,
+                                   write_tag);
 }
 
 void
@@ -666,22 +631,20 @@ CoherenceManager::sendPageCopyBatch(FrameId src_frame, PhysPage dst,
                                 kPageWords - next_offset);
     enqueue(cost_.cmPageCopyWord * batch,
             [this, src_frame, dst, copy_id, vpn, next_offset, batch] {
-                auto msg = std::make_unique<PageCopyData>();
-                msg->target = dst;
-                msg->vpn = vpn;
-                msg->baseOffset = next_offset;
-                msg->words.reserve(batch);
+                const bool last = next_offset + batch == kPageWords;
+                PageCopyData msg{.target = dst,
+                                 .vpn = vpn,
+                                 .baseOffset = next_offset,
+                                 .copyId = copy_id,
+                                 .last = last};
+                msg.words.reserve(batch);
                 for (Addr i = 0; i < batch; ++i) {
-                    msg->words.push_back(
+                    msg.words.push_back(
                         deps_.memory->read(src_frame, next_offset + i));
                 }
                 protocol_->fillBatchValidity(src_frame, next_offset, batch,
-                                             *msg);
-                msg->copyId = copy_id;
-                msg->last = (next_offset + batch == kPageWords);
-                const bool last = msg->last;
-                const unsigned bytes = msg->bytes();
-                send(dst.node, std::move(msg), bytes);
+                                             msg);
+                send(dst.node, std::move(msg));
                 if (!last) {
                     sendPageCopyBatch(src_frame, dst, copy_id, vpn,
                                       next_offset + batch);
@@ -694,57 +657,57 @@ CoherenceManager::sendPageCopyBatch(FrameId src_frame, PhysPage dst,
 // --------------------------------------------------------------------------
 
 void
-CoherenceManager::onPacket(net::Packet packet)
+CoherenceManager::onPacket(net::Packet&& packet)
 {
     const prof::ScopedPhase prof_scope(prof::Phase::ProtoHandle);
-    PLUS_ASSERT(dynamic_cast<ProtoMsg*>(packet.payload.get()) != nullptr,
-                "non-protocol packet at coherence manager");
-    std::unique_ptr<ProtoMsg> msg(
-        static_cast<ProtoMsg*>(packet.payload.release()));
+    Message& msg = packet.message;
+    PLUS_ASSERT(!std::holds_alternative<std::monostate>(msg),
+                "message-less packet at coherence manager");
+    const MsgType type = typeOf(msg);
     PLUS_LOG(LogComponent::Proto, "n", self_, " <- n", packet.src, " ",
-             toString(msg->type));
+             toString(type));
     if (events_) {
         // Lets the checker enforce the recovery-epoch invariant: no
         // message from a crashed node is processed after its epoch seals.
         events_->emit({.kind = check::EventKind::MessageProcessed,
-                       .cls = static_cast<std::uint8_t>(msg->type),
+                       .cls = static_cast<std::uint8_t>(type),
                        .node = self_,
                        .peer = packet.src});
     }
 
-    switch (msg->type) {
+    switch (type) {
       case MsgType::ReadReq:
-        onReadReq(take<ReadReq>(msg));
+        onReadReq(std::get<ReadReq>(msg));
         break;
       case MsgType::ReadResp:
-        onReadResp(static_cast<const ReadResp&>(*msg));
+        onReadResp(std::get<ReadResp>(msg));
         break;
       case MsgType::WriteReq:
-        onWriteReq(take<WriteReq>(msg));
+        onWriteReq(std::get<WriteReq>(msg));
         break;
       case MsgType::UpdateReq:
-        onUpdateReq(take<UpdateReq>(msg));
+        onUpdateReq(std::get<UpdateReq>(msg));
         break;
       case MsgType::WriteAck:
-        onWriteAck(static_cast<const WriteAck&>(*msg));
+        onWriteAck(std::get<WriteAck>(msg));
         break;
       case MsgType::RmwReq:
-        onRmwReq(take<RmwReq>(msg));
+        onRmwReq(std::get<RmwReq>(msg));
         break;
       case MsgType::RmwResp:
-        onRmwResp(static_cast<const RmwResp&>(*msg));
+        onRmwResp(std::get<RmwResp>(msg));
         break;
       case MsgType::Nack:
-        onNack(take<Nack>(msg));
+        onNack(std::get<Nack>(msg));
         break;
       case MsgType::PageCopyData:
-        onPageCopyData(take<PageCopyData>(msg), packet.src);
+        onPageCopyData(std::get<PageCopyData>(std::move(msg)), packet.src);
         break;
       case MsgType::PageCopyDone:
-        onPageCopyDone(static_cast<const PageCopyDone&>(*msg));
+        onPageCopyDone(std::get<PageCopyDone>(msg));
         break;
       case MsgType::FrameFlush:
-        onFrameFlush(static_cast<const FrameFlush&>(*msg));
+        onFrameFlush(std::get<FrameFlush>(msg));
         break;
       default:
         PLUS_PANIC("unknown protocol message type");
@@ -752,20 +715,18 @@ CoherenceManager::onPacket(net::Packet packet)
 }
 
 void
-CoherenceManager::onReadReq(std::unique_ptr<ReadReq> msg)
+CoherenceManager::onReadReq(const ReadReq& msg)
 {
-    enqueue(cost_.cmServiceReadReq, [this, m = std::move(msg)]() mutable {
-        const FrameId frame = m->target.page.frame;
+    enqueue(cost_.cmServiceReadReq, [this, m = msg] {
+        const FrameId frame = m.target.page.frame;
         if (!deps_.memory->allocated(frame)) {
-            auto nack = std::make_unique<Nack>();
-            nack->kind = NackedKind::Read;
-            nack->vpn = m->vpn;
-            nack->wordOffset = m->target.wordOffset;
-            nack->readTag = m->tag;
-            send(m->originator, std::move(nack), Nack::kBytes);
+            send(m.originator, Nack{.vpn = m.vpn,
+                                    .wordOffset = m.target.wordOffset,
+                                    .readTag = m.tag,
+                                    .kind = NackedKind::Read});
             return;
         }
-        protocol_->serveReadReq(std::move(m));
+        protocol_->serveReadReq(m);
     });
 }
 
@@ -784,9 +745,9 @@ CoherenceManager::onReadResp(const ReadResp& msg)
 }
 
 void
-CoherenceManager::onWriteReq(std::unique_ptr<WriteReq> msg)
+CoherenceManager::onWriteReq(const WriteReq& msg)
 {
-    const FrameId frame = msg->target.page.frame;
+    const FrameId frame = msg.target.page.frame;
     // The occupancy estimate may use the receive-time table state, but
     // correctness decisions must use the state at execution time: a
     // FrameFlush queued ahead of us may free the frame first.
@@ -795,45 +756,43 @@ CoherenceManager::onWriteReq(std::unique_ptr<WriteReq> msg)
                                  deps_.tables->master(frame).node == self_;
     const Cycles occupancy = master_estimate ? cost_.cmServiceWrite
                                              : cost_.cmForward;
-    enqueue(occupancy, [this, m = std::move(msg)]() mutable {
-        const FrameId frame = m->target.page.frame;
+    enqueue(occupancy, [this, m = msg]() mutable {
+        const FrameId frame = m.target.page.frame;
         const bool known = deps_.memory->allocated(frame) &&
                            deps_.tables->knows(frame);
         const bool master_here =
             known && deps_.tables->master(frame).node == self_;
         if (!known) {
-            auto nack = std::make_unique<Nack>();
-            nack->kind = NackedKind::Write;
-            nack->vpn = m->vpn;
-            nack->wordOffset = m->target.wordOffset;
-            nack->writeTag = m->tag;
-            nack->value = m->value;
-            send(m->originator, std::move(nack), Nack::kBytes);
+            send(m.originator, Nack{.vpn = m.vpn,
+                                    .wordOffset = m.target.wordOffset,
+                                    .writeTag = m.tag,
+                                    .value = m.value,
+                                    .kind = NackedKind::Write});
             return;
         }
         if (master_here) {
-            protocol_->writeAtMaster(m->vpn, frame, m->target.wordOffset,
-                                     m->value, m->originator, m->tag);
+            protocol_->writeAtMaster(m.vpn, frame, m.target.wordOffset,
+                                     m.value, m.originator, m.tag);
         } else {
             // Forward the request itself; only the target changes.
             const PhysPage master = deps_.tables->master(frame);
-            m->target = PhysAddr{master, m->target.wordOffset};
-            send(master.node, std::move(m), WriteReq::kBytes);
+            m.target = PhysAddr{master, m.target.wordOffset};
+            send(master.node, m);
         }
     });
 }
 
 void
-CoherenceManager::onUpdateReq(std::unique_ptr<UpdateReq> msg)
+CoherenceManager::onUpdateReq(const UpdateReq& msg)
 {
-    enqueue(cost_.cmServiceUpdate, [this, m = std::move(msg)]() mutable {
-        const FrameId frame = m->target.frame;
+    enqueue(cost_.cmServiceUpdate, [this, m = msg] {
+        const FrameId frame = m.target.frame;
         // The deletion protocol splices the copy-list before flushing a
         // frame, so an update can never reach a frame that is gone.
         PLUS_ASSERT(deps_.memory->allocated(frame) &&
                         deps_.tables->knows(frame),
                     "update for a frame that holds no copy");
-        protocol_->chainStop(std::move(m));
+        protocol_->chainStop(m);
     });
 }
 
@@ -860,45 +819,43 @@ CoherenceManager::onWriteAck(const WriteAck& msg)
 }
 
 void
-CoherenceManager::onRmwReq(std::unique_ptr<RmwReq> msg)
+CoherenceManager::onRmwReq(const RmwReq& msg)
 {
-    const FrameId frame = msg->target.page.frame;
+    const FrameId frame = msg.target.page.frame;
     const bool master_estimate = deps_.memory->allocated(frame) &&
                                  deps_.tables->knows(frame) &&
                                  deps_.tables->master(frame).node == self_;
     Cycles occupancy;
     if (master_estimate) {
-        occupancy = isComplexOp(msg->op) ? cost_.cmRmwComplex
+        occupancy = isComplexOp(msg.op) ? cost_.cmRmwComplex
                                          : cost_.cmRmwSimple;
     } else {
         occupancy = cost_.cmForward;
     }
-    enqueue(occupancy, [this, m = std::move(msg)]() mutable {
-        const FrameId frame = m->target.page.frame;
+    enqueue(occupancy, [this, m = msg]() mutable {
+        const FrameId frame = m.target.page.frame;
         const bool known = deps_.memory->allocated(frame) &&
                            deps_.tables->knows(frame);
         const bool master_here =
             known && deps_.tables->master(frame).node == self_;
         if (!known) {
-            auto nack = std::make_unique<Nack>();
-            nack->kind = NackedKind::Rmw;
-            nack->vpn = m->vpn;
-            nack->wordOffset = m->target.wordOffset;
-            nack->opTag = m->opTag;
-            nack->writeTag = m->writeTag;
-            nack->value = m->operand;
-            nack->op = m->op;
-            send(m->originator, std::move(nack), Nack::kBytes);
+            send(m.originator, Nack{.vpn = m.vpn,
+                                    .wordOffset = m.target.wordOffset,
+                                    .writeTag = m.writeTag,
+                                    .opTag = m.opTag,
+                                    .value = m.operand,
+                                    .kind = NackedKind::Rmw,
+                                    .op = m.op});
             return;
         }
         if (master_here) {
-            rmwAtMaster(m->op, m->vpn, frame, m->target.wordOffset,
-                        m->operand, m->originator, m->opTag, m->writeTag);
+            rmwAtMaster(m.op, m.vpn, frame, m.target.wordOffset, m.operand,
+                        m.originator, m.opTag, m.writeTag);
         } else {
             // Forward the request itself; only the target changes.
             const PhysPage master = deps_.tables->master(frame);
-            m->target = PhysAddr{master, m->target.wordOffset};
-            send(master.node, std::move(m), RmwReq::kBytes);
+            m.target = PhysAddr{master, m.target.wordOffset};
+            send(master.node, m);
         }
     });
 }
@@ -971,58 +928,57 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
 }
 
 void
-CoherenceManager::onNack(std::unique_ptr<Nack> msg)
+CoherenceManager::onNack(const Nack& msg)
 {
     // The addressed copy disappeared (deleted or migrated): the OS
     // re-translates through the centralized table and the request is
     // retried against the page's current placement.
     PLUS_ASSERT(translate_, "nack received but no translator installed");
-    if (recovered_ && !nackTargetLive(*msg)) {
+    if (recovered_ && !nackTargetLive(msg)) {
         // Recovery already aborted the operation; don't let a straggler
         // nack count against the livelock retry budget.
         stats_.staleAcks += 1;
         return;
     }
     const Cycles backoff = noteNackRetry(
-        msg->kind, msg->kind == NackedKind::Read    ? msg->readTag
-                   : msg->kind == NackedKind::Write ? msg->writeTag
-                                                    : msg->opTag);
+        msg.kind, msg.kind == NackedKind::Read    ? msg.readTag
+                  : msg.kind == NackedKind::Write ? msg.writeTag
+                                                  : msg.opTag);
     enqueue(cost_.cmForward + cost_.osPageFillCycles + backoff,
-            [this, m = std::move(msg)] {
+            [this, m = msg] {
         // Re-check at execution time: a crash recovery may have run
         // while this retry sat behind the manager's occupancy.
-        if (recovered_ && !nackTargetLive(*m)) {
+        if (recovered_ && !nackTargetLive(m)) {
             stats_.staleAcks += 1;
             return;
         }
-        const std::optional<PhysPage> page = translate_(m->vpn);
+        const std::optional<PhysPage> page = translate_(m.vpn);
         if (!page) {
             // The page's directory entry died with its last copy.
-            completeNackedAsLost(*m);
+            completeNackedAsLost(m);
             return;
         }
         stats_.retries += 1;
-        const PhysAddr phys{*page, m->wordOffset};
-        switch (m->kind) {
+        const PhysAddr phys{*page, m.wordOffset};
+        switch (m.kind) {
           case NackedKind::Read:
             if (page->node == self_) {
-                ReadWaiter read = takeReadWaiter(m->readTag);
+                ReadWaiter read = takeReadWaiter(m.readTag);
                 const std::optional<Word> value =
                     protocol_->serveNackedLocalRead(read, page->frame);
                 if (value) {
                     finishRead(read, *value);
                 }
             } else {
-                sendRead(m->readTag, phys);
+                sendRead(m.readTag, phys);
             }
             break;
           case NackedKind::Write:
-            dispatchWrite(m->vpn, m->wordOffset, phys, m->value,
-                          m->writeTag);
+            dispatchWrite(m.vpn, m.wordOffset, phys, m.value, m.writeTag);
             break;
           case NackedKind::Rmw:
-            dispatchRmw(m->op, m->vpn, m->wordOffset, phys, m->value,
-                        m->opTag, m->writeTag);
+            dispatchRmw(m.op, m.vpn, m.wordOffset, phys, m.value, m.opTag,
+                        m.writeTag);
             break;
           default:
             PLUS_PANIC("unknown nack kind");
@@ -1167,21 +1123,18 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
 }
 
 void
-CoherenceManager::onPageCopyData(std::unique_ptr<PageCopyData> msg,
-                                 NodeId src)
+CoherenceManager::onPageCopyData(PageCopyData msg, NodeId src)
 {
-    const Cycles occupancy = cost_.cmPageCopyWord * msg->words.size();
+    const Cycles occupancy = cost_.cmPageCopyWord * msg.words.size();
     enqueue(occupancy, [this, m = std::move(msg), src] {
-        const FrameId frame = m->target.frame;
+        const FrameId frame = m.target.frame;
         PLUS_ASSERT(deps_.memory->allocated(frame),
                     "page-copy data for unallocated frame");
-        protocol_->applyCopyBatch(*m);
-        if (m->last) {
-            auto done = std::make_unique<PageCopyDone>();
-            done->copyId = m->copyId;
+        protocol_->applyCopyBatch(m);
+        if (m.last) {
             // Answer the node that ran the copy engine (the packet source
             // is always the predecessor copy).
-            send(src, std::move(done), PageCopyDone::kBytes);
+            send(src, PageCopyDone{.copyId = m.copyId});
         }
     });
 }
@@ -1189,9 +1142,7 @@ CoherenceManager::onPageCopyData(std::unique_ptr<PageCopyData> msg,
 void
 CoherenceManager::osFlushRemoteFrame(PhysPage victim)
 {
-    auto msg = std::make_unique<FrameFlush>();
-    msg->frame = victim.frame;
-    send(victim.node, std::move(msg), FrameFlush::kBytes);
+    send(victim.node, FrameFlush{.frame = victim.frame});
 }
 
 void

@@ -59,6 +59,7 @@ class Engine;
 
 namespace net {
 class Network;
+struct Packet;
 } // namespace net
 
 namespace proto {
@@ -313,7 +314,7 @@ class CoherenceManager
     // --- network entry -------------------------------------------------------
 
     /** Delivery handler registered with the network. */
-    void onPacket(net::Packet packet);
+    void onPacket(net::Packet&& packet);
 
     const CmStats& stats() const { return stats_; }
     const PendingWrites& pendingWrites() const { return pendingWrites_; }
@@ -327,14 +328,13 @@ class CoherenceManager
 
     /**
      * Serialize @p work behind the manager's busy-until horizon. Takes
-     * a sim::Event so the continuation rides inline in the engine's
-     * event record — handlers move message ownership straight into the
-     * capture instead of copying the message struct.
+     * a sim::Event so a continuation that captures its message rides
+     * inline in the engine's event record when it fits.
      */
     void enqueue(Cycles occupancy, sim::Event work);
 
-    /** Send a protocol message, sized and counted. */
-    void send(NodeId dst, std::unique_ptr<ProtoMsg> msg, unsigned bytes);
+    /** Send a protocol message, sized (wireBytes) and counted. */
+    void send(NodeId dst, Message msg);
 
     /** Apply one word write to local memory and snoop the node bus. */
     void applyLocal(FrameId frame, Addr word_offset, Word value);
@@ -348,7 +348,7 @@ class CoherenceManager
      * @p invalidate (which commits the chain, then relays the ack).
      */
     void continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
-                       std::vector<WordWrite> writes, NodeId originator,
+                       const WordWrites& writes, NodeId originator,
                        WriteTag tag, bool from_rmw, bool invalidate);
     void retireWrite(WriteTag tag);
 
@@ -378,21 +378,20 @@ class CoherenceManager
     Word takeResult(DelayedOpHandle handle);
 
     // Message handlers. Handlers that defer work behind the manager's
-    // occupancy own their message and move it into the continuation;
-    // the synchronous responses only borrow theirs.
-    void onReadReq(std::unique_ptr<ReadReq> msg);
+    // occupancy capture a copy of their message in the continuation.
+    void onReadReq(const ReadReq& msg);
     void onReadResp(const ReadResp& msg);
-    void onWriteReq(std::unique_ptr<WriteReq> msg);
-    void onUpdateReq(std::unique_ptr<UpdateReq> msg);
+    void onWriteReq(const WriteReq& msg);
+    void onUpdateReq(const UpdateReq& msg);
     void onWriteAck(const WriteAck& msg);
-    void onRmwReq(std::unique_ptr<RmwReq> msg);
+    void onRmwReq(const RmwReq& msg);
     void onRmwResp(const RmwResp& msg);
-    void onNack(std::unique_ptr<Nack> msg);
+    void onNack(const Nack& msg);
     /** True if the nacked operation is still in flight. */
     bool nackTargetLive(const Nack& nack) const;
     /** Complete a nacked operation on a lost page with the sentinel. */
     void completeNackedAsLost(const Nack& nack);
-    void onPageCopyData(std::unique_ptr<PageCopyData> msg, NodeId src);
+    void onPageCopyData(PageCopyData msg, NodeId src);
     void onPageCopyDone(const PageCopyDone& msg);
     void onFrameFlush(const FrameFlush& msg);
 

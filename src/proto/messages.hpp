@@ -2,9 +2,11 @@
  * @file
  * Coherence-protocol messages exchanged between coherence managers.
  *
- * Every message is a net::Payload. Sizes (payloadBytes) follow a simple
- * wire model: 4 bytes per word of address/value/tag content beyond the
- * 8-byte link header accounted by the network.
+ * Every message is a plain aggregate, one alternative of proto::Message,
+ * which net::Packet carries by value. Sizes (wireBytes, the packet's
+ * payloadBytes) follow a simple wire model: 4 bytes per word of
+ * address/value/tag content beyond the 8-byte link header accounted by
+ * the network.
  *
  * Protocol summary (Section 2.3):
  *  - ReadReq/ReadResp: remote read served by the addressed copy.
@@ -24,11 +26,10 @@
 #define PLUS_PROTO_MESSAGES_HPP_
 
 #include <cstdint>
-#include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/types.hpp"
-#include "net/network.hpp"
 #include "proto/rmw.hpp"
 
 namespace plus {
@@ -43,13 +44,7 @@ using OpTag = std::uint32_t;
 /** Tag identifying a blocked read continuation at the originator. */
 using ReadTag = std::uint32_t;
 
-/** One word written at a copy; updates carry one or two of these. */
-struct WordWrite {
-    Addr wordOffset = 0;
-    Word value = 0;
-};
-
-/** Message kind, used for dispatch and statistics. */
+/** Message kind: the alternative's index in Message, less one. */
 enum class MsgType : std::uint8_t {
     ReadReq,
     ReadResp,
@@ -65,23 +60,28 @@ enum class MsgType : std::uint8_t {
     NumTypes,
 };
 
-const char* toString(MsgType type);
-
-/** Base of all protocol messages. */
-struct ProtoMsg : net::Payload {
-    explicit ProtoMsg(MsgType t) : type(t) {}
-    MsgType type;
-};
+inline const char*
+toString(MsgType type)
+{
+    switch (type) {
+      case MsgType::ReadReq: return "read-req";
+      case MsgType::ReadResp: return "read-resp";
+      case MsgType::WriteReq: return "write-req";
+      case MsgType::UpdateReq: return "update-req";
+      case MsgType::WriteAck: return "write-ack";
+      case MsgType::RmwReq: return "rmw-req";
+      case MsgType::RmwResp: return "rmw-resp";
+      case MsgType::Nack: return "nack";
+      case MsgType::PageCopyData: return "page-copy-data";
+      case MsgType::PageCopyDone: return "page-copy-done";
+      case MsgType::FrameFlush: return "frame-flush";
+      default: return "?";
+    }
+}
 
 /** Remote read of one word from the addressed copy. */
-struct ReadReq : ProtoMsg {
-    ReadReq() : ProtoMsg(MsgType::ReadReq) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<ReadReq>(*this);
-    }
-    PhysAddr target;
+struct ReadReq {
+    PhysAddr target{};
     Vpn vpn = 0; ///< for re-translation after a Nack
     NodeId originator = kInvalidNode;
     ReadTag tag = 0;
@@ -91,49 +91,28 @@ struct ReadReq : ProtoMsg {
      * forgets the word's invalidation (the next write re-invalidates).
      */
     bool refetch = false;
-    static constexpr unsigned kBytes = 12;
 };
 
 /** Value returned for a ReadReq. */
-struct ReadResp : ProtoMsg {
-    ReadResp() : ProtoMsg(MsgType::ReadResp) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<ReadResp>(*this);
-    }
+struct ReadResp {
     ReadTag tag = 0;
     Word value = 0;
-    static constexpr unsigned kBytes = 8;
 };
 
 /** A write on its way to the master copy. */
-struct WriteReq : ProtoMsg {
-    WriteReq() : ProtoMsg(MsgType::WriteReq) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<WriteReq>(*this);
-    }
-    PhysAddr target; ///< the copy this request is addressed to
+struct WriteReq {
+    PhysAddr target{}; ///< the copy this request is addressed to
     Vpn vpn = 0;
     Word value = 0;
     NodeId originator = kInvalidNode;
     WriteTag tag = 0;
-    static constexpr unsigned kBytes = 16;
 };
 
 /** Write effects flowing down the copy-list from the master. */
-struct UpdateReq : ProtoMsg {
-    UpdateReq() : ProtoMsg(MsgType::UpdateReq) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<UpdateReq>(*this);
-    }
-    PhysPage target; ///< the copy to update
+struct UpdateReq {
+    PhysPage target{}; ///< the copy to update
     Vpn vpn = 0;
-    std::vector<WordWrite> writes;
+    WordWrites writes{};
     NodeId originator = kInvalidNode;
     WriteTag tag = 0;
     /** Chain identity assigned by the master (see check::ChainId). */
@@ -146,24 +125,10 @@ struct UpdateReq : ProtoMsg {
      * to an update chain.
      */
     bool invalidate = false;
-    unsigned
-    bytes() const
-    {
-        // An invalidation names each word but carries no value.
-        return invalidate
-                   ? 8 + 4 * static_cast<unsigned>(writes.size())
-                   : 8 + 8 * static_cast<unsigned>(writes.size());
-    }
 };
 
 /** Completion notice from the last copy in the list to the originator. */
-struct WriteAck : ProtoMsg {
-    WriteAck() : ProtoMsg(MsgType::WriteAck) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<WriteAck>(*this);
-    }
+struct WriteAck {
     WriteTag tag = 0;
     bool fromRmw = false;
     /**
@@ -173,78 +138,52 @@ struct WriteAck : ProtoMsg {
      * relays the completion to the originator.
      */
     std::uint64_t chainId = 0;
-    static constexpr unsigned kBytes = 4;
-    /** Master-routed acks carry the 8-byte chain identity. */
-    static constexpr unsigned kChainBytes = 12;
 };
 
 /** Interlocked (delayed) operation on its way to the master copy. */
-struct RmwReq : ProtoMsg {
-    RmwReq() : ProtoMsg(MsgType::RmwReq) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<RmwReq>(*this);
-    }
+struct RmwReq {
     RmwOp op = RmwOp::Xchng;
-    PhysAddr target;
+    PhysAddr target{};
     Vpn vpn = 0;
     Word operand = 0;
     NodeId originator = kInvalidNode;
     OpTag opTag = 0;
     /** The originator's pending write tracking the op's update chain. */
     WriteTag writeTag = 0;
-    static constexpr unsigned kBytes = 20;
 };
 
 /** Old memory value returned by the master for a delayed operation. */
-struct RmwResp : ProtoMsg {
-    RmwResp() : ProtoMsg(MsgType::RmwResp) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<RmwResp>(*this);
-    }
+struct RmwResp {
     OpTag opTag = 0;
     Word oldValue = 0;
-    static constexpr unsigned kBytes = 8;
 };
 
 /** Which request a Nack refuses. */
 enum class NackedKind : std::uint8_t { Read, Write, Rmw };
 
-/** The addressed frame is gone; re-translate and retry. */
-struct Nack : ProtoMsg {
-    Nack() : ProtoMsg(MsgType::Nack) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<Nack>(*this);
-    }
-    NackedKind kind = NackedKind::Read;
+/**
+ * The addressed frame is gone; re-translate and retry. The one-byte
+ * fields come last so a Nack is 40 bytes and its retry closure (this +
+ * Nack) fits sim::Event's inline capture.
+ */
+struct Nack {
     Vpn vpn = 0;
     Addr wordOffset = 0;
     /** Request identity to retry: the matching tag for the kind. */
     ReadTag readTag = 0;
     WriteTag writeTag = 0;
     OpTag opTag = 0;
-    Word value = 0;   ///< write value / rmw operand
+    Word value = 0; ///< write value / rmw operand
+    NackedKind kind = NackedKind::Read;
     RmwOp op = RmwOp::Xchng;
-    static constexpr unsigned kBytes = 16;
 };
 
 /** A batch of words copied during background page replication. */
-struct PageCopyData : ProtoMsg {
-    PageCopyData() : ProtoMsg(MsgType::PageCopyData) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<PageCopyData>(*this);
-    }
-    PhysPage target;
+struct PageCopyData {
+    PhysPage target{};
     Vpn vpn = 0; ///< page being copied, for per-page checker attribution
     Addr baseOffset = 0;
-    std::vector<Word> words;
+    std::vector<Word> words{};
     std::uint32_t copyId = 0;
     bool last = false;
     /**
@@ -254,25 +193,12 @@ struct PageCopyData : ProtoMsg {
      * must not treat a word as valid when the master has outstanding
      * invalidations for it: a later write would skip the chain.
      */
-    std::vector<std::uint64_t> validMask;
-    unsigned
-    bytes() const
-    {
-        return 12 + 4 * static_cast<unsigned>(words.size()) +
-               8 * static_cast<unsigned>(validMask.size());
-    }
+    std::vector<std::uint64_t> validMask{};
 };
 
 /** The destination saw the final batch of a page copy. */
-struct PageCopyDone : ProtoMsg {
-    PageCopyDone() : ProtoMsg(MsgType::PageCopyDone) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<PageCopyDone>(*this);
-    }
+struct PageCopyDone {
     std::uint32_t copyId = 0;
-    static constexpr unsigned kBytes = 4;
 };
 
 /**
@@ -282,16 +208,59 @@ struct PageCopyDone : ProtoMsg {
  * the predecessor forwarded to the dying copy; the receiver then frees
  * the frame and drops its coherence-table entries.
  */
-struct FrameFlush : ProtoMsg {
-    FrameFlush() : ProtoMsg(MsgType::FrameFlush) {}
-    std::unique_ptr<net::Payload>
-    clone() const override
-    {
-        return std::make_unique<FrameFlush>(*this);
-    }
+struct FrameFlush {
     FrameId frame = kInvalidFrame;
-    static constexpr unsigned kBytes = 8;
 };
+
+/**
+ * Any protocol message, in MsgType order after std::monostate, which
+ * stands for no message (link-layer acks, bare test packets).
+ */
+using Message =
+    std::variant<std::monostate, ReadReq, ReadResp, WriteReq, UpdateReq,
+                 WriteAck, RmwReq, RmwResp, Nack, PageCopyData,
+                 PageCopyDone, FrameFlush>;
+
+/** The type of @p msg, which must hold a message. */
+inline MsgType
+typeOf(const Message& msg)
+{
+    return static_cast<MsgType>(msg.index() - 1);
+}
+
+/** Bytes @p msg takes on the wire; 0 for no message. */
+inline unsigned
+wireBytes(const Message& msg)
+{
+    if (std::holds_alternative<std::monostate>(msg)) {
+        return 0;
+    }
+    switch (typeOf(msg)) {
+      case MsgType::ReadReq: return 12;
+      case MsgType::ReadResp: return 8;
+      case MsgType::WriteReq: return 16;
+      case MsgType::UpdateReq: {
+        // An invalidation names each word but carries no value.
+        const UpdateReq& m = std::get<UpdateReq>(msg);
+        return 8 + (m.invalidate ? 4 : 8) *
+                       static_cast<unsigned>(m.writes.size());
+      }
+      case MsgType::WriteAck:
+        // Master-routed acks carry the 8-byte chain identity.
+        return std::get<WriteAck>(msg).chainId != 0 ? 12 : 4;
+      case MsgType::RmwReq: return 20;
+      case MsgType::RmwResp: return 8;
+      case MsgType::Nack: return 16;
+      case MsgType::PageCopyData: {
+        const PageCopyData& m = std::get<PageCopyData>(msg);
+        return 12 + 4 * static_cast<unsigned>(m.words.size()) +
+               8 * static_cast<unsigned>(m.validMask.size());
+      }
+      case MsgType::PageCopyDone: return 4;
+      case MsgType::FrameFlush: return 8;
+      default: return 0;
+    }
+}
 
 } // namespace proto
 } // namespace plus

@@ -98,7 +98,7 @@ class Protocol
      * chain's acknowledgement.
      */
     virtual void propagateRmwEffects(Vpn vpn, FrameId frame,
-                                     std::vector<WordWrite> writes,
+                                     const WordWrites& writes,
                                      NodeId originator,
                                      WriteTag write_tag) = 0;
 
@@ -106,7 +106,7 @@ class Protocol
      * A chain stopped at this node's (non-master) copy: apply or
      * invalidate per protocol, then continue down the copy-list.
      */
-    virtual void chainStop(std::unique_ptr<UpdateReq> msg) = 0;
+    virtual void chainStop(const UpdateReq& msg) = 0;
 
     /**
      * A chain-routed WriteAck (WriteAck::chainId != 0) reached this
@@ -147,7 +147,7 @@ class Protocol
      * Serve a remote ReadReq addressed to an allocated frame this node
      * holds (the unallocated → Nack case is handled by the manager).
      */
-    virtual void serveReadReq(std::unique_ptr<ReadReq> msg) = 0;
+    virtual void serveReadReq(const ReadReq& msg) = 0;
 
     // --- copy creation and teardown ---------------------------------------
 

@@ -16,10 +16,13 @@
 #ifndef PLUS_PROTO_RMW_HPP_
 #define PLUS_PROTO_RMW_HPP_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <initializer_list>
 
+#include "common/panic.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -54,16 +57,56 @@ struct PageView {
     std::function<Word(Addr word_offset)> read;
 };
 
+/** One word written at a copy. */
+struct WordWrite {
+    Addr wordOffset = 0;
+    Word value = 0;
+};
+
+/**
+ * The word writes of one update: a write makes one, an interlocked
+ * operation zero, one or two (queue/dequeue write the slot and the
+ * offset word). Fixed capacity, so an update chain carries its writes by
+ * value.
+ */
+class WordWrites
+{
+  public:
+    static constexpr std::size_t kMax = 2;
+
+    WordWrites() = default;
+    WordWrites(std::initializer_list<WordWrite> writes)
+    {
+        for (const WordWrite& w : writes) {
+            push_back(w);
+        }
+    }
+
+    void
+    push_back(WordWrite w)
+    {
+        PLUS_ASSERT(size_ < kMax, "more than ", kMax, " word writes");
+        writes_[size_++] = w;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const WordWrite& operator[](std::size_t i) const { return writes_[i]; }
+    const WordWrite& front() const { return writes_[0]; }
+    const WordWrite* begin() const { return writes_.data(); }
+    const WordWrite* end() const { return writes_.data() + size_; }
+
+  private:
+    std::array<WordWrite, kMax> writes_{};
+    std::uint8_t size_ = 0;
+};
+
 /** Result of executing an operation at the master copy. */
 struct RmwResult {
     /** Old memory contents returned to the originator. */
     Word oldValue = 0;
     /** Writes to apply at the master and propagate to all copies. */
-    struct Write {
-        Addr wordOffset;
-        Word value;
-    };
-    std::vector<Write> writes;
+    WordWrites writes;
 };
 
 /**

@@ -24,7 +24,7 @@ WriteInvalidateProtocol::invalidEverywhere(FrameId frame) const
 
 bool
 WriteInvalidateProtocol::allInvalidEverywhere(
-    FrameId frame, const std::vector<WordWrite>& writes) const
+    FrameId frame, const WordWrites& writes) const
 {
     const auto it = masterInvalid_.find(frame);
     if (it == masterInvalid_.end()) {
@@ -63,16 +63,13 @@ WriteInvalidateProtocol::ackOriginator(NodeId originator, WriteTag tag,
     if (originator == cm_.self_) {
         cm_.retireWrite(tag);
     } else {
-        auto msg = std::make_unique<WriteAck>();
-        msg->tag = tag;
-        msg->fromRmw = from_rmw;
-        cm_.send(originator, std::move(msg), WriteAck::kBytes);
+        cm_.send(originator, WriteAck{.tag = tag, .fromRmw = from_rmw});
     }
 }
 
 void
 WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
-                                     std::vector<WordWrite> writes,
+                                     const WordWrites& writes,
                                      NodeId originator, WriteTag tag,
                                      bool from_rmw)
 {
@@ -104,8 +101,8 @@ WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
         pc.fromRmw = from_rmw;
         pendingChains_.emplace(chain, std::move(pc));
     }
-    cm_.continueChain(vpn, chain, frame, std::move(writes), originator, tag,
-                      from_rmw, /*invalidate=*/true);
+    cm_.continueChain(vpn, chain, frame, writes, originator, tag, from_rmw,
+                      /*invalidate=*/true);
 }
 
 void
@@ -115,7 +112,7 @@ WriteInvalidateProtocol::writeAtMaster(Vpn vpn, FrameId frame,
 {
     cm_.applyLocal(frame, word_offset, value);
     noteWriter(vpn, frame, originator);
-    std::vector<WordWrite> writes{WordWrite{word_offset, value}};
+    const WordWrites writes{WordWrite{word_offset, value}};
     if (cm_.deps_.tables->nextCopy(frame) &&
         allInvalidEverywhere(frame, writes)) {
         // Every sharer already dropped this word: the write is complete
@@ -123,13 +120,12 @@ WriteInvalidateProtocol::writeAtMaster(Vpn vpn, FrameId frame,
         ackOriginator(originator, tag, /*from_rmw=*/false);
         return;
     }
-    launchChain(vpn, frame, std::move(writes), originator, tag,
-                /*from_rmw=*/false);
+    launchChain(vpn, frame, writes, originator, tag, /*from_rmw=*/false);
 }
 
 void
 WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
-                                             std::vector<WordWrite> writes,
+                                             const WordWrites& writes,
                                              NodeId originator,
                                              WriteTag write_tag)
 {
@@ -140,7 +136,7 @@ WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
             ackOriginator(originator, write_tag, /*from_rmw=*/true);
             return;
         }
-        launchChain(vpn, frame, std::move(writes), originator, write_tag,
+        launchChain(vpn, frame, writes, originator, write_tag,
                     /*from_rmw=*/true);
     } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
@@ -149,11 +145,11 @@ WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
 }
 
 void
-WriteInvalidateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
+WriteInvalidateProtocol::chainStop(const UpdateReq& msg)
 {
-    const FrameId frame = msg->target.frame;
+    const FrameId frame = msg.target.frame;
     auto& invalid = invalidHere_[frame];
-    for (const WordWrite& w : msg->writes) {
+    for (const WordWrite& w : msg.writes) {
         invalid.insert(w.wordOffset);
         cm_.stats_.invalidations += 1;
         if (cm_.events_) {
@@ -161,14 +157,14 @@ WriteInvalidateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
             // invalidation to precede the chain stop at a sharer.
             cm_.events_->emit({.kind = check::EventKind::WordInvalidated,
                                .node = cm_.self_,
-                               .vpn = msg->vpn,
+                               .vpn = msg.vpn,
                                .word = w.wordOffset});
         }
     }
     invGen_[frame] += 1;
-    noteChainStop(*msg);
-    cm_.continueChain(msg->vpn, msg->chainId, frame, std::move(msg->writes),
-                      msg->originator, msg->tag, msg->fromRmw,
+    noteChainStop(msg);
+    cm_.continueChain(msg.vpn, msg.chainId, frame, msg.writes,
+                      msg.originator, msg.tag, msg.fromRmw,
                       /*invalidate=*/true);
 }
 
@@ -273,13 +269,13 @@ WriteInvalidateProtocol::refetchDone(const ReadWaiter& read, Word value)
 }
 
 void
-WriteInvalidateProtocol::serveReadReq(std::unique_ptr<ReadReq> msg)
+WriteInvalidateProtocol::serveReadReq(const ReadReq& msg)
 {
-    const FrameId frame = msg->target.page.frame;
-    const Addr off = msg->target.wordOffset;
+    const FrameId frame = msg.target.page.frame;
+    const Addr off = msg.target.wordOffset;
     const PhysPage master = cm_.deps_.tables->master(frame);
     if (master.node == cm_.self_) {
-        if (msg->refetch) {
+        if (msg.refetch) {
             // The sharer is revalidating this word; it is no longer
             // invalid everywhere, so later writes must chain again.
             const auto it = masterInvalid_.find(frame);
@@ -287,29 +283,28 @@ WriteInvalidateProtocol::serveReadReq(std::unique_ptr<ReadReq> msg)
                 clearGen_[frame] += 1;
             }
         }
-        auto resp = std::make_unique<ReadResp>();
-        resp->tag = msg->tag;
-        resp->value = cm_.deps_.memory->read(frame, off);
-        cm_.send(msg->originator, std::move(resp), ReadResp::kBytes);
+        cm_.send(msg.originator,
+                 ReadResp{.tag = msg.tag,
+                          .value = cm_.deps_.memory->read(frame, off)});
         return;
     }
     const auto it = invalidHere_.find(frame);
     if (it != invalidHere_.end() && it->second.count(off) != 0) {
         // This copy's word is stale: retarget the request to the master.
-        msg->target = PhysAddr{master, off};
-        cm_.send(master.node, std::move(msg), ReadReq::kBytes);
+        ReadReq retargeted = msg;
+        retargeted.target = PhysAddr{master, off};
+        cm_.send(master.node, retargeted);
         return;
     }
     if (cm_.events_) {
         cm_.events_->emit({.kind = check::EventKind::LocalValueServed,
                            .node = cm_.self_,
-                           .vpn = msg->vpn,
+                           .vpn = msg.vpn,
                            .word = off});
     }
-    auto resp = std::make_unique<ReadResp>();
-    resp->tag = msg->tag;
-    resp->value = cm_.deps_.memory->read(frame, off);
-    cm_.send(msg->originator, std::move(resp), ReadResp::kBytes);
+    cm_.send(msg.originator,
+             ReadResp{.tag = msg.tag,
+                      .value = cm_.deps_.memory->read(frame, off)});
 }
 
 void

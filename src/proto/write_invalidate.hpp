@@ -63,17 +63,17 @@ class WriteInvalidateProtocol final : public Protocol
     void writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset, Word value,
                        NodeId originator, WriteTag tag) override;
     void propagateRmwEffects(Vpn vpn, FrameId frame,
-                             std::vector<WordWrite> writes,
+                             const WordWrites& writes,
                              NodeId originator,
                              WriteTag write_tag) override;
-    void chainStop(std::unique_ptr<UpdateReq> msg) override;
+    void chainStop(const UpdateReq& msg) override;
     void chainAckAtMaster(std::uint64_t chain_id) override;
     std::optional<Word> serveLocalRead(ReadWaiter& read,
                                        FrameId frame) override;
     std::optional<Word> serveNackedLocalRead(ReadWaiter& read,
                                              FrameId frame) override;
     void refetchDone(const ReadWaiter& read, Word value) override;
-    void serveReadReq(std::unique_ptr<ReadReq> msg) override;
+    void serveReadReq(const ReadReq& msg) override;
     void fillBatchValidity(FrameId src_frame, Addr base_offset, Addr count,
                            PageCopyData& msg) override;
     void applyCopyBatch(const PageCopyData& msg) override;
@@ -102,7 +102,7 @@ class WriteInvalidateProtocol final : public Protocol
 
     /** True if every word in @p writes is committed invalid-everywhere. */
     bool allInvalidEverywhere(FrameId frame,
-                              const std::vector<WordWrite>& writes) const;
+                              const WordWrites& writes) const;
 
     /** Count an ownership transfer when the writing node changes. */
     void noteWriter(Vpn vpn, FrameId frame, NodeId writer);
@@ -111,7 +111,7 @@ class WriteInvalidateProtocol final : public Protocol
     void ackOriginator(NodeId originator, WriteTag tag, bool from_rmw);
 
     /** Launch an invalidation chain for applied master writes. */
-    void launchChain(Vpn vpn, FrameId frame, std::vector<WordWrite> writes,
+    void launchChain(Vpn vpn, FrameId frame, const WordWrites& writes,
                      NodeId originator, WriteTag tag, bool from_rmw);
 
     /** Re-fetch @p read from the master if @p frame holds it invalid. */

@@ -32,7 +32,7 @@ WriteUpdateProtocol::writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset,
 
 void
 WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
-                                         std::vector<WordWrite> writes,
+                                         const WordWrites& writes,
                                          NodeId originator,
                                          WriteTag write_tag)
 {
@@ -50,32 +50,29 @@ WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                  .a = chain,
                  .b = check::packFrameTag(frame, write_tag)});
         }
-        cm_.continueChain(vpn, chain, frame, std::move(writes), originator,
-                          write_tag, /*from_rmw=*/true, /*invalidate=*/false);
+        cm_.continueChain(vpn, chain, frame, writes, originator, write_tag,
+                          /*from_rmw=*/true, /*invalidate=*/false);
     } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         if (originator == cm_.self_) {
             cm_.retireWrite(write_tag);
         } else {
-            auto msg = std::make_unique<WriteAck>();
-            msg->tag = write_tag;
-            msg->fromRmw = true;
-            cm_.send(originator, std::move(msg), WriteAck::kBytes);
+            cm_.send(originator, WriteAck{.tag = write_tag, .fromRmw = true});
         }
     }
 }
 
 void
-WriteUpdateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
+WriteUpdateProtocol::chainStop(const UpdateReq& msg)
 {
-    const FrameId frame = msg->target.frame;
-    for (const WordWrite& w : msg->writes) {
+    const FrameId frame = msg.target.frame;
+    for (const WordWrite& w : msg.writes) {
         cm_.applyLocal(frame, w.wordOffset, w.value);
     }
-    noteChainStop(*msg);
-    cm_.continueChain(msg->vpn, msg->chainId, frame,
-                      std::move(msg->writes), msg->originator, msg->tag,
-                      msg->fromRmw, /*invalidate=*/false);
+    noteChainStop(msg);
+    cm_.continueChain(msg.vpn, msg.chainId, frame, msg.writes,
+                      msg.originator, msg.tag, msg.fromRmw,
+                      /*invalidate=*/false);
 }
 
 std::optional<Word>
@@ -86,13 +83,13 @@ WriteUpdateProtocol::serveLocalRead(ReadWaiter& read, FrameId frame)
 }
 
 void
-WriteUpdateProtocol::serveReadReq(std::unique_ptr<ReadReq> msg)
+WriteUpdateProtocol::serveReadReq(const ReadReq& msg)
 {
-    const FrameId frame = msg->target.page.frame;
-    auto resp = std::make_unique<ReadResp>();
-    resp->tag = msg->tag;
-    resp->value = cm_.deps_.memory->read(frame, msg->target.wordOffset);
-    cm_.send(msg->originator, std::move(resp), ReadResp::kBytes);
+    const FrameId frame = msg.target.page.frame;
+    cm_.send(msg.originator,
+             ReadResp{.tag = msg.tag,
+                      .value = cm_.deps_.memory->read(
+                          frame, msg.target.wordOffset)});
 }
 
 void

@@ -33,13 +33,13 @@ class WriteUpdateProtocol final : public Protocol
     void writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset, Word value,
                        NodeId originator, WriteTag tag) override;
     void propagateRmwEffects(Vpn vpn, FrameId frame,
-                             std::vector<WordWrite> writes,
+                             const WordWrites& writes,
                              NodeId originator,
                              WriteTag write_tag) override;
-    void chainStop(std::unique_ptr<UpdateReq> msg) override;
+    void chainStop(const UpdateReq& msg) override;
     std::optional<Word> serveLocalRead(ReadWaiter& read,
                                        FrameId frame) override;
-    void serveReadReq(std::unique_ptr<ReadReq> msg) override;
+    void serveReadReq(const ReadReq& msg) override;
     void applyCopyBatch(const PageCopyData& msg) override;
 };
 

@@ -132,21 +132,16 @@ TEST(CheckSeeded, UpdateBypassingMasterIsDetected)
     const PhysPage replica = cl.copies()[1];
     ASSERT_EQ(replica.node, 1u);
 
-    auto msg = std::make_unique<proto::UpdateReq>();
-    msg->target = replica;
-    msg->vpn = pageOf(base);
-    msg->writes.push_back(proto::WordWrite{3, 42});
-    msg->originator = 0;
-    msg->tag = 7;
-    msg->chainId = 12345; // never assigned by any master
-    const unsigned bytes = msg->bytes();
-
-    net::Packet packet;
-    packet.src = 0;
-    packet.dst = 1;
-    packet.payloadBytes = bytes;
-    packet.payload = std::move(msg);
-    m.nodeAt(1).cm().onPacket(std::move(packet));
+    const proto::UpdateReq msg{.target = replica,
+                               .vpn = pageOf(base),
+                               .writes = {proto::WordWrite{3, 42}},
+                               .originator = 0,
+                               .tag = 7,
+                               .chainId = 12345}; // never assigned
+    m.nodeAt(1).cm().onPacket({.src = 0,
+                               .dst = 1,
+                               .payloadBytes = proto::wireBytes(msg),
+                               .message = msg});
 
     EXPECT_THROW(m.settle(), PanicError);
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/config.hpp"
@@ -28,26 +29,14 @@ namespace plus {
 namespace net {
 namespace {
 
-/** Cloneable test payload carrying one word. */
-struct Val final : Payload {
-    explicit Val(Word v) : v(v) {}
-    Word v;
-    std::unique_ptr<Payload>
-    clone() const override
-    {
-        return std::make_unique<Val>(*this);
-    }
-};
-
+/** A packet carrying one word in a ReadResp. */
 Packet
 makePacket(NodeId src, NodeId dst, Word value)
 {
-    Packet p;
-    p.src = src;
-    p.dst = dst;
-    p.payloadBytes = 8;
-    p.payload = std::make_unique<Val>(value);
-    return p;
+    return {.src = src,
+            .dst = dst,
+            .payloadBytes = 8,
+            .message = proto::ReadResp{.value = value}};
 }
 
 /** A 2x2 mesh with faults armed and per-node delivery recording. */
@@ -62,8 +51,8 @@ class Harness
         network->enableFaults(cfg.fault);
         for (NodeId n = 0; n < 4; ++n) {
             network->setDeliveryHandler(n, [this, n](Packet p) {
-                auto* val = static_cast<const Val*>(p.payload.get());
-                deliveredAt[n].push_back(val->v);
+                deliveredAt[n].push_back(
+                    std::get<proto::ReadResp>(p.message).value);
             });
         }
     }

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,8 +82,8 @@ TEST(MeshFifo, RandomTrafficNeverReordersWithinARoute)
     sim::Engine engine;
     MeshNetwork network(engine, topo, cfg);
 
-    // Tag each packet with a per-route sequence number via payload size
-    // ordering records kept on the side.
+    // Tag each packet with a per-route sequence number, carried as the
+    // tag of a ReadResp.
     struct Key {
         NodeId src, dst;
         bool operator<(const Key& o) const
@@ -91,19 +92,13 @@ TEST(MeshFifo, RandomTrafficNeverReordersWithinARoute)
         }
     };
     std::map<Key, unsigned> next_expected;
-    std::map<const Payload*, std::pair<Key, unsigned>> tags;
     bool ok = true;
-
-    struct Tag : Payload {
-        Key key;
-        unsigned seq;
-    };
 
     for (NodeId n = 0; n < 16; ++n) {
         network.setDeliveryHandler(n, [&](Packet p) {
-            auto* tag = static_cast<Tag*>(p.payload.get());
-            unsigned& expected = next_expected[tag->key];
-            if (tag->seq != expected) {
+            const unsigned seq = std::get<proto::ReadResp>(p.message).tag;
+            unsigned& expected = next_expected[Key{p.src, p.dst}];
+            if (seq != expected) {
                 ok = false;
             }
             ++expected;
@@ -125,15 +120,12 @@ TEST(MeshFifo, RandomTrafficNeverReordersWithinARoute)
         // order property).
         engine.schedule(rng.below(500),
                         [&network, &next_seq, key, bytes] {
-                            auto tag = std::make_unique<Tag>();
-                            tag->key = key;
-                            tag->seq = next_seq[key]++;
-                            Packet p;
-                            p.src = key.src;
-                            p.dst = key.dst;
-                            p.payloadBytes = bytes;
-                            p.payload = std::move(tag);
-                            network.send(std::move(p));
+                            network.send(
+                                {.src = key.src,
+                                 .dst = key.dst,
+                                 .payloadBytes = bytes,
+                                 .message = proto::ReadResp{
+                                     .tag = next_seq[key]++}});
                         });
     }
     engine.run();

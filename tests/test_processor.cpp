@@ -3,7 +3,7 @@
  * Tests of the processor timing model: cost accounting identities,
  * latency-hiding behaviour of the three modes, the cache's effect on
  * local access costs, page-fault charging, and heap allocation on the
- * steady-state local path.
+ * steady-state local and remote paths.
  */
 
 #include <gtest/gtest.h>
@@ -331,10 +331,67 @@ TEST(Processor, SteadyStateLocalOpsDoNotAllocate)
     });
     m.run();
     EXPECT_EQ(read_allocs, 0u);
-    // The master builds each write's update chain as a
-    // std::vector<WordWrite>, one allocation even when the page has no
-    // other copy to update.
-    EXPECT_LE(write_allocs, static_cast<std::size_t>(kWrites));
+    EXPECT_EQ(write_allocs, 0u);
+}
+
+TEST(Processor, SteadyStateRemoteOpsAllocate)
+{
+    // Node 0 issues every op. The remote page lives on node 1; the
+    // replicated page's master is node 0, with one copy on node 1.
+    constexpr int kOps = 64;
+    Machine m(cfgFor(2)); // the invariant checker stays on
+    const Addr remote = m.alloc(kPageBytes, 1);
+    const Addr replicated = m.alloc(kPageBytes, 0);
+    m.replicate(replicated, 1);
+    m.settle();
+    std::size_t read_allocs = 0;
+    std::size_t remote_write_allocs = 0;
+    std::size_t replicated_write_allocs = 0;
+    std::size_t fadd_allocs = 0;
+    m.spawn(0, [&](Context& ctx) {
+        const auto reads = [&] {
+            for (int i = 0; i < kOps; ++i) {
+                ctx.read(remote + kWordBytes * i);
+            }
+        };
+        const auto writes = [&](Addr page) {
+            for (int i = 0; i < kOps; ++i) {
+                ctx.write(page + kWordBytes * i, i);
+            }
+            ctx.fence();
+        };
+        const auto fadds = [&] {
+            for (int i = 0; i < kOps; ++i) {
+                ctx.fadd(remote + kWordBytes * i, 1);
+            }
+            ctx.fence();
+        };
+        const auto allocsOf = [](const auto& ops) {
+            const std::size_t before = g_allocations;
+            ops();
+            return g_allocations - before;
+        };
+        // Warm-up: translations, event slab, transit pool, tag tables.
+        reads();
+        writes(remote);
+        writes(replicated);
+        fadds();
+        read_allocs = allocsOf(reads);
+        remote_write_allocs = allocsOf([&] { writes(remote); });
+        replicated_write_allocs = allocsOf([&] { writes(replicated); });
+        fadd_allocs = allocsOf(fadds);
+    });
+    m.run();
+    EXPECT_EQ(read_allocs, 0u);
+    EXPECT_EQ(remote_write_allocs, 0u);
+    // Two per write (the parent read 257): the UpdateReq service
+    // closure (this + an 80-byte UpdateReq) exceeds sim::Event's inline
+    // capture and takes one heap cell at the replica, and the invariant
+    // checker keeps a visited list for the chain that leaves the master.
+    EXPECT_LE(replicated_write_allocs, 2u * kOps);
+    // One per op (the parent read 320): the RmwReq service closure
+    // (this + a 48-byte RmwReq) takes one heap cell at the master.
+    EXPECT_LE(fadd_allocs, static_cast<std::size_t>(kOps));
 }
 
 } // namespace

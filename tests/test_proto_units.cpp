@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for the protocol building blocks: the RMW semantics of
- * Table 3-1, the pending-writes cache, and the delayed-operations cache.
+ * Table 3-1, the message wire sizes, the pending-writes cache, and the
+ * delayed-operations cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "proto/delayed_ops.hpp"
+#include "proto/messages.hpp"
 #include "proto/pending_writes.hpp"
 #include "proto/rmw.hpp"
 
@@ -191,6 +196,66 @@ TEST(Rmw, ComplexOpsAreTheFiftyTwoCycleOnes)
 }
 
 // --- PendingWrites -----------------------------------------------------------
+
+TEST(Rmw, WordWritesHoldAtMostTwo)
+{
+    WordWrites writes{WordWrite{1, 10}, WordWrite{2, 20}};
+    ASSERT_EQ(writes.size(), 2u);
+    EXPECT_EQ(writes.front().value, 10u);
+    EXPECT_EQ(writes[1].wordOffset, 2u);
+    EXPECT_THROW(writes.push_back(WordWrite{3, 30}), PanicError);
+}
+
+/** The Message alternative that carries a @p type message. */
+template <MsgType type>
+using AlternativeOf =
+    std::variant_alternative_t<1 + static_cast<std::size_t>(type), Message>;
+
+static_assert(std::variant_size_v<Message> ==
+              1 + static_cast<std::size_t>(MsgType::NumTypes));
+static_assert(
+    std::is_same_v<std::variant_alternative_t<0, Message>, std::monostate>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::ReadReq>, ReadReq>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::ReadResp>, ReadResp>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::WriteReq>, WriteReq>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::UpdateReq>, UpdateReq>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::WriteAck>, WriteAck>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::RmwReq>, RmwReq>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::RmwResp>, RmwResp>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::Nack>, Nack>);
+static_assert(
+    std::is_same_v<AlternativeOf<MsgType::PageCopyData>, PageCopyData>);
+static_assert(
+    std::is_same_v<AlternativeOf<MsgType::PageCopyDone>, PageCopyDone>);
+static_assert(std::is_same_v<AlternativeOf<MsgType::FrameFlush>, FrameFlush>);
+
+TEST(Messages, WireBytesFollowTheWireModel)
+{
+    EXPECT_EQ(wireBytes(Message{}), 0u);
+    EXPECT_EQ(wireBytes(ReadReq{}), 12u);
+    EXPECT_EQ(wireBytes(ReadResp{}), 8u);
+    EXPECT_EQ(wireBytes(WriteReq{}), 16u);
+    // 8 + 8 per word written, 8 + 4 per word invalidated.
+    const WordWrites one{WordWrite{1, 10}};
+    const WordWrites two{WordWrite{1, 10}, WordWrite{2, 20}};
+    EXPECT_EQ(wireBytes(UpdateReq{.writes = one}), 16u);
+    EXPECT_EQ(wireBytes(UpdateReq{.writes = two}), 24u);
+    EXPECT_EQ(wireBytes(UpdateReq{.writes = one, .invalidate = true}), 12u);
+    EXPECT_EQ(wireBytes(UpdateReq{.writes = two, .invalidate = true}), 16u);
+    // A master-routed ack carries the 8-byte chain identity.
+    EXPECT_EQ(wireBytes(WriteAck{}), 4u);
+    EXPECT_EQ(wireBytes(WriteAck{.chainId = 7}), 12u);
+    EXPECT_EQ(wireBytes(RmwReq{}), 20u);
+    EXPECT_EQ(wireBytes(RmwResp{}), 8u);
+    EXPECT_EQ(wireBytes(Nack{}), 16u);
+    // 12 + 4 per word + 8 per validity-mask word.
+    EXPECT_EQ(wireBytes(PageCopyData{.words = std::vector<Word>(32)}), 140u);
+    EXPECT_EQ(wireBytes(PageCopyData{.words = std::vector<Word>(5),
+                                     .validMask = {~0ull}}),
+              40u);
+    EXPECT_EQ(wireBytes(PageCopyDone{}), 4u);
+    EXPECT_EQ(wireBytes(FrameFlush{}), 8u);
+}
 
 TEST(PendingWrites, TracksInFlightByAddress)
 {

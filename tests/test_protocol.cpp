@@ -302,22 +302,17 @@ TEST(ProtocolChecker, InjectedChainAtSharerPanicsUnderInvalidate)
     // A chain that never began at the master, injected at the sharer:
     // the invalidate-mode checker must reject it like the update-mode
     // checker does (tests/test_check.cpp UpdateBypassingMasterIsDetected).
-    auto msg = std::make_unique<proto::UpdateReq>();
-    msg->target = replica;
-    msg->vpn = pageOf(base);
-    msg->writes.push_back(proto::WordWrite{3, 42});
-    msg->originator = 0;
-    msg->tag = 7;
-    msg->chainId = 12345; // never assigned by any master
-    msg->invalidate = true;
-    const unsigned bytes = msg->bytes();
-
-    net::Packet packet;
-    packet.src = 0;
-    packet.dst = 1;
-    packet.payloadBytes = bytes;
-    packet.payload = std::move(msg);
-    m->nodeAt(1).cm().onPacket(std::move(packet));
+    const proto::UpdateReq msg{.target = replica,
+                               .vpn = pageOf(base),
+                               .writes = {proto::WordWrite{3, 42}},
+                               .originator = 0,
+                               .tag = 7,
+                               .chainId = 12345, // never assigned
+                               .invalidate = true};
+    m->nodeAt(1).cm().onPacket({.src = 0,
+                                .dst = 1,
+                                .payloadBytes = proto::wireBytes(msg),
+                                .message = msg});
 
     EXPECT_THROW(m->settle(), PanicError);
 }
